@@ -31,7 +31,10 @@ def poly_from_obj(obj: dict) -> MultiPoly:
     terms = {}
     for term in obj.get("terms", []):
         exp = tuple(int(e) for e in term["exp"])
-        terms[exp] = Fraction(int(term["num"]), int(term["den"]))
+        den = int(term["den"])
+        if den == 0:
+            raise ValueError(f"term {list(exp)} has denominator 0")
+        terms[exp] = Fraction(int(term["num"]), den)
     return MultiPoly(nvars, terms)
 
 

@@ -3,8 +3,12 @@ and the brute-force graded-dimension oracle.
 
 The oracle sets up, for a generic homogeneous polynomial of degree d, the
 linear conditions that every (1 - (i,j)) image have (x_i - x_j)-adic
-valuation at least 2m+1, and computes an exact integer nullspace by
-fraction-free (Bareiss) elimination.
+valuation at least 2m+1, as sparse integer rows, and computes their exact
+integer nullspace.  The one linear-algebra core behind the oracle and
+``poly_rank`` finds the pivot pattern by sparse elimination modulo a 61-bit
+prime, lifts the reduced kernel basis to Q by rational reconstruction, and
+returns it only after checking every vector exactly against the integer
+rows; a failed lift or check brings in further primes, never a guess.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from .exactalg import MultiPoly, binomial_valuation, divide_exact, vandermonde
 from .symgroup import Perm, act
 from .tableaux import Tableau, gamma, v_t
 
-ORACLE_MAX_N = 4
+ORACLE_MAX_N = 5
 DEFAULT_DEGREE_CAP = 12
 
 
@@ -68,100 +72,196 @@ def delta_sq_embed(p: MultiPoly, m: int) -> MultiPoly:
 
 
 # -- exact linear algebra -------------------------------------------------
+#
+# One sparse core serves the oracle and poly_rank.  A row is a dict
+# {column: int} with no zero entries.  The pivot pattern comes from a
+# reduced row echelon form modulo a 61-bit prime; the kernel is lifted to Q
+# by rational reconstruction (Wang 1981; Monagan 2004) and every vector is
+# checked exactly against the integer rows before anything is returned.
 
 
-def bareiss_echelon(rows):
-    """Fraction-free row echelon form of an integer matrix.
-
-    Returns (echelon_rows, pivot_cols); echelon rows are integer rows with
-    staircase pivots, zero rows dropped.
-    """
-    mat = [list(r) for r in rows if any(r)]
-    if not mat:
-        return [], []
-    ncols = len(mat[0])
-    pivots = []
-    prev = 1
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((k for k in range(r, len(mat)) if mat[k][c]), None)
-        if pivot_row is None:
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin with the first twelve prime bases: exact below 3.3e24."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2:
+        return False
+    for b in bases:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in bases:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
             continue
-        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        pivot = mat[r][c]
-        for k in range(r + 1, len(mat)):
-            if not any(mat[k][c:]):
-                continue
-            factor = mat[k][c]
-            for col in range(ncols):
-                mat[k][col] = (mat[k][col] * pivot - factor * mat[r][col]) // prev
-        prev = pivot
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    echelon = [row for row in mat[:r]]
-    return echelon, pivots
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
-def integer_nullspace(rows, ncols):
-    """Nullspace basis of an integer matrix, one primitive integer vector
-    per free column, deterministic order."""
-    echelon, pivots = bareiss_echelon(rows)
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(ncols) if c not in pivot_set]
+def _primes():
+    """The primes below 2^61 in descending order, found as they are needed."""
+    p = (1 << 61) - 1
+    while True:
+        if _is_prime(p):
+            yield p
+        p -= 2
+
+
+def _rref_mod(rows, p):
+    """Reduced row echelon form of ``rows`` modulo the prime p, built one
+    row at a time: {pivot column: row}.  Each stored row is 1 at its pivot,
+    0 at every other pivot column and 0 left of its pivot, so the pivot set
+    is the column rank profile modulo p.  That form does not depend on the
+    row order; taking the sparsest rows first keeps the fill-in small."""
+    reduced = {}
+    for row in sorted(rows, key=len):
+        r = dict(row)
+        for c in [c for c in r if c in reduced]:
+            coef = r.pop(c)
+            for col, v in reduced[c].items():
+                if col != c:
+                    r[col] = r.get(col, 0) - coef * v
+        r = {c: v % p for c, v in r.items() if v % p}
+        if not r:
+            continue
+        pivot = min(r)
+        inv = pow(r[pivot], -1, p)
+        r = {c: v * inv % p for c, v in r.items()}
+        for other in reduced.values():
+            coef = other.pop(pivot, 0)
+            if coef:
+                for col, v in r.items():
+                    if col != pivot:
+                        x = (other.get(col, 0) - coef * v) % p
+                        if x:
+                            other[col] = x
+                        else:
+                            del other[col]
+        reduced[pivot] = r
+    return reduced
+
+
+def _kernel_mod(reduced, ncols, p):
+    """The reduced kernel basis modulo p, {free column f: {column: residue}}:
+    1 at f, 0 at every other free column."""
+    kernel = {f: {f: 1} for f in range(ncols) if f not in reduced}
+    for c, row in reduced.items():
+        for f, v in row.items():
+            if f != c:
+                kernel[f][c] = -v % p
+    return kernel
+
+
+def _rational(a: int, modulus: int):
+    """The fraction n/d with |n|, d <= sqrt(modulus / 2) and n = a d mod
+    modulus, or None when there is none (Wang's reconstruction)."""
+    bound = math.isqrt(modulus // 2)
+    r0, r1 = modulus, a % modulus
+    s0, s1 = 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        s0, s1 = s1, s0 - q * s1
+    if s1 == 0 or abs(s1) > bound or math.gcd(s1, modulus) != 1:
+        return None
+    return Fraction(r1, s1)
+
+
+def _lift(kernel, modulus):
+    """Primitive integer vectors with a positive lead entry, one per kernel
+    residue vector, or None when a rational reconstruction fails."""
     basis = []
-    for f in free_cols:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for row, c in zip(reversed(echelon), reversed(pivots)):
-            s = sum(Fraction(row[k]) * v[k] for k in range(c + 1, ncols) if row[k])
-            v[c] = -s / row[c]
-        denom = math.lcm(*(x.denominator for x in v))
-        ints = [int(x * denom) for x in v]
-        g = math.gcd(*ints)
-        if g:
-            ints = [x // g for x in ints]
-        lead = next((x for x in ints if x), 1)
-        if lead < 0:
-            ints = [-x for x in ints]
-        basis.append(ints)
+    for residues in kernel.values():
+        vec = {c: _rational(residues[c], modulus) for c in sorted(residues)}
+        if any(x is None for x in vec.values()):
+            return None
+        scale = math.lcm(*(x.denominator for x in vec.values()))
+        ints = {c: int(x * scale) for c, x in vec.items()}
+        g = math.gcd(*ints.values())
+        if ints[min(ints)] < 0:
+            g = -g
+        basis.append({c: x // g for c, x in ints.items()})
     return basis
 
 
-def rational_nullspace_dimension(rows, ncols) -> int:
-    """Naive Fraction Gaussian elimination; cross-check for the Bareiss path."""
-    mat = [[Fraction(x) for x in r] for r in rows if any(r)]
-    rank = 0
-    for c in range(ncols):
-        pivot_row = next((k for k in range(rank, len(mat)) if mat[k][c]), None)
-        if pivot_row is None:
+def _annihilates(rows, basis) -> bool:
+    """True iff every row times every basis vector is exactly 0."""
+    by_col = {}
+    for k, vec in enumerate(basis):
+        for c, v in vec.items():
+            by_col.setdefault(c, []).append((k, v))
+    for row in rows:
+        sums = {}
+        for c, a in row.items():
+            for k, v in by_col.get(c, ()):
+                sums[k] = sums.get(k, 0) + a * v
+        if any(sums.values()):
+            return False
+    return True
+
+
+def integer_nullspace(rows, ncols):
+    """Nullspace basis of an integer matrix given as sparse rows
+    {column: int}.
+
+    Returns one vector {column: int} per free column of the column rank
+    profile, in column order: the kernel vector that is 1 at its own free
+    column and 0 at the other free columns, scaled to a primitive integer
+    vector whose first nonzero entry is positive.  The basis is fixed by
+    the matrix, whatever the elimination order.
+
+    Certificate: the nullity modulo p bounds the nullity over Q from above,
+    so that many exactly verified kernel vectors, independent because of
+    their free columns, prove the dimension.  A verified vector with free
+    column f also shows that column f depends on the columns left of it, so
+    the free columns are those of the exact column rank profile.  On a
+    failed reconstruction or check, further primes are combined by CRT;
+    a prime whose pivot set is worse than one seen before is skipped.
+    """
+    rows = [row for row in rows if row]
+    best = None
+    for p in _primes():
+        reduced = _rref_mod(rows, p)
+        key = (-len(reduced), sorted(reduced))
+        kernel = _kernel_mod(reduced, ncols, p)
+        if best is None or key < best:
+            best, modulus, residues = key, p, kernel
+        elif key == best:
+            # CRT: x = r (mod modulus), x = s (mod p)
+            lift = pow(modulus, -1, p)
+            for f, vec in residues.items():
+                new = kernel[f]
+                for c in vec.keys() | new.keys():
+                    r = vec.get(c, 0)
+                    vec[c] = r + modulus * ((new.get(c, 0) - r) * lift % p)
+            modulus *= p
+        else:
             continue
-        mat[rank], mat[pivot_row] = mat[pivot_row], mat[rank]
-        inv = 1 / mat[rank][c]
-        mat[rank] = [x * inv for x in mat[rank]]
-        for k in range(len(mat)):
-            if k != rank and mat[k][c]:
-                factor = mat[k][c]
-                mat[k] = [a - factor * b for a, b in zip(mat[k], mat[rank])]
-        rank += 1
-    return ncols - rank
+        basis = _lift(residues, modulus)
+        if basis is not None and _annihilates(rows, basis):
+            return basis
 
 
 def poly_rank(polys) -> int:
-    """Rank over Q of a list of MultiPoly values."""
+    """Rank over Q of a list of MultiPoly values.
+
+    The kernel of the monomial-by-polynomial coefficient matrix is the space
+    of linear relations among the polynomials; each polynomial's column is
+    scaled to integers by its common denominator.
+    """
     polys = [p for p in polys if not p.is_zero()]
-    if not polys:
-        return 0
-    monomials = sorted({e for p in polys for e in p.terms})
-    index = {e: k for k, e in enumerate(monomials)}
-    rows = []
-    for p in polys:
-        row = [Fraction(0)] * len(monomials)
+    rows = {}
+    for k, p in enumerate(polys):
+        scale = math.lcm(*(c.denominator for c in p.terms.values()))
         for e, c in p.terms.items():
-            row[index[e]] = c
-        rows.append(row)
-    return len(monomials) - rational_nullspace_dimension(rows, len(monomials))
+            rows.setdefault(e, {})[k] = c.numerator * (scale // c.denominator)
+    return len(polys) - len(integer_nullspace(list(rows.values()), len(polys)))
 
 
 # -- the oracle ------------------------------------------------------------
@@ -197,7 +297,8 @@ def monomials_of_degree(n: int, d: int):
 
 
 def _constraint_rows(n: int, m: int, monomials):
-    """Integer constraint rows: one per (pair, u-power, residual monomial).
+    """Sparse integer constraint rows {column: int}: one per (pair, u-power,
+    residual monomial).
 
     For the pair (i, j), substituting x_i = x_j + u into (1 - (i,j)) x^a
     contributes C(a_i, t) - C(a_j, t) at u^t times the residual monomial
@@ -222,13 +323,7 @@ def _constraint_rows(n: int, m: int, monomials):
                     key = (i, j, t, tuple(residual))
                     row = rows.setdefault(key, {})
                     row[col] = row.get(col, 0) + coeff
-    dense = []
-    for key in sorted(rows):
-        row = [0] * len(monomials)
-        for col, value in rows[key].items():
-            row[col] = value
-        dense.append(row)
-    return dense
+    return [rows[key] for key in sorted(rows)]
 
 
 def graded_dimension_oracle(n: int, m: int, d: int) -> QIWitness:
@@ -237,6 +332,8 @@ def graded_dimension_oracle(n: int, m: int, d: int) -> QIWitness:
     Builds the vanishing conditions on a generic coefficient vector and
     returns the integer nullspace.
     """
+    if n < 1:
+        raise ValueError(f"oracle needs n >= 1, got {n}")
     if n > ORACLE_MAX_N:
         raise ResourceGuardError(f"oracle limited to n <= {ORACLE_MAX_N}, got {n}")
     if d > degree_cap():
@@ -249,7 +346,7 @@ def graded_dimension_oracle(n: int, m: int, d: int) -> QIWitness:
     rows = _constraint_rows(n, m, monomials)
     basis_vectors = integer_nullspace(rows, len(monomials))
     basis = tuple(
-        MultiPoly(n, {e: Fraction(c) for e, c in zip(monomials, vec) if c})
+        MultiPoly(n, {monomials[c]: Fraction(v) for c, v in vec.items()})
         for vec in basis_vectors
     )
     return QIWitness(n=n, m=m, degree=d, basis=basis)

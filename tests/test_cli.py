@@ -116,6 +116,15 @@ class TestApply:
         assert code == 0
         assert jsonio.poly_from_obj(json.loads(out)) == vandermonde(2) ** 2
 
+    def test_zero_denominator_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"nvars": 2, "terms": [
+            {"exp": [1, 0], "num": "1", "den": "0"}]}))
+        code, out, err = run(capsys, "apply", "--op", "delta2", "--in", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "denominator 0" in err
+
 
 class TestOracle:
     def test_dump(self, capsys):
@@ -129,6 +138,12 @@ class TestOracle:
         code, _, err = run(capsys, "oracle", "--n", "9", "--m", "1", "--d", "2")
         assert code == 2
         assert err
+
+    def test_rejects_n_below_one(self, capsys):
+        code, out, err = run(capsys, "oracle", "--n", "0", "--m", "1", "--d", "2")
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "n >= 1" in err
 
 
 class TestDetcheck:

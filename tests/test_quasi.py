@@ -1,15 +1,18 @@
 """Quasiinvariance predicate, graded dimension oracle, projection
 membership, and the degree-cap/resource guards."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from quasiinv import quasi
 from quasiinv.exactalg import MultiPoly, elementary_symmetric, vandermonde
 from quasiinv.quasi import (
     ResourceGuardError,
-    bareiss_echelon,
     delta_sq_embed,
     graded_dimension_oracle,
     in_gamma_component,
@@ -18,14 +21,89 @@ from quasiinv.quasi import (
     monomials_of_degree,
     poly_rank,
     random_homogeneous,
-    rational_nullspace_dimension,
     theorem_main_checks,
 )
 from quasiinv.tableaux import Partition, hook_tableau, standard_tableaux
 
+FIRST_PRIME = (1 << 61) - 1  # the first prime the elimination core tries
+
 
 def x(i, n):
     return MultiPoly.variable(n, i)
+
+
+def dense_rref(rows, ncols):
+    """Reference: Fraction Gauss-Jordan elimination on dense rows.
+
+    Returns (reduced rows, pivot columns)."""
+    mat = [[Fraction(v) for v in r] for r in rows if any(r)]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        k = next((k for k in range(r, len(mat)) if mat[k][c]), None)
+        if k is None:
+            continue
+        mat[r], mat[k] = mat[k], mat[r]
+        inv = 1 / mat[r][c]
+        mat[r] = [v * inv for v in mat[r]]
+        for k in range(len(mat)):
+            if k != r and mat[k][c]:
+                factor = mat[k][c]
+                mat[k] = [a - factor * b for a, b in zip(mat[k], mat[r])]
+        pivots.append(c)
+    return mat[:len(pivots)], pivots
+
+
+def dense_nullspace(rows, ncols):
+    """Reference kernel: per free column, the reduced kernel vector scaled
+    to a primitive integer vector {column: int} with a positive lead."""
+    reduced, pivots = dense_rref(rows, ncols)
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        vec = {f: Fraction(1)}
+        for row, c in zip(reduced, pivots):
+            if row[f]:
+                vec[c] = -row[f]
+        scale = math.lcm(*(v.denominator for v in vec.values()))
+        ints = {c: int(vec[c] * scale) for c in sorted(vec)}
+        g = math.gcd(*ints.values()) * (1 if ints[min(ints)] > 0 else -1)
+        basis.append({c: v // g for c, v in ints.items()})
+    return basis
+
+
+def sparse(rows):
+    return [{c: v for c, v in enumerate(r) if v} for r in rows]
+
+
+def count_primes(monkeypatch):
+    """Record the primes the elimination core runs with."""
+    primes = []
+    real = quasi._rref_mod
+
+    def spy(rows, p):
+        primes.append(p)
+        return real(rows, p)
+
+    monkeypatch.setattr(quasi, "_rref_mod", spy)
+    return primes
+
+
+# entries are mostly small, with multiples of the first prime mixed in so
+# that the first prime often sees a smaller rank than Q does
+ENTRIES = st.one_of(
+    st.integers(-3, 3),
+    st.integers(-2, 2).map(lambda k: k * FIRST_PRIME),
+    st.integers(-2, 2).map(lambda k: k * FIRST_PRIME + 1),
+)
+
+
+@st.composite
+def matrices(draw):
+    ncols = draw(st.integers(1, 6))
+    nrows = draw(st.integers(0, 5))
+    rows = draw(st.lists(st.lists(ENTRIES, min_size=ncols, max_size=ncols),
+                         min_size=nrows, max_size=nrows))
+    return rows, ncols
 
 
 class TestPredicate:
@@ -73,24 +151,49 @@ class TestLinearAlgebra:
         assert len(set(monos)) == 6
         assert all(sum(e) == 2 for e in monos)
 
-    def test_bareiss_rank_matches_naive(self):
-        rng = random.Random(2)
-        for _ in range(15):
-            rows = [
-                [rng.randint(-4, 4) for _ in range(5)]
-                for _ in range(rng.randint(1, 6))
-            ]
-            _, pivots = bareiss_echelon([list(r) for r in rows])
-            naive_nullity = rational_nullspace_dimension(rows, 5)
-            assert len(pivots) == 5 - naive_nullity
+    @settings(max_examples=150, deadline=None)
+    @given(matrices(), st.lists(st.integers(1, 4), min_size=5, max_size=5))
+    def test_core_matches_dense_reference(self, matrix, dens):
+        rows, ncols = matrix
+        rank = len(dense_rref(rows, ncols)[1])
+        basis = integer_nullspace(sparse(rows), ncols)
+        reference = dense_nullspace(rows, ncols)
+        assert len(basis) == len(reference) == ncols - rank
+        assert basis == reference
+        polys = [
+            MultiPoly(2, {(ncols - 1 - c, c): Fraction(v, den)
+                          for c, v in enumerate(r) if v})
+            for r, den in zip(rows, dens)
+        ]
+        assert poly_rank(polys) == rank
+
+    def test_unlucky_prime_is_retried(self, monkeypatch):
+        # modulo the first prime the rows have rank 1 and the kernel vector
+        # e_0, which fails the exact check; the second prime is certified
+        primes = count_primes(monkeypatch)
+        rows = [[FIRST_PRIME, 1], [0, 1]]
+        assert integer_nullspace(sparse(rows), 2) == dense_nullspace(rows, 2) == []
+        assert len(primes) == 2 and primes[0] == FIRST_PRIME
+
+    def test_large_entries_combine_primes(self, monkeypatch):
+        # kernel entries near 2^120 need several primes combined by CRT
+        primes = count_primes(monkeypatch)
+        rows = [[3 ** 40 + 2, 5 ** 27 - 4, 7 ** 21 + 6, 1],
+                [2 ** 63 + 9, 11 ** 18, 13 ** 16 - 2, 0]]
+        basis = integer_nullspace(sparse(rows), 4)
+        assert basis == dense_nullspace(rows, 4)
+        assert len(primes) > 2
+        for v in basis:
+            for row in sparse(rows):
+                assert sum(a * v.get(c, 0) for c, a in row.items()) == 0
 
     def test_integer_nullspace_vectors_are_solutions(self):
-        rows = [[1, 2, 3, 4], [0, 1, 1, 1]]
+        rows = [{0: 1, 1: 2, 2: 3, 3: 4}, {1: 1, 2: 1, 3: 1}]
         basis = integer_nullspace(rows, 4)
         assert len(basis) == 2
         for v in basis:
             for row in rows:
-                assert sum(a * b for a, b in zip(row, v)) == 0
+                assert sum(a * v.get(c, 0) for c, a in row.items()) == 0
 
     def test_poly_rank(self):
         a = x(1, 2) + x(2, 2)

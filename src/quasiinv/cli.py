@@ -8,6 +8,7 @@ the same flags and seed.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 
 from . import jsonio
@@ -19,10 +20,10 @@ from .quasi import (
     delta_sq_embed,
     graded_dimension_oracle,
 )
-from .structure import HILBERT_MAX_N, change_of_basis_n2, full_hilbert
+from .structure import change_of_basis_n2, full_hilbert
 from .symgroup import act, parse_cycles
 from .tableaux import Partition, Tableau, gamma, hook_tableau
-from .verify import run_suite
+from .verify import SUITES, run_suite
 
 
 def _emit(text: str, out_path: str | None):
@@ -81,9 +82,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_hilbert(args) -> int:
-    if args.n > HILBERT_MAX_N:
-        print(f"error: hilbert limited to n <= {HILBERT_MAX_N}", file=sys.stderr)
-        return 2
     report = full_hilbert(args.n, args.m, args.D)
     oracle = None
     if args.oracle:
@@ -124,8 +122,6 @@ def cmd_hilbert(args) -> int:
 
 
 def _load_poly(path: str) -> MultiPoly:
-    import json
-
     with open(path, "r", encoding="utf-8") as fh:
         return jsonio.poly_from_obj(json.load(fh))
 
@@ -134,9 +130,10 @@ def cmd_apply(args) -> int:
     p = _load_poly(args.infile)
     if args.op == "gamma":
         if args.tableau:
-            import json
-
             t = Tableau(json.loads(args.tableau))
+        elif not args.shape:
+            print("error: gamma needs --shape or --tableau", file=sys.stderr)
+            return 2
         else:
             shape = Partition(int(v) for v in args.shape.split(","))
             if len(shape.parts) == 2 and shape.parts[1] == 1 and args.j:
@@ -156,6 +153,9 @@ def cmd_apply(args) -> int:
                   args.out)
             return 1
     elif args.op == "perm":
+        if args.sigma is None:
+            print("error: perm needs --sigma", file=sys.stderr)
+            return 2
         image = act(parse_cycles(args.sigma, p.nvars), p)
     elif args.op == "delta2":
         try:
@@ -223,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a named property suite")
     p.add_argument("--suite", required=True,
-                   choices=("groupalgebra", "thm-main", "hook", "lm", "chain", "all"))
+                   choices=SUITES + ("all",))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, default=1)
     p.add_argument("--samples", type=int, default=10)

@@ -510,14 +510,6 @@ class PowerSeriesQ:
                 out[d1 + d2] += c1 * other.coeffs[d2]
         return PowerSeriesQ(D, out)
 
-    def mul_one_minus_q_power(self, j: int) -> "PowerSeriesQ":
-        """Multiply by (1 - q^j), truncated."""
-        D = self.truncation
-        out = list(self.coeffs)
-        for d in range(D, j - 1, -1):
-            out[d] -= self.coeffs[d - j]
-        return PowerSeriesQ(D, out)
-
     def __eq__(self, other):
         if not isinstance(other, PowerSeriesQ):
             return NotImplemented

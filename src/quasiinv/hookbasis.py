@@ -1,9 +1,10 @@
 """The explicit basis of the projected component for the shape [n-1, 1].
 
 Each basis element is the definite integral of t^k prod_i (t - x_i)^m from
-x_1 to x_j, realized two independent ways: by exact symbolic integration
-and by the closed-form coefficient formula in the separation variable
-z = x_2 - x_1 (transposed to general j).
+x_1 to x_j.  ``hook_basis`` builds it by exact symbolic integration; the
+closed-form coefficient formula in the separation variable z = x_2 - x_1
+(transposed to general j) is an independent second construction, used only
+to cross-check the first.
 """
 
 from __future__ import annotations
@@ -46,9 +47,6 @@ class HookSpec:
             raise ValueError("m and k must be non-negative")
         if not 2 <= self.j <= self.n:
             raise ValueError(f"second-row entry {self.j} outside 2..{self.n}")
-
-    def in_basis_range(self) -> bool:
-        return self.k <= self.n - 2
 
 
 def q_integral(spec: HookSpec) -> MultiPoly:
@@ -167,16 +165,16 @@ def lowest_quotient_rhs(spec: HookSpec) -> MultiPoly:
 
 def hook_basis(n: int, m: int, j: int, verify: bool = False):
     """[Q^(0,m), ..., Q^(n-2,m)] for the hook tableau with second-row
-    entry j, via the closed form; with ``verify`` the integral construction
-    and the degree contract are asserted as well."""
+    entry j, by integration; with ``verify`` the closed form and the degree
+    contract are asserted as well."""
     if n < 2:
         raise ValueError("need n >= 2")
     basis = []
     for k in range(n - 1):
         spec = HookSpec(n=n, m=m, j=j, k=k)
-        q = q_closed_form(spec)
+        q = q_integral(spec)
         if verify:
-            if q != q_integral(spec):
+            if q != q_closed_form(spec):
                 raise TheoremViolationError(f"dual constructions disagree for {spec}")
             if not (q.is_homogeneous() and q.degree() == m * n + k + 1):
                 raise TheoremViolationError(f"degree contract failed for {spec}")

@@ -10,10 +10,9 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .exactalg import MultiPoly, PowerSeriesQ
+from .exactalg import MultiPoly
 from .quasi import QIWitness
 from .structure import HilbertReport
-from .tableaux import Tableau
 
 
 def poly_to_obj(p: MultiPoly) -> dict:
@@ -27,27 +26,20 @@ def poly_to_obj(p: MultiPoly) -> dict:
 
 
 def poly_from_obj(obj: dict) -> MultiPoly:
-    nvars = int(obj["nvars"])
-    terms = {}
-    for term in obj.get("terms", []):
-        exp = tuple(int(e) for e in term["exp"])
-        den = int(term["den"])
-        if den == 0:
-            raise ValueError(f"term {list(exp)} has denominator 0")
-        terms[exp] = Fraction(int(term["num"]), den)
+    try:
+        nvars = int(obj["nvars"])
+        terms = {}
+        for term in obj.get("terms", []):
+            exp = tuple(int(e) for e in term["exp"])
+            den = int(term["den"])
+            if den == 0:
+                raise ValueError(f"term {list(exp)} has denominator 0")
+            terms[exp] = Fraction(int(term["num"]), den)
+    except KeyError as exc:
+        raise ValueError(f"polynomial JSON lacks the key {exc}") from None
+    except TypeError as exc:
+        raise ValueError(f"malformed polynomial JSON: {exc}") from None
     return MultiPoly(nvars, terms)
-
-
-def tableau_to_obj(t: Tableau) -> dict:
-    return {"shape": list(t.shape.parts), "rows": [list(row) for row in t.rows]}
-
-
-def tableau_from_obj(obj: dict) -> Tableau:
-    return Tableau(obj["rows"])
-
-
-def series_to_obj(s: PowerSeriesQ) -> dict:
-    return {"truncation": s.truncation, "coeffs": list(s.coeffs)}
 
 
 def witness_to_obj(w: QIWitness, seed: int | None = None) -> dict:

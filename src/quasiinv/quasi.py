@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .exactalg import MultiPoly, binomial_valuation, divide_exact, vandermonde
 from .symgroup import Perm, act
-from .tableaux import Tableau, gamma, v_t
+from .tableaux import Tableau, gamma, partitions_of, standard_tableaux, v_t
 
 ORACLE_MAX_N = 5
 DEFAULT_DEGREE_CAP = 12
@@ -360,32 +360,30 @@ def isotypic_dimension(witness: QIWitness, t: Tableau) -> int:
     return poly_rank([g.apply(b) for b in witness.basis])
 
 
-def random_homogeneous(rng: random.Random, n: int, degree: int, nterms: int = 4) -> MultiPoly:
-    """Deterministic pseudo-random homogeneous polynomial (seeded rng)."""
+def random_homogeneous(rng: random.Random, n: int, degree: int) -> MultiPoly:
+    """Deterministic pseudo-random homogeneous polynomial of at most four
+    terms (seeded rng)."""
     monomials = monomials_of_degree(n, degree)
     terms = {}
-    for _ in range(min(nterms, len(monomials))):
+    for _ in range(min(4, len(monomials))):
         exp = monomials[rng.randrange(len(monomials))]
         terms[exp] = terms.get(exp, Fraction(0)) + Fraction(rng.randint(-5, 5))
     return MultiPoly(n, terms)
 
 
-def theorem_main_checks(n: int, m: int, samples: int = 10, seed: int = 0,
-                        max_degree: int | None = None) -> dict:
+def theorem_main_checks(n: int, m: int, samples: int = 10, seed: int = 0) -> dict:
     """Sampled verification of the two directions of the direct-sum
     characterization of QI_m.
 
-    (a) gamma_T projections of oracle witnesses land in V_T^(2m+1) R and
-        remain m-quasiinvariant.
+    (a) gamma_T projections of oracle witnesses of degree up to
+        min(mn + 2, degree cap) land in V_T^(2m+1) R and remain
+        m-quasiinvariant.
     (b) random gamma_T-fixed multiples of V_T^(2m+1) (filtered on
         divisibility, which projection does not preserve automatically)
         are m-quasiinvariant.
     """
-    from .tableaux import partitions_of, standard_tableaux
-
     rng = random.Random(seed)
-    if max_degree is None:
-        max_degree = min(degree_cap(), m * n + 2)
+    max_degree = min(degree_cap(), m * n + 2)
     all_t = [
         t
         for shape in partitions_of(n)

@@ -1,4 +1,4 @@
-"""Hilbert-series assembly, the hook-component series, and the n = 2
+"""Hilbert-series assembly, the hook quotient dimension, and the n = 2
 change-of-basis determinant experiment.
 
 The graded dimension generating function of QI_m is assembled per shape
@@ -95,17 +95,6 @@ def full_hilbert(n: int, m: int, D: int) -> HilbertReport:
     )
 
 
-def hook_component_series(n: int, m: int, truncation: int | None = None) -> PowerSeriesQ:
-    """Per-tableau quotient series for the hook shape: sum_{k=0}^{n-2}
-    q^(mn+1+k), as an exact finite polynomial in q."""
-    if n < 2:
-        raise ValueError("need n >= 2")
-    exponents = [m * n + 1 + k for k in range(n - 1)]
-    if truncation is None:
-        truncation = max(exponents)
-    return PowerSeriesQ.from_exponents(exponents, truncation)
-
-
 def hook_quotient_dimension(n: int, m: int, d: int, t: Tableau,
                             witness_cache: dict | None = None) -> int:
     """Graded dimension of the gamma_T component of QI_m modulo the ideal
@@ -149,12 +138,13 @@ def det_degree(n: int) -> int:
     return closed
 
 
-def change_of_basis_n2(m: int, oracle_check: bool = True):
+def change_of_basis_n2(m: int):
     """The 2x2 change-of-basis experiment between QI_(m+1) and QI_m.
 
     Free bases: {1, (x_1 - x_2)^(2m+1)} for QI_m and the analogous pair
-    for QI_(m+1).  Returns (matrix, determinant); the determinant equals
-    the squared Vandermonde in two variables.
+    for QI_(m+1).  The graded dimensions of QI_m are checked against the
+    oracle through degree 2m+4.  Returns (matrix, determinant); the
+    determinant equals the squared Vandermonde in two variables.
     """
     if m < 0:
         raise ValueError("m must be non-negative")
@@ -167,19 +157,16 @@ def change_of_basis_n2(m: int, oracle_check: bool = True):
     for p, order in ((one, m), (b1, m), (a1, m + 1)):
         if not is_quasiinvariant(p, order):
             raise AssertionError("claimed basis element fails quasiinvariance")
-    if oracle_check:
-        # free rank-2 module series (1 + q^(2m+1)) / ((1-q)(1-q^2))
-        D = 2 * m + 4
-        series = series_expand(
-            PowerSeriesQ.from_exponents([0, 2 * m + 1], D), n, D
-        )
-        for d in range(D + 1):
-            dim = graded_dimension_oracle(n, m, d).dimension
-            if dim != series.coeffs[d]:
-                raise AssertionError(
-                    f"oracle dimension {dim} != series coefficient "
-                    f"{series.coeffs[d]} at degree {d}"
-                )
+    # free rank-2 module series (1 + q^(2m+1)) / ((1-q)(1-q^2))
+    D = 2 * m + 4
+    series = series_expand(PowerSeriesQ.from_exponents([0, 2 * m + 1], D), n, D)
+    for d in range(D + 1):
+        dim = graded_dimension_oracle(n, m, d).dimension
+        if dim != series.coeffs[d]:
+            raise AssertionError(
+                f"oracle dimension {dim} != series coefficient "
+                f"{series.coeffs[d]} at degree {d}"
+            )
     e1 = elementary_symmetric(n, 1)
     e2 = elementary_symmetric(n, 2)
     growth = e1 * e1 - e2 * 4

@@ -80,9 +80,6 @@ class Perm:
                 sign = -sign
         return sign
 
-    def is_identity(self) -> bool:
-        return all(self(i) == i for i in range(1, self.n + 1))
-
     def cycles(self):
         """Nontrivial cycles, each starting at its smallest element."""
         seen = [False] * self.n
@@ -289,14 +286,6 @@ class GroupAlgebraElem:
 
     def __repr__(self):
         return f"GroupAlgebraElem({self.n}, {self.to_text()!r})"
-
-
-def ga_apply(f: GroupAlgebraElem, p: MultiPoly) -> MultiPoly:
-    return f.apply(p)
-
-
-def ga_mul(a: GroupAlgebraElem, b: GroupAlgebraElem) -> GroupAlgebraElem:
-    return a * b
 
 
 def bracket(n: int, support, signed: bool) -> GroupAlgebraElem:

@@ -14,7 +14,7 @@ import math
 from fractions import Fraction
 
 from .exactalg import MultiPoly
-from .symgroup import GroupAlgebraElem, bracket
+from .symgroup import GroupAlgebraElem, Perm, bracket
 
 
 class Partition:
@@ -107,7 +107,12 @@ class Tableau:
     __slots__ = ("shape", "rows")
 
     def __init__(self, rows):
-        rows = tuple(tuple(int(v) for v in row) for row in rows)
+        try:
+            rows = tuple(tuple(int(v) for v in row) for row in rows)
+        except TypeError:
+            raise ValueError(
+                f"tableau rows must be lists of integers, got {rows!r}"
+            ) from None
         shape = Partition(len(row) for row in rows)
         n = shape.size
         entries = [v for row in rows for v in row]
@@ -267,8 +272,6 @@ def _check_column_cell(t: Tableau, i: int, cell):
 
 def alpha(t: Tableau, i: int, cell) -> GroupAlgebraElem:
     """Sum of transpositions (entry of column i, entry at ``cell``)."""
-    from .symgroup import Perm
-
     target = _check_column_cell(t, i, cell)
     terms = {}
     for source in t.column(i):

@@ -141,7 +141,7 @@ def test_a8_embedding_and_determinant():
                     if not is_quasiinvariant(lifted, m + 1):
                         failures.append((n, m, j, k))
     for m in range(5):
-        _, determinant = change_of_basis_n2(m, oracle_check=(m <= 2))
+        _, determinant = change_of_basis_n2(m)
         if determinant != vandermonde(2) ** 2:
             failures.append(("det", m))
     for n in range(2, 7):

@@ -8,7 +8,7 @@ import pytest
 from quasiinv import jsonio
 from quasiinv.cli import main
 from quasiinv.exactalg import MultiPoly
-from quasiinv.hookbasis import hook_basis
+from quasiinv.hookbasis import HookSpec, q_closed_form
 
 
 def run(capsys, *argv):
@@ -23,6 +23,12 @@ def write_poly(tmp_path, p, name="p.json"):
     return str(path)
 
 
+def assert_one_line_error(code, out, err, text):
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ") and text in err
+
+
 class TestBasis:
     def test_json_output(self, capsys):
         code, out, _ = run(capsys, "basis", "--n", "3", "--m", "1", "--j", "2")
@@ -30,7 +36,9 @@ class TestBasis:
         obj = json.loads(out)
         assert obj["degrees"] == [4, 5]
         got = [jsonio.poly_from_obj(o) for o in obj["basis"]]
-        assert got == list(hook_basis(3, 1, 2))
+        # the CLI builds the basis by integration; the closed form is the
+        # independent construction
+        assert got == [q_closed_form(HookSpec(n=3, m=1, j=2, k=k)) for k in range(2)]
 
     def test_text_verify(self, capsys):
         code, out, _ = run(capsys, "basis", "--n", "3", "--m", "1", "--j", "3",
@@ -61,6 +69,14 @@ class TestVerify:
             assert code == 0
             outs.append(path.read_bytes())
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("argv, text", [
+        (("--suite", "all", "--n", "1"), "n >= 2"),
+        (("--suite", "hook", "--n", "0"), "n >= 2"),
+        (("--suite", "groupalgebra", "--n", "3", "--samples", "0"), "samples >= 1"),
+    ], ids=["all-n1", "hook-n0", "groupalgebra-samples0"])
+    def test_refuses_requests_that_check_nothing(self, capsys, argv, text):
+        assert_one_line_error(*run(capsys, "verify", *argv), text)
 
 
 class TestHilbert:
@@ -124,6 +140,21 @@ class TestApply:
         assert code == 2
         assert out == ""
         assert err.count("\n") == 1 and "denominator 0" in err
+
+    @pytest.mark.parametrize("argv, text", [
+        (("--op", "gamma"), "--shape or --tableau"),
+        (("--op", "perm"), "--sigma"),
+        (("--op", "gamma", "--tableau", "5"), "tableau rows"),
+    ], ids=["gamma-without-shape", "perm-without-sigma", "tableau-not-rows"])
+    def test_missing_or_malformed_option(self, capsys, tmp_path, argv, text):
+        path = write_poly(tmp_path, MultiPoly.variable(3, 1))
+        assert_one_line_error(*run(capsys, "apply", "--in", path, *argv), text)
+
+    def test_polynomial_without_nvars(self, capsys, tmp_path):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"terms": [{"exp": [1], "num": "1", "den": "1"}]}))
+        assert_one_line_error(*run(capsys, "apply", "--op", "delta2", "--in", str(path)),
+                              "nvars")
 
 
 class TestOracle:

@@ -42,6 +42,14 @@ def polys():
     )
 
 
+def mul_one_minus_q_power(s, j):
+    """Reference: multiply a truncated series by (1 - q^j)."""
+    out = list(s.coeffs)
+    for d in range(s.truncation, j - 1, -1):
+        out[d] -= s.coeffs[d - j]
+    return PowerSeriesQ(s.truncation, out)
+
+
 def x(i, n=NVARS):
     return MultiPoly.variable(n, i)
 
@@ -231,5 +239,5 @@ class TestSeries:
         expanded = series_expand(numerator, n=n, D=D)
         back = expanded
         for i in range(1, n + 1):
-            back = back.mul_one_minus_q_power(i)
+            back = mul_one_minus_q_power(back, i)
         assert list(back.coeffs) == list(numerator.coeffs)

@@ -44,10 +44,6 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             HookSpec(n=3, m=0, j=2, k=-1)
 
-    def test_basis_range(self):
-        assert HookSpec(n=3, m=1, j=2, k=1).in_basis_range()
-        assert not HookSpec(n=3, m=1, j=2, k=5).in_basis_range()
-
 
 class TestHandValues:
     def test_n2_m1(self):

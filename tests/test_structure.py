@@ -1,4 +1,4 @@
-"""Hilbert series assembly, hook component series, quotient dimensions,
+"""Hilbert series assembly, quotient dimensions,
 the determinant degree formula, and the n = 2 change-of-basis check."""
 
 import math
@@ -13,7 +13,6 @@ from quasiinv.structure import (
     delta_sq_chain_check,
     det_degree,
     full_hilbert,
-    hook_component_series,
     hook_quotient_dimension,
     numerator_exponent,
 )
@@ -95,14 +94,6 @@ class TestFullHilbert:
             full_hilbert(HILBERT_MAX_N + 1, 1, 4)
 
 
-class TestHookComponentSeries:
-    def test_exponents(self):
-        s = hook_component_series(4, 1, truncation=12)
-        # degrees m*n + k + 1 for k = 0..n-2: 5, 6, 7
-        assert [i for i, c in enumerate(s.coeffs) if c] == [5, 6, 7]
-        assert all(c in (0, 1) for c in s.coeffs)
-
-
 class TestHookQuotientDimension:
     def test_one_dimensional_strip(self):
         cache = {}
@@ -131,7 +122,7 @@ class TestDeterminant:
 
     def test_change_of_basis(self):
         for m in range(5):
-            matrix, determinant = change_of_basis_n2(m, oracle_check=(m <= 2))
+            matrix, determinant = change_of_basis_n2(m)
             assert determinant == vandermonde(2) ** 2
             assert matrix[0][1].is_zero() and matrix[1][0].is_zero()
 

@@ -11,7 +11,6 @@ brute-force linear-algebra oracle.  All arithmetic is exact rational.
 from .exactalg import (
     DimensionMismatch,
     MultiPoly,
-    TPoly,
     divide_exact,
     elementary_symmetric,
     partial_derivative,
@@ -68,7 +67,6 @@ __all__ = [
     "Perm",
     "QIWitness",
     "ResourceGuardError",
-    "TPoly",
     "Tableau",
     "TheoremViolationError",
     "act",

@@ -136,11 +136,13 @@ def cmd_apply(args) -> int:
             return 2
         else:
             shape = Partition(int(v) for v in args.shape.split(","))
-            if len(shape.parts) == 2 and shape.parts[1] == 1 and args.j:
-                t = hook_tableau(shape.size, args.j)
-            else:
+            if len(shape.parts) != 2 or shape.parts[1] != 1:
                 print("error: give --tableau for non-hook shapes", file=sys.stderr)
                 return 2
+            if args.j is None:
+                print("error: gamma on a hook shape needs --j", file=sys.stderr)
+                return 2
+            t = hook_tableau(shape.size, args.j)
         if t.n != p.nvars:
             print("error: tableau size does not match nvars", file=sys.stderr)
             return 2

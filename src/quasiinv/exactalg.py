@@ -1,8 +1,8 @@
 """Exact arithmetic foundation.
 
 Rational scalars (``fractions.Fraction``), sparse multivariate polynomials
-over Q, a dense auxiliary-variable polynomial layer used for definite
-integration, and truncated integer power series in q.
+over Q, definite integration in an extra variable t = x_(n+1), and
+truncated integer power series in q.
 
 All values are immutable after construction and all operations are pure.
 """
@@ -98,9 +98,6 @@ class MultiPoly:
         degs = {sum(e) for e in self.terms}
         return len(degs) <= 1
 
-    def coefficient(self, exp) -> Fraction:
-        return self.terms.get(tuple(exp), Fraction(0))
-
     def sorted_terms(self):
         """Terms in graded-lex descending order of exponent vector."""
         return sorted(self.terms.items(), key=lambda t: grlex_key(t[0]), reverse=True)
@@ -140,9 +137,6 @@ class MultiPoly:
         if isinstance(other, (int, Fraction)):
             other = MultiPoly.constant(self.nvars, other)
         return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -339,113 +333,28 @@ def vandermonde(n: int) -> MultiPoly:
     return result
 
 
-class TPoly:
-    """Polynomial in an auxiliary variable t with MultiPoly coefficients.
-
-    Dense in t: ``coeffs[d]`` is the coefficient of t^d.  Trailing zero
-    coefficients are trimmed, so the leading coefficient is nonzero unless
-    the whole value is zero (empty coeffs).
-    """
-
-    __slots__ = ("nvars", "coeffs")
-
-    def __init__(self, nvars: int, coeffs):
-        coeffs = list(coeffs)
-        for c in coeffs:
-            if c.nvars != nvars:
-                raise DimensionMismatch("coefficient nvars mismatch")
-        while coeffs and coeffs[-1].is_zero():
-            coeffs.pop()
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "coeffs", tuple(coeffs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TPoly is immutable")
-
-    @classmethod
-    def from_multipoly(cls, p: MultiPoly) -> "TPoly":
-        return cls(p.nvars, [p])
-
-    @classmethod
-    def t_power(cls, nvars: int, k: int) -> "TPoly":
-        coeffs = [MultiPoly.zero(nvars)] * k + [MultiPoly.constant(nvars, 1)]
-        return cls(nvars, coeffs)
-
-    @classmethod
-    def t_minus(cls, nvars: int, i: int) -> "TPoly":
-        """The linear factor t - x_i."""
-        return cls(nvars, [-MultiPoly.variable(nvars, i), MultiPoly.constant(nvars, 1)])
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def t_degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def _check(self, other: "TPoly"):
-        if self.nvars != other.nvars:
-            raise DimensionMismatch(f"nvars {self.nvars} != {other.nvars}")
-
-    def __add__(self, other: "TPoly") -> "TPoly":
-        self._check(other)
-        size = max(len(self.coeffs), len(other.coeffs))
-        zero = MultiPoly.zero(self.nvars)
-        coeffs = [
-            (self.coeffs[d] if d < len(self.coeffs) else zero)
-            + (other.coeffs[d] if d < len(other.coeffs) else zero)
-            for d in range(size)
-        ]
-        return TPoly(self.nvars, coeffs)
-
-    def __mul__(self, other: "TPoly") -> "TPoly":
-        self._check(other)
-        if self.is_zero() or other.is_zero():
-            return TPoly(self.nvars, [])
-        zero = MultiPoly.zero(self.nvars)
-        coeffs = [zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for d1, c1 in enumerate(self.coeffs):
-            if c1.is_zero():
-                continue
-            for d2, c2 in enumerate(other.coeffs):
-                coeffs[d1 + d2] = coeffs[d1 + d2] + c1 * c2
-        return TPoly(self.nvars, coeffs)
-
-    def __pow__(self, k: int) -> "TPoly":
-        if k < 0:
-            raise ValueError("negative power")
-        result = TPoly.from_multipoly(MultiPoly.constant(self.nvars, 1))
-        for _ in range(k):
-            result = result * self
-        return result
-
-    def __eq__(self, other):
-        if not isinstance(other, TPoly):
-            return NotImplemented
-        return self.nvars == other.nvars and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.nvars, self.coeffs))
-
-    def __repr__(self):
-        return f"TPoly({self.nvars}, deg_t={self.t_degree()})"
-
-
-def t_integrate_definite(f: TPoly, lower: int, upper: int) -> MultiPoly:
+def t_integrate_definite(f: MultiPoly, lower: int, upper: int) -> MultiPoly:
     """Definite integral of f dt from t = x_lower to t = x_upper.
 
-    Termwise antiderivative t^d -> t^(d+1)/(d+1), then evaluation.
+    ``f`` is a polynomial in n + 1 variables whose last variable is t; the
+    result is a polynomial in x_1..x_n.  Each term c x^a t^d integrates to
+    c/(d+1) (x_upper^(d+1) - x_lower^(d+1)) x^a.
     """
+    n = f.nvars - 1
     if lower == upper:
         raise ValueError("lower and upper variables must differ")
-    n = f.nvars
-    xl = MultiPoly.variable(n, lower)
-    xu = MultiPoly.variable(n, upper)
-    result = MultiPoly.zero(n)
-    for d, c in enumerate(f.coeffs):
-        if c.is_zero():
-            continue
-        result = result + c * (xu ** (d + 1) - xl ** (d + 1)) * Fraction(1, d + 1)
-    return result
+    if not (1 <= lower <= n and 1 <= upper <= n):
+        raise ValueError(f"integration limits must lie in 1..{n}")
+    terms = {}
+    for exp, c in f.terms.items():
+        d = exp[n] + 1
+        share = c / d
+        for i, value in ((upper, share), (lower, -share)):
+            key = list(exp[:n])
+            key[i - 1] += d
+            key = tuple(key)
+            terms[key] = terms.get(key, 0) + value
+    return MultiPoly(n, terms)
 
 
 class PowerSeriesQ:
@@ -472,10 +381,6 @@ class PowerSeriesQ:
         raise AttributeError("PowerSeriesQ is immutable")
 
     @classmethod
-    def one(cls, truncation: int) -> "PowerSeriesQ":
-        return cls(truncation, [1])
-
-    @classmethod
     def from_exponents(cls, exponents, truncation: int) -> "PowerSeriesQ":
         coeffs = [0] * (truncation + 1)
         for e in exponents:
@@ -492,23 +397,6 @@ class PowerSeriesQ:
         return PowerSeriesQ(
             self.truncation, [a + b for a, b in zip(self.coeffs, other.coeffs)]
         )
-
-    def __sub__(self, other: "PowerSeriesQ") -> "PowerSeriesQ":
-        self._check(other)
-        return PowerSeriesQ(
-            self.truncation, [a - b for a, b in zip(self.coeffs, other.coeffs)]
-        )
-
-    def __mul__(self, other: "PowerSeriesQ") -> "PowerSeriesQ":
-        self._check(other)
-        D = self.truncation
-        out = [0] * (D + 1)
-        for d1, c1 in enumerate(self.coeffs):
-            if not c1:
-                continue
-            for d2 in range(D + 1 - d1):
-                out[d1 + d2] += c1 * other.coeffs[d2]
-        return PowerSeriesQ(D, out)
 
     def __eq__(self, other):
         if not isinstance(other, PowerSeriesQ):

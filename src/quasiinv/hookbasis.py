@@ -16,7 +16,6 @@ from itertools import product
 
 from .exactalg import (
     MultiPoly,
-    TPoly,
     divide_exact,
     elementary_symmetric,
     substitute,
@@ -50,19 +49,18 @@ class HookSpec:
 
 
 def q_integral(spec: HookSpec) -> MultiPoly:
-    """Integrate t^k prod_i (t - x_i)^m dt from x_1 to x_j."""
+    """Integrate t^k prod_i (t - x_i)^m dt from x_1 to x_j.
+
+    The integrand lives in n + 1 variables with t = x_(n+1); it is built
+    one factor (t - x_i)^m at a time, which keeps the intermediate
+    products smaller than raising prod_i (t - x_i) to the m-th power.
+    """
     n = spec.n
-    integrand = TPoly.t_power(n, spec.k)
+    t = MultiPoly.variable(n + 1, n + 1)
+    integrand = t ** spec.k
     for i in range(1, n + 1):
-        integrand = integrand * TPoly.t_minus(n, i) ** spec.m
+        integrand = integrand * (t - MultiPoly.variable(n + 1, i)) ** spec.m
     return t_integrate_definite(integrand, lower=1, upper=spec.j)
-
-
-def _q_m0(n: int, j: int, k: int) -> MultiPoly:
-    """(x_j^(k+1) - x_1^(k+1)) / (k+1)."""
-    xj = MultiPoly.variable(n, j)
-    x1 = MultiPoly.variable(n, 1)
-    return (xj ** (k + 1) - x1 ** (k + 1)) * Fraction(1, k + 1)
 
 
 def q_closed_form(spec: HookSpec) -> MultiPoly:
@@ -75,11 +73,10 @@ def q_closed_form(spec: HookSpec) -> MultiPoly:
         * x_1^(K - (r - (2m+1))) * prod x_t^(i_t)
 
     with K = k + m(n-2) - sum i_t and 2m+1 <= r <= K + 2m+1.  General j is
-    the (2, j)-image of the j = 2 polynomial.
+    the (2, j)-image of the j = 2 polynomial.  At m = 0 the only index is
+    (0, ..., 0) and the sum is (x_2^(k+1) - x_1^(k+1)) / (k+1).
     """
     n, m, j, k = spec.n, spec.m, spec.j, spec.k
-    if m == 0:
-        return _q_m0(n, j, k)
     z = MultiPoly.variable(n, 2) - MultiPoly.variable(n, 1)
     z_pow = {}
 

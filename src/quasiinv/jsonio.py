@@ -25,16 +25,24 @@ def poly_to_obj(p: MultiPoly) -> dict:
     }
 
 
+def _integer(value, key: str, text: bool = False) -> int:
+    """``value`` as an int if it is one (or, with ``text``, an integer
+    string); anything else, such as a float, is refused, not truncated."""
+    if type(value) is int or (text and isinstance(value, str)):
+        return int(value)
+    raise ValueError(f"polynomial JSON {key!r} must be an integer, got {value!r}")
+
+
 def poly_from_obj(obj: dict) -> MultiPoly:
     try:
-        nvars = int(obj["nvars"])
+        nvars = _integer(obj["nvars"], "nvars")
         terms = {}
         for term in obj.get("terms", []):
-            exp = tuple(int(e) for e in term["exp"])
-            den = int(term["den"])
+            exp = tuple(_integer(e, "exp") for e in term["exp"])
+            den = _integer(term["den"], "den", text=True)
             if den == 0:
                 raise ValueError(f"term {list(exp)} has denominator 0")
-            terms[exp] = Fraction(int(term["num"]), den)
+            terms[exp] = Fraction(_integer(term["num"], "num", text=True), den)
     except KeyError as exc:
         raise ValueError(f"polynomial JSON lacks the key {exc}") from None
     except TypeError as exc:

@@ -61,6 +61,8 @@ def numerator_exponent(m: int, t: Tableau) -> int:
 
 def full_hilbert(n: int, m: int, D: int) -> HilbertReport:
     """Assemble the graded dimension series of QI_m through q^D."""
+    if n < 1:
+        raise ValueError(f"hilbert needs n >= 1, got {n}")
     if n > HILBERT_MAX_N:
         raise ResourceGuardError(f"hilbert limited to n <= {HILBERT_MAX_N}, got {n}")
     if m < 0 or D < 0:
@@ -73,10 +75,8 @@ def full_hilbert(n: int, m: int, D: int) -> HilbertReport:
         exponents = sorted(numerator_exponent(m, t) for t in tabs)
         if len(exponents) != f_lambda(shape):
             raise AssertionError("exponent multiset size mismatch")
-        fl = len(exponents)
-        numerator = PowerSeriesQ(D, [])
-        for e in exponents:
-            numerator = numerator + PowerSeriesQ.from_exponents([e] * fl, D)
+        # each exponent counts f_lambda times, once per copy of the irreducible
+        numerator = PowerSeriesQ.from_exponents(exponents * len(exponents), D)
         series = series_expand(numerator, n, D)
         if any(c < 0 for c in series.coeffs):
             raise NegativeCoefficientError(f"negative coefficient for shape {shape}")

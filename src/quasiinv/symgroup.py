@@ -58,12 +58,6 @@ class Perm:
 
     __mul__ = compose
 
-    def inverse(self) -> "Perm":
-        images = [0] * self.n
-        for i, im in enumerate(self.images, start=1):
-            images[im - 1] = i
-        return Perm(images)
-
     def sign(self) -> int:
         seen = [False] * self.n
         sign = 1

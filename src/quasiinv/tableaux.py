@@ -39,15 +39,6 @@ class Partition:
     def size(self) -> int:
         return sum(self.parts)
 
-    def __len__(self):
-        return len(self.parts)
-
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __getitem__(self, i):
-        return self.parts[i]
-
     def cells(self):
         """All cells (i, j), 1-based, row-major."""
         return [
@@ -108,11 +99,12 @@ class Tableau:
 
     def __init__(self, rows):
         try:
-            rows = tuple(tuple(int(v) for v in row) for row in rows)
+            cells = tuple(tuple(row) for row in rows)
         except TypeError:
-            raise ValueError(
-                f"tableau rows must be lists of integers, got {rows!r}"
-            ) from None
+            cells = None
+        if cells is None or any(type(v) is not int for row in cells for v in row):
+            raise ValueError(f"tableau rows must be lists of integers, got {rows!r}")
+        rows = cells
         shape = Partition(len(row) for row in rows)
         n = shape.size
         entries = [v for row in rows for v in row]
@@ -127,9 +119,6 @@ class Tableau:
     @property
     def n(self) -> int:
         return self.shape.size
-
-    def entry(self, i: int, j: int) -> int:
-        return self.rows[i - 1][j - 1]
 
     def column(self, j: int):
         """Entries of column j, top to bottom."""

@@ -209,9 +209,12 @@ SUITES = ("groupalgebra", "thm-main", "hook", "lm", "chain")
 
 def run_suite(name: str, n: int, m: int, samples: int = 10, seed: int = 0):
     """Run one suite, or every suite for ``all``.  Below n = 2 or one sample
-    some checks would run on nothing, so such requests are refused."""
+    some checks would run on nothing, and m < 0 names no ring, so such
+    requests are refused."""
     if n < 2:
         raise ValueError(f"verify needs n >= 2, got {n}")
+    if m < 0:
+        raise ValueError(f"verify needs m >= 0, got {m}")
     if samples < 1:
         raise ValueError(f"verify needs samples >= 1, got {samples}")
     if name == "groupalgebra":

@@ -2,6 +2,7 @@
 JSON round-trips, and byte-identical deterministic output."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -78,6 +79,11 @@ class TestVerify:
     def test_refuses_requests_that_check_nothing(self, capsys, argv, text):
         assert_one_line_error(*run(capsys, "verify", *argv), text)
 
+    @pytest.mark.parametrize("suite", ["thm-main", "all"])
+    def test_refuses_negative_m(self, capsys, suite):
+        assert_one_line_error(*run(capsys, "verify", "--suite", suite, "--n", "3",
+                                   "--m", "-1"), "m >= 0")
+
 
 class TestHilbert:
     def test_oracle_agreement(self, capsys):
@@ -91,6 +97,11 @@ class TestHilbert:
         code, _, err = run(capsys, "hilbert", "--n", "9", "--m", "1", "--D", "4")
         assert code == 2
         assert "limited" in err
+
+    @pytest.mark.parametrize("n", ["-2", "0"])
+    def test_rejects_n_below_one(self, capsys, n):
+        assert_one_line_error(*run(capsys, "hilbert", "--n", n, "--m", "1", "--D", "3"),
+                              "n >= 1")
 
 
 class TestApply:
@@ -145,10 +156,32 @@ class TestApply:
         (("--op", "gamma"), "--shape or --tableau"),
         (("--op", "perm"), "--sigma"),
         (("--op", "gamma", "--tableau", "5"), "tableau rows"),
-    ], ids=["gamma-without-shape", "perm-without-sigma", "tableau-not-rows"])
+        (("--op", "gamma", "--tableau", "[[1.5,2],[3]]"), "tableau rows"),
+        (("--op", "gamma", "--shape", "2,1"), "needs --j"),
+        (("--op", "gamma", "--shape", "2,1", "--j", "0"), "2 <= j <= n"),
+    ], ids=["gamma-without-shape", "perm-without-sigma", "tableau-not-rows",
+            "tableau-float-entry", "hook-without-j", "hook-j0"])
     def test_missing_or_malformed_option(self, capsys, tmp_path, argv, text):
         path = write_poly(tmp_path, MultiPoly.variable(3, 1))
         assert_one_line_error(*run(capsys, "apply", "--in", path, *argv), text)
+
+    @pytest.mark.parametrize("obj", [
+        {"nvars": 2.9, "terms": [{"exp": [1.7, 0], "num": 2.5, "den": 1}]},
+        {"nvars": 2, "terms": [{"exp": [1.7, 0], "num": "1", "den": "1"}]},
+        {"nvars": 2, "terms": [{"exp": [1, 0], "num": 2.5, "den": 1}]},
+        {"nvars": 2, "terms": [{"exp": [1, 0], "num": "1", "den": 1.0}]},
+    ], ids=["all-floats", "exp", "num", "den"])
+    def test_polynomial_with_non_integers(self, capsys, tmp_path, obj):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(obj))
+        assert_one_line_error(*run(capsys, "apply", "--op", "perm", "--in", str(path),
+                                   "--sigma", "1"), "must be an integer")
+
+    def test_polynomial_integer_fields(self):
+        obj = {"nvars": 2, "terms": [{"exp": [1, 0], "num": 3, "den": "2"},
+                                     {"exp": [0, 1], "num": "-1", "den": 1}]}
+        expected = MultiPoly(2, {(1, 0): Fraction(3, 2), (0, 1): Fraction(-1)})
+        assert jsonio.poly_from_obj(obj) == expected
 
     def test_polynomial_without_nvars(self, capsys, tmp_path):
         path = tmp_path / "p.json"

@@ -1,5 +1,6 @@
 """Exact polynomial arithmetic: ring axioms, division, substitution,
-differentiation, univariate t-polynomials, and q-series expansion."""
+differentiation, definite integration in t = x_(n+1), and q-series
+expansion."""
 
 from fractions import Fraction
 
@@ -11,7 +12,6 @@ from quasiinv.exactalg import (
     DimensionMismatch,
     MultiPoly,
     PowerSeriesQ,
-    TPoly,
     binomial_valuation,
     divide_exact,
     elementary_symmetric,
@@ -171,45 +171,54 @@ class TestSymmetricBuilders:
         assert vandermonde(3) == v3
 
 
-class TestTPoly:
+class TestIntegration:
+    """Polynomials in n + 1 variables, the last one t = x_(n+1)."""
+
     def test_root_product_expansion(self):
         # prod_i (t - x_i) = sum_i (-1)^i e_i(x) t^(n-i)
         for n in range(1, 7):
-            prod = TPoly.t_power(n, 0)
+            t = x(n + 1, n + 1)
+            prod = MultiPoly.constant(n + 1, 1)
             for i in range(1, n + 1):
-                prod = prod * TPoly.t_minus(n, i)
-            expected = TPoly(n, [MultiPoly.zero(n)] * (n + 1))
-            acc = [MultiPoly.zero(n) for _ in range(n + 1)]
+                prod = prod * (t - x(i, n + 1))
+            expected = {}
             for i in range(n + 1):
                 sign = -1 if i % 2 else 1
-                acc[n - i] = elementary_symmetric(n, i) * sign
-            expected = TPoly(n, acc)
-            assert prod == expected
-
-    def test_pow(self):
-        f = TPoly.t_minus(2, 1)
-        g = f * f * f
-        assert f ** 3 == g
+                for exp, c in elementary_symmetric(n, i).terms.items():
+                    expected[exp + (n - i,)] = c * sign
+            assert prod == MultiPoly(n + 1, expected)
 
     def test_integrate_hand_value(self):
-        # int_{x1}^{x2} t (t - x1)(t - x2) dt = (x2-x1)^3 (2x2 - x1 - x2)/12
-        # with c = x2 - x1, d = x2 - x1 this is c^3(2c-... ; verified value:
-        f = TPoly.t_power(2, 1) * TPoly.t_minus(2, 1) * TPoly.t_minus(2, 2)
+        # int_{x1}^{x2} t (t - x1)(t - x2) dt = -(x2 - x1)^3 (x1 + x2) / 12
+        t = x(3, 3)
+        f = t * (t - x(1, 3)) * (t - x(2, 3))
         got = t_integrate_definite(f, lower=1, upper=2)
         z = x(2, 2) - x(1, 2)
         expected = z ** 3 * (x(1, 2) + x(2, 2)) * Fraction(-1, 12)
         assert got == expected
 
     def test_integrate_antisymmetry(self):
-        f = TPoly.t_power(3, 2) * TPoly.t_minus(3, 3)
+        t = x(4, 4)
+        f = t ** 2 * (t - x(3, 4))
         assert t_integrate_definite(f, 1, 2) == -t_integrate_definite(f, 2, 1)
 
     def test_integrate_linearity(self):
-        f = TPoly.t_power(2, 2)
-        g = TPoly.t_minus(2, 1) * TPoly.t_minus(2, 2)
+        t = x(3, 3)
+        f = t ** 2
+        g = (t - x(1, 3)) * (t - x(2, 3))
         lhs = t_integrate_definite(f + g, 1, 2)
         rhs = t_integrate_definite(f, 1, 2) + t_integrate_definite(g, 1, 2)
         assert lhs == rhs
+
+    def test_integrate_constant_in_t(self):
+        # int_{x1}^{x3} x2 dt = x2 (x3 - x1)
+        got = t_integrate_definite(x(2, 4), lower=1, upper=3)
+        assert got == x(2) * (x(3) - x(1))
+
+    @pytest.mark.parametrize("lower, upper", [(1, 1), (0, 2), (1, 3)])
+    def test_integrate_rejects_bad_limits(self, lower, upper):
+        with pytest.raises(ValueError):
+            t_integrate_definite(x(3, 3), lower, upper)
 
 
 class TestSeries:
@@ -219,7 +228,7 @@ class TestSeries:
 
     def test_expand_matches_brute_force_convolution(self):
         # 1 / ((1-q)(1-q^2)(1-q^3)) through q^4 is 1 + q + 2q^2 + 3q^3 + 4q^4
-        got = series_expand(PowerSeriesQ.one(4), n=3, D=4)
+        got = series_expand(PowerSeriesQ.from_exponents([0], 4), n=3, D=4)
         D = 4
         brute = [0] * (D + 1)
         for a in range(D + 1):

@@ -2,7 +2,8 @@
 
 Every public module-level function and class in ``src/quasiinv`` is either
 named somewhere in the package outside its own definition or exported in
-``quasiinv.__all__``.
+``quasiinv.__all__``; every public method of a public class is named
+somewhere in the package outside its own definition.
 """
 
 import ast
@@ -39,6 +40,17 @@ def test_every_public_definition_is_used_or_exported():
               for node in _public_defs(tree)
               if node.name not in quasiinv.__all__
               and everywhere[node.name] == _names(node).count(node.name)]
+    assert not unused, f"public but unused: {unused}"
+
+
+def test_every_public_method_is_used():
+    modules = _modules()
+    everywhere = Counter(name for tree in modules.values() for name in _names(tree))
+    unused = [f"{filename}:{cls.name}.{node.name}"
+              for filename, tree in modules.items()
+              for cls in _public_defs(tree) if isinstance(cls, ast.ClassDef)
+              for node in _public_defs(cls)
+              if everywhere[node.name] == _names(node).count(node.name)]
     assert not unused, f"public but unused: {unused}"
 
 

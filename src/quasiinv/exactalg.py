@@ -9,7 +9,6 @@ All values are immutable after construction and all operations are pure.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from itertools import combinations
 
@@ -275,36 +274,6 @@ def divide_exact(p: MultiPoly, d: MultiPoly):
         quotient[q_exp] = quotient.get(q_exp, Fraction(0)) + c
         r = r - d * MultiPoly.monomial(q_exp, c)
     return MultiPoly(n, quotient)
-
-
-def binomial_valuation(p: MultiPoly, i: int, j: int) -> float:
-    """(x_i - x_j)-adic valuation of p, via the substitution x_i = x_j + u.
-
-    Returns ``math.inf`` for the zero polynomial.  The substitution is
-    done exponent-by-exponent; the u-degree distribution is all we need.
-    """
-    if i == j:
-        raise ValueError("need two distinct variables")
-    if p.is_zero():
-        return math.inf
-    # coefficient map keyed by (u-power, residual exponent vector)
-    acc = {}
-    for exp, c in p.terms.items():
-        a = exp[i - 1]
-        rest = list(exp)
-        rest[i - 1] = 0
-        for t in range(a + 1):
-            key_exp = list(rest)
-            key_exp[j - 1] += a - t
-            key = (t, tuple(key_exp))
-            s = acc.get(key, Fraction(0)) + c * math.comb(a, t)
-            if s:
-                acc[key] = s
-            else:
-                del acc[key]
-    if not acc:
-        return math.inf
-    return min(t for t, _ in acc)
 
 
 def elementary_symmetric(n: int, i: int) -> MultiPoly:

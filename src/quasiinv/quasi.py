@@ -1,14 +1,19 @@
 """The quasiinvariance predicate, membership in the projected components,
 and the brute-force graded-dimension oracle.
 
-The oracle sets up, for a generic homogeneous polynomial of degree d, the
-linear conditions that every (1 - (i,j)) image have (x_i - x_j)-adic
-valuation at least 2m+1, as sparse integer rows, and computes their exact
-integer nullspace.  The one linear-algebra core behind the oracle and
-``poly_rank`` finds the pivot pattern by sparse elimination modulo a 61-bit
-prime, lifts the reduced kernel basis to Q by rational reconstruction, and
-returns it only after checking every vector exactly against the integer
-rows; a failed lift or check brings in further primes, never a guess.
+The defining condition, (x_i - x_j)^(2m+1) divides (1 - (i,j)) p, is
+written out once, in ``_constraint_rows``: substituting x_i = x_j + u, the
+coefficients of u^0..u^2m must vanish, which gives one sparse integer row
+per (pair, u-power, residual monomial) over a list of monomials.  The
+predicate checks a polynomial's integer-scaled coefficients against the
+rows over its own monomials; the oracle takes the rows over all monomials
+of degree d and computes their exact integer nullspace.
+
+The one linear-algebra core behind the oracle and ``poly_rank`` finds the
+pivot pattern by sparse elimination modulo a 61-bit prime, lifts the
+reduced kernel basis to Q by rational reconstruction, and returns it only
+after checking every vector exactly against the integer rows; a failed lift
+or check brings in further primes, never a guess.
 """
 
 from __future__ import annotations
@@ -19,8 +24,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exactalg import MultiPoly, binomial_valuation, divide_exact, vandermonde
-from .symgroup import Perm, act
+from .exactalg import MultiPoly, divide_exact, vandermonde
 from .tableaux import Tableau, gamma, partitions_of, standard_tableaux, v_t
 
 ORACLE_MAX_N = 5
@@ -37,16 +41,20 @@ def degree_cap() -> int:
 
 
 def is_quasiinvariant(p: MultiPoly, m: int) -> bool:
-    """True iff (x_i - x_j)^(2m+1) divides (1 - (i,j)) p for all i < j."""
+    """True iff (x_i - x_j)^(2m+1) divides (1 - (i,j)) p for all i < j.
+
+    Every constraint row of the oracle over p's own monomials must vanish
+    on p's coefficients, scaled to integers.  A row's key fixes the degree
+    of its monomials, so p need not be homogeneous.
+    """
     if m < 0:
         raise ValueError("m must be non-negative")
-    n = p.nvars
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            moved = p - act(Perm.transposition(n, i, j), p)
-            if binomial_valuation(moved, i, j) < 2 * m + 1:
-                return False
-    return True
+    coeffs = _integer_coefficients(p)
+    vec = list(coeffs.values())
+    return not any(
+        sum(a * vec[c] for c, a in row.items())
+        for row in _constraint_rows(p.nvars, m, list(coeffs))
+    )
 
 
 def in_gamma_component(p: MultiPoly, t: Tableau, m: int) -> bool:
@@ -248,6 +256,12 @@ def integer_nullspace(rows, ncols):
             return basis
 
 
+def _integer_coefficients(p: MultiPoly) -> dict:
+    """p's coefficients times their common denominator: {exponent: int}."""
+    scale = math.lcm(*(c.denominator for c in p.terms.values()))
+    return {e: c.numerator * (scale // c.denominator) for e, c in p.terms.items()}
+
+
 def poly_rank(polys) -> int:
     """Rank over Q of a list of MultiPoly values.
 
@@ -258,9 +272,8 @@ def poly_rank(polys) -> int:
     polys = [p for p in polys if not p.is_zero()]
     rows = {}
     for k, p in enumerate(polys):
-        scale = math.lcm(*(c.denominator for c in p.terms.values()))
-        for e, c in p.terms.items():
-            rows.setdefault(e, {})[k] = c.numerator * (scale // c.denominator)
+        for e, c in _integer_coefficients(p).items():
+            rows.setdefault(e, {})[k] = c
     return len(polys) - len(integer_nullspace(list(rows.values()), len(polys)))
 
 
@@ -302,7 +315,8 @@ def _constraint_rows(n: int, m: int, monomials):
 
     For the pair (i, j), substituting x_i = x_j + u into (1 - (i,j)) x^a
     contributes C(a_i, t) - C(a_j, t) at u^t times the residual monomial
-    with the x_j slot carrying a_i + a_j - t.
+    with the x_j slot carrying a_i + a_j - t.  The key (i, j, t, residual)
+    fixes the degree |residual| + t, so the monomials need not share one.
     """
     col_index = {e: k for k, e in enumerate(monomials)}
     rows = {}
@@ -398,12 +412,13 @@ def theorem_main_checks(n: int, m: int, samples: int = 10, seed: int = 0) -> dic
         "checked_b": 0,
         "failures": [],
     }
+    gammas = {t: gamma(t) for t in all_t}
     vt_pow = {t: v_t(t) ** (2 * m + 1) for t in all_t}
     for d in range(max_degree + 1):
         witness = graded_dimension_oracle(n, m, d)
         for q in witness.basis:
             for t in all_t:
-                image = gamma(t).apply(q)
+                image = gammas[t].apply(q)
                 if image.is_zero():
                     continue
                 report["checked_a"] += 1
@@ -417,7 +432,7 @@ def theorem_main_checks(n: int, m: int, samples: int = 10, seed: int = 0) -> dic
         attempts += 1
         t = all_t[rng.randrange(len(all_t))]
         p0 = random_homogeneous(rng, n, rng.randrange(0, 3))
-        w = gamma(t).apply(vt_pow[t] * p0)
+        w = gammas[t].apply(vt_pow[t] * p0)
         if w.is_zero() or divide_exact(w, vt_pow[t]) is None:
             continue
         produced += 1

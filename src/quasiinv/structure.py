@@ -19,7 +19,6 @@ from .exactalg import (
     vandermonde,
 )
 from .quasi import (
-    QIWitness,
     ResourceGuardError,
     delta_sq_embed,
     graded_dimension_oracle,
@@ -95,8 +94,7 @@ def full_hilbert(n: int, m: int, D: int) -> HilbertReport:
     )
 
 
-def hook_quotient_dimension(n: int, m: int, d: int, t: Tableau,
-                            witness_cache: dict | None = None) -> int:
+def hook_quotient_dimension(n: int, m: int, d: int, t: Tableau) -> int:
     """Graded dimension of the gamma_T component of QI_m modulo the ideal
     generated by e_1..e_n, at degree d.
 
@@ -104,20 +102,12 @@ def hook_quotient_dimension(n: int, m: int, d: int, t: Tableau,
     (QI_m)_{d-i}); freeness over the symmetric functions makes the second
     span the ideal's degree-d piece.
     """
-    cache = witness_cache if witness_cache is not None else {}
-
-    def witness(degree: int) -> QIWitness:
-        key = (n, m, degree)
-        if key not in cache:
-            cache[key] = graded_dimension_oracle(n, m, degree)
-        return cache[key]
-
     g = gamma(t)
-    top = poly_rank([g.apply(b) for b in witness(d).basis])
+    top = poly_rank([g.apply(b) for b in graded_dimension_oracle(n, m, d).basis])
     ideal_images = []
     for i in range(1, min(n, d) + 1):
         e_i = elementary_symmetric(n, i)
-        for b in witness(d - i).basis:
+        for b in graded_dimension_oracle(n, m, d - i).basis:
             ideal_images.append(g.apply(e_i * b))
     return top - poly_rank(ideal_images)
 

@@ -124,6 +124,8 @@ def parse_cycles(text: str, n: int) -> Perm:
                 raise ValueError("nested parenthesis in cycle notation")
             depth, buf = 1, ""
         elif ch == ")":
+            if not depth:
+                raise ValueError("unbalanced parenthesis")
             depth = 0
             cycles.append([int(v) for v in buf.split(",") if v])
         elif depth:
@@ -249,10 +251,11 @@ class GroupAlgebraElem:
         """sum_sigma f_sigma (sigma p)."""
         if p.nvars != self.n:
             raise DimensionMismatch("polynomial nvars mismatch")
-        result = MultiPoly.zero(self.n)
+        terms = {}
         for perm, c in self.terms.items():
-            result = result + act(perm, p) * c
-        return result
+            for e, a in act(perm, p).terms.items():
+                terms[e] = terms.get(e, 0) + a * c
+        return MultiPoly(self.n, terms)
 
     def __eq__(self, other):
         if not isinstance(other, GroupAlgebraElem):

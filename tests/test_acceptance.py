@@ -102,13 +102,12 @@ def test_a6_hilbert_oracle_agreement():
                 oracle = graded_dimension_oracle(n, m, d).dimension
                 if oracle != series.total.coeffs[d]:
                     failures.append((n, m, d, oracle, series.total.coeffs[d]))
-    cache = {}
     for n, m_max in ((2, 3), (3, 2)):
         for m in range(m_max + 1):
             for j in range(2, n + 1):
                 t = hook_tableau(n, j)
                 for d in range(m * n + 1, m * n + n):
-                    dim = hook_quotient_dimension(n, m, d, t, cache)
+                    dim = hook_quotient_dimension(n, m, d, t)
                     if dim != 1:
                         failures.append((n, m, j, d, dim))
     report("A6 graded dimensions match series and hook strip", not failures,

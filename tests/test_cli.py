@@ -165,6 +165,13 @@ class TestApply:
         path = write_poly(tmp_path, MultiPoly.variable(3, 1))
         assert_one_line_error(*run(capsys, "apply", "--in", path, *argv), text)
 
+    @pytest.mark.parametrize("sigma", ["(1,2))", ")", ")(1,2)"])
+    def test_unbalanced_sigma(self, capsys, tmp_path, sigma):
+        # a stray ")" used to repeat the previous cycle or read as the identity
+        path = write_poly(tmp_path, MultiPoly.variable(3, 1))
+        assert_one_line_error(*run(capsys, "apply", "--op", "perm", "--in", path,
+                                   "--sigma", sigma), "unbalanced parenthesis")
+
     @pytest.mark.parametrize("obj", [
         {"nvars": 2.9, "terms": [{"exp": [1.7, 0], "num": 2.5, "den": 1}]},
         {"nvars": 2, "terms": [{"exp": [1.7, 0], "num": "1", "den": "1"}]},

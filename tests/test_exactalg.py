@@ -12,7 +12,6 @@ from quasiinv.exactalg import (
     DimensionMismatch,
     MultiPoly,
     PowerSeriesQ,
-    binomial_valuation,
     divide_exact,
     elementary_symmetric,
     partial_derivative,
@@ -130,12 +129,6 @@ class TestDivideExact:
             return
         q = divide_exact(a * b, b)
         assert q == a
-
-    def test_valuation(self):
-        p = (x(1) - x(2)) ** 3 * (x(1) + x(3))
-        assert binomial_valuation(p, 1, 2) == 3
-        assert binomial_valuation(x(3), 1, 2) == 0
-        assert binomial_valuation(MultiPoly.zero(NVARS), 1, 2) == float("inf")
 
 
 class TestCalculus:

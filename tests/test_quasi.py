@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quasiinv import quasi
-from quasiinv.exactalg import MultiPoly, elementary_symmetric, vandermonde
+from quasiinv.exactalg import MultiPoly, divide_exact, elementary_symmetric, vandermonde
 from quasiinv.quasi import (
     ResourceGuardError,
     delta_sq_embed,
@@ -23,6 +23,7 @@ from quasiinv.quasi import (
     random_homogeneous,
     theorem_main_checks,
 )
+from quasiinv.symgroup import Perm, act
 from quasiinv.tableaux import Partition, hook_tableau, standard_tableaux
 
 FIRST_PRIME = (1 << 61) - 1  # the first prime the elimination core tries
@@ -30,6 +31,37 @@ FIRST_PRIME = (1 << 61) - 1  # the first prime the elimination core tries
 
 def x(i, n):
     return MultiPoly.variable(n, i)
+
+
+def qi_by_division(p, m):
+    """Reference for the definition, independent of the constraint rows:
+    (x_i - x_j)^(2m+1) divides p - (i,j) p exactly, for every i < j."""
+    n = p.nvars
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            moved = p - act(Perm.transposition(n, i, j), p)
+            if divide_exact(moved, (x(i, n) - x(j, n)) ** (2 * m + 1)) is None:
+                return False
+    return True
+
+
+@st.composite
+def qi_cases(draw):
+    """(p, m) with n <= 4 and m <= 2: p rational and not homogeneous, or
+    Delta^(2m) p + e_k, which is m-quasiinvariant."""
+    n = draw(st.integers(2, 4))
+    m = draw(st.integers(0, 2))
+    terms = draw(st.dictionaries(
+        st.tuples(*[st.integers(0, 2)] * n),
+        st.fractions(-9, 9, max_denominator=6).filter(bool), min_size=1, max_size=3))
+    p = MultiPoly(n, terms)
+    # at n = 4, m = 2, Delta^4 has 2925 terms and the division reference
+    # takes seconds per polynomial; the oracle witnesses of degree 9 are the
+    # true cases there (test_witnesses_are_quasiinvariant)
+    if (n, m) != (4, 2) and draw(st.booleans()):
+        k = draw(st.integers(1, n))
+        p = vandermonde(n) ** (2 * m) * p + elementary_symmetric(n, k)
+    return p, m
 
 
 def dense_rref(rows, ncols):
@@ -134,6 +166,13 @@ class TestPredicate:
             p = random_homogeneous(rng, 3, 2)
             assert is_quasiinvariant(v2 * p, 1)
 
+    @settings(max_examples=60, deadline=None)
+    @given(qi_cases())
+    def test_matches_division_reference(self, case):
+        p, m = case
+        for level in (m, m + 1):
+            assert is_quasiinvariant(p, level) == qi_by_division(p, level)
+
     def test_chain_containment(self):
         # QI_{m+1} subset QI_m on oracle witnesses
         for n, m, dmax in ((2, 1, 6), (2, 2, 8), (3, 1, 6)):
@@ -222,11 +261,12 @@ class TestOracle:
             assert w.dimension == len(monomials_of_degree(3, d))
 
     def test_witnesses_are_quasiinvariant(self):
-        for n, m, d in ((2, 2, 5), (3, 1, 4), (3, 2, 7)):
+        for n, m, d in ((2, 2, 5), (3, 1, 4), (3, 2, 7), (4, 2, 9)):
             w = graded_dimension_oracle(n, m, d)
             for p in w.basis:
                 assert p.is_homogeneous() and p.degree() == d
                 assert is_quasiinvariant(p, m)
+                assert qi_by_division(p, m)
 
     def test_resource_guard(self):
         with pytest.raises(ResourceGuardError):

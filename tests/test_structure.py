@@ -96,18 +96,16 @@ class TestFullHilbert:
 
 class TestHookQuotientDimension:
     def test_one_dimensional_strip(self):
-        cache = {}
         for n, m in ((2, 1), (2, 2), (3, 1)):
             for j in range(2, n + 1):
                 t = hook_tableau(n, j)
                 for d in range(m * n + 1, m * n + n):
-                    assert hook_quotient_dimension(n, m, d, t, cache) == 1
+                    assert hook_quotient_dimension(n, m, d, t) == 1
 
     def test_zero_below_strip(self):
-        cache = {}
         t = hook_tableau(3, 2)
         for d in range(0, 4):  # below m*n + 1 = 4
-            assert hook_quotient_dimension(3, 1, d, t, cache) == 0
+            assert hook_quotient_dimension(3, 1, d, t) == 0
 
 
 class TestDeterminant:

@@ -55,6 +55,11 @@ class TestPerm:
         with pytest.raises(ValueError):
             parse_cycles("(1,1)", 3)
 
+    @pytest.mark.parametrize("text", ["(1,2))", ")", ")(1,2)"])
+    def test_parse_cycles_unbalanced(self, text):
+        with pytest.raises(ValueError, match="unbalanced parenthesis"):
+            parse_cycles(text, 3)
+
     def test_cycle_text_roundtrip(self):
         s = Perm([3, 1, 2, 5, 4])
         assert parse_cycles(s.cycle_text(), 5) == s

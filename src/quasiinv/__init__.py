@@ -11,11 +11,9 @@ brute-force linear-algebra oracle.  All arithmetic is exact rational.
 from .exactalg import (
     DimensionMismatch,
     MultiPoly,
-    divide_exact,
     elementary_symmetric,
     partial_derivative,
     series_expand,
-    substitute,
     t_integrate_definite,
     vandermonde,
 )
@@ -76,7 +74,6 @@ __all__ = [
     "cocharge",
     "content",
     "det_degree",
-    "divide_exact",
     "elementary_symmetric",
     "f_lambda",
     "full_hilbert",
@@ -93,7 +90,6 @@ __all__ = [
     "q_integral",
     "series_expand",
     "standard_tableaux",
-    "substitute",
     "t_integrate_definite",
     "theorem_main_checks",
     "v_t",

@@ -2,15 +2,16 @@
 
 L_m = sum_i d^2/dx_i^2 - 2m sum_{i<j} (x_i - x_j)^{-1} (d/dx_i - d/dx_j).
 
-The 1/(x_i - x_j) factor is realized as exact polynomial division; inputs
-outside the operator's polynomial domain raise NonPolynomialError.
+The 1/(x_i - x_j) factor is realized as the exact divided difference
+``divide_by_difference``; inputs outside the operator's polynomial domain
+raise NonPolynomialError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactalg import MultiPoly, divide_exact, partial_derivative
+from .exactalg import MultiPoly, divide_by_difference, partial_derivative
 from .hookbasis import HookSpec, q_integral
 
 
@@ -42,9 +43,7 @@ def apply_lm(op: LmOperator, p: MultiPoly) -> MultiPoly:
             diff = partial_derivative(p, i) - partial_derivative(p, j)
             if diff.is_zero():
                 continue
-            quotient = divide_exact(
-                diff, MultiPoly.variable(n, i) - MultiPoly.variable(n, j)
-            )
+            quotient = divide_by_difference(diff, i, j)
             if quotient is None:
                 raise NonPolynomialError(
                     f"(x_{i} - x_{j}) does not divide the derivative difference"

@@ -2,13 +2,15 @@
 
 Rational scalars (``fractions.Fraction``), sparse multivariate polynomials
 over Q, definite integration in an extra variable t = x_(n+1), and
-truncated integer power series in q.
+truncated integer power series in q.  Every divisor in the package is a
+power of some x_a - x_b: ``shift_coefficients`` expands p at x_a = x_b + u.
 
 All values are immutable after construction and all operations are pure.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import combinations
 
@@ -100,13 +102,6 @@ class MultiPoly:
     def sorted_terms(self):
         """Terms in graded-lex descending order of exponent vector."""
         return sorted(self.terms.items(), key=lambda t: grlex_key(t[0]), reverse=True)
-
-    def leading(self):
-        """(exponent, coefficient) of the graded-lex leading term."""
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        exp = max(self.terms, key=grlex_key)
-        return exp, self.terms[exp]
 
     # -- ring operations ----------------------------------------------
 
@@ -201,39 +196,49 @@ class MultiPoly:
         return text[2:] if text.startswith("+ ") else "-" + text[2:]
 
 
-def substitute(p: MultiPoly, assignment: dict) -> MultiPoly:
-    """Simultaneous substitution x_i -> assignment[i] (1-indexed).
+def shift_coefficients(p: MultiPoly, a: int, b: int, k: int):
+    """[c_0, ..., c_k]: the coefficients of u^0..u^k in p at x_a = x_b + u.
 
-    Unmapped variables are left alone.  Every image polynomial must have
-    the same nvars as ``p``.
+    A term c x^e contributes C(e_a, t) c x^e' to c_t, where e' moves the
+    exponent of x_a onto x_b less t, so no c_t involves x_a.  (x_a - x_b)^k
+    divides p exactly when c_0..c_(k-1) vanish, and the quotient at
+    x_a = x_b is then c_k.
     """
     n = p.nvars
-    images = {}
-    for i, q in assignment.items():
-        if not 1 <= i <= n:
-            raise ValueError(f"variable index {i} out of range")
-        if q.nvars != n:
-            raise DimensionMismatch("substitution image has wrong nvars")
-        images[i] = q
-    result = MultiPoly.zero(n)
-    pow_cache = {}
-
-    def power(i, e):
-        key = (i, e)
-        if key not in pow_cache:
-            pow_cache[key] = images[i] ** e
-        return pow_cache[key]
-
+    if a == b or not (1 <= a <= n and 1 <= b <= n):
+        raise ValueError(f"need two different variables in 1..{n}, got {a} and {b}")
+    coeffs = [{} for _ in range(k + 1)]
     for exp, c in p.terms.items():
-        residual = list(exp)
-        factor = MultiPoly.constant(n, c)
-        for i in images:
-            e = residual[i - 1]
-            if e:
-                residual[i - 1] = 0
-                factor = factor * power(i, e)
-        result = result + factor * MultiPoly.monomial(tuple(residual))
-    return result
+        ea = exp[a - 1]
+        for t in range(min(k, ea) + 1):
+            key = list(exp)
+            key[a - 1] = 0
+            key[b - 1] += ea - t
+            key = tuple(key)
+            coeffs[t][key] = coeffs[t].get(key, 0) + math.comb(ea, t) * c
+    return [MultiPoly(n, terms) for terms in coeffs]
+
+
+def divide_by_difference(p: MultiPoly, i: int, j: int):
+    """p / (x_i - x_j), or None when x_i - x_j does not divide p.
+
+    It divides exactly when p vanishes at x_i = x_j; then p equals the sum
+    over its terms c x^e of c x^e' (x_i^(e_i) - x_j^(e_i)), with e' = e
+    less its x_i part, and each (x_i^(e_i) - x_j^(e_i)) / (x_i - x_j) is
+    the sum of x_i^s x_j^(e_i - 1 - s) over s < e_i.
+    """
+    if not shift_coefficients(p, i, j, 0)[0].is_zero():
+        return None
+    terms = {}
+    for exp, c in p.terms.items():
+        ei = exp[i - 1]
+        for s in range(ei):
+            key = list(exp)
+            key[i - 1] = s
+            key[j - 1] += ei - 1 - s
+            key = tuple(key)
+            terms[key] = terms.get(key, 0) + c
+    return MultiPoly(p.nvars, terms)
 
 
 def partial_derivative(p: MultiPoly, i: int) -> MultiPoly:
@@ -249,31 +254,6 @@ def partial_derivative(p: MultiPoly, i: int) -> MultiPoly:
             key = tuple(new)
             terms[key] = terms.get(key, Fraction(0)) + c * e
     return MultiPoly(p.nvars, terms)
-
-
-def divide_exact(p: MultiPoly, d: MultiPoly):
-    """Exact quotient p/d in Q[x_1..x_n], or None when d does not divide p.
-
-    Leading-term cancellation under graded-lex: if p = d*q the leading
-    terms must cancel at every step, so the loop reaches zero exactly when
-    the division is exact.
-    """
-    if d.is_zero():
-        raise ZeroDivisionError("division by the zero polynomial")
-    p._check(d)
-    n = p.nvars
-    d_exp, d_coef = d.leading()
-    quotient = {}
-    r = p
-    while not r.is_zero():
-        r_exp, r_coef = r.leading()
-        q_exp = tuple(a - b for a, b in zip(r_exp, d_exp))
-        if any(e < 0 for e in q_exp):
-            return None
-        c = r_coef / d_coef
-        quotient[q_exp] = quotient.get(q_exp, Fraction(0)) + c
-        r = r - d * MultiPoly.monomial(q_exp, c)
-    return MultiPoly(n, quotient)
 
 
 def elementary_symmetric(n: int, i: int) -> MultiPoly:

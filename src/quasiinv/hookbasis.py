@@ -4,7 +4,8 @@ Each basis element is the definite integral of t^k prod_i (t - x_i)^m from
 x_1 to x_j.  ``hook_basis`` builds it by exact symbolic integration; the
 closed-form coefficient formula in the separation variable z = x_2 - x_1
 (transposed to general j) is an independent second construction, used only
-to cross-check the first.
+to cross-check the first.  The limit formula reads the quotient by
+(x_j - x_1)^(2m+1) at x_1 = x_j off the expansion at x_1 = x_j + u.
 """
 
 from __future__ import annotations
@@ -16,9 +17,8 @@ from itertools import product
 
 from .exactalg import (
     MultiPoly,
-    divide_exact,
     elementary_symmetric,
-    substitute,
+    shift_coefficients,
     t_integrate_definite,
 )
 from .symgroup import Perm, act
@@ -133,18 +133,18 @@ def gamma_fixed_check(spec: HookSpec) -> bool:
 def lowest_quotient(spec: HookSpec) -> MultiPoly:
     """Exact quotient by (x_j - x_1)^(2m+1) evaluated at x_1 = x_j.
 
+    At x_1 = x_j + u the divisor is (-u)^(2m+1), so the value is minus the
+    coefficient of u^(2m+1), once those of u^0..u^2m are seen to vanish.
     Divisibility failure would contradict the membership theorem, so it
     raises rather than returning a sentinel.
     """
-    n, m, j = spec.n, spec.m, spec.j
-    q = q_integral(spec)
-    divisor = (MultiPoly.variable(n, j) - MultiPoly.variable(n, 1)) ** (2 * m + 1)
-    quotient = divide_exact(q, divisor)
-    if quotient is None:
+    m, j = spec.m, spec.j
+    coeffs = shift_coefficients(q_integral(spec), 1, j, 2 * m + 1)
+    if not all(c.is_zero() for c in coeffs[:-1]):
         raise TheoremViolationError(
             f"(x_{j} - x_1)^{2 * m + 1} does not divide Q for {spec}"
         )
-    return substitute(quotient, {1: MultiPoly.variable(n, j)})
+    return -coeffs[-1]
 
 
 def lowest_quotient_rhs(spec: HookSpec) -> MultiPoly:

@@ -39,6 +39,8 @@ def poly_from_obj(obj: dict) -> MultiPoly:
         terms = {}
         for term in obj.get("terms", []):
             exp = tuple(_integer(e, "exp") for e in term["exp"])
+            if exp in terms:
+                raise ValueError(f"term {list(exp)} repeats an exponent")
             den = _integer(term["den"], "den", text=True)
             if den == 0:
                 raise ValueError(f"term {list(exp)} has denominator 0")

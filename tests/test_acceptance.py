@@ -7,9 +7,11 @@ of rational polynomials or integer dimensions.
 
 import subprocess
 import sys
+from pathlib import Path
 
+import quasiinv
 from quasiinv.calogero import lm_eigen_check
-from quasiinv.exactalg import divide_exact, vandermonde
+from quasiinv.exactalg import vandermonde
 from quasiinv.hookbasis import (
     HookSpec,
     lowest_quotient,
@@ -28,6 +30,7 @@ from quasiinv.structure import (
 )
 from quasiinv.tableaux import gamma, hook_tableau, v_t
 from quasiinv.verify import run_suite
+from reference import divide_exact
 
 
 def report(name: str, passed: bool, detail: str = ""):
@@ -118,8 +121,6 @@ def test_a7_group_algebra_suite():
     results = []
     for n in (2, 3, 4, 5):
         for name, ok, detail in run_suite("groupalgebra", n, 0, seed=0):
-            if n == 5 and not name.startswith("Bracket factorization"):
-                continue  # only the factorization identity scales to n = 5
             results.append((n, name, ok, detail))
     failures = [(n, name) for n, name, ok, _ in results if not ok]
     report("A7 group-algebra identities", not failures,
@@ -156,7 +157,7 @@ def test_a9_determinism(tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "quasiinv", "verify", "--suite", "all",
              "--n", "3", "--m", "1", "--seed", "42", "--out", str(path)],
-            capture_output=True,
+            capture_output=True, cwd=Path(quasiinv.__file__).parents[1],
         )
         assert proc.returncode == 0, proc.stderr.decode()
         outputs.append(path.read_bytes())

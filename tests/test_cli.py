@@ -184,6 +184,16 @@ class TestApply:
         assert_one_line_error(*run(capsys, "apply", "--op", "perm", "--in", str(path),
                                    "--sigma", "1"), "must be an integer")
 
+    @pytest.mark.parametrize("nums", [("1", "2"), ("1", "-1")],
+                             ids=["sum", "cancel"])
+    def test_polynomial_with_repeated_exponent(self, capsys, tmp_path, nums):
+        # x1 + 2*x1 used to read as 2*x1, and x1 - x1 as -x1
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"nvars": 2, "terms": [
+            {"exp": [1, 0], "num": num, "den": "1"} for num in nums]}))
+        assert_one_line_error(*run(capsys, "apply", "--op", "perm", "--in", str(path),
+                                   "--sigma", "1"), "repeats an exponent")
+
     def test_polynomial_integer_fields(self):
         obj = {"nvars": 2, "terms": [{"exp": [1, 0], "num": 3, "den": "2"},
                                      {"exp": [0, 1], "num": "-1", "den": 1}]}
@@ -229,10 +239,14 @@ class TestEntryPoints:
     def test_module_invocation(self):
         import subprocess
         import sys
+        from pathlib import Path
 
+        import quasiinv
+
+        # run from the directory holding the package, installed or not
         proc = subprocess.run(
             [sys.executable, "-m", "quasiinv", "detcheck", "--m", "1"],
-            capture_output=True,
+            capture_output=True, cwd=Path(quasiinv.__file__).parents[1],
         )
         assert proc.returncode == 0
 

@@ -1,6 +1,7 @@
-"""Exact polynomial arithmetic: ring axioms, division, substitution,
-differentiation, definite integration in t = x_(n+1), and q-series
-expansion."""
+"""Exact polynomial arithmetic: ring axioms, the shift expansion at
+x_a = x_b + u and division by x_i - x_j (checked against the test-only long
+division), differentiation, definite integration in t = x_(n+1), and
+q-series expansion."""
 
 from fractions import Fraction
 
@@ -12,14 +13,15 @@ from quasiinv.exactalg import (
     DimensionMismatch,
     MultiPoly,
     PowerSeriesQ,
-    divide_exact,
+    divide_by_difference,
     elementary_symmetric,
     partial_derivative,
     series_expand,
-    substitute,
+    shift_coefficients,
     t_integrate_definite,
     vandermonde,
 )
+from reference import divide_exact
 
 NVARS = 3
 
@@ -51,6 +53,28 @@ def mul_one_minus_q_power(s, j):
 
 def x(i, n=NVARS):
     return MultiPoly.variable(n, i)
+
+
+@st.composite
+def shift_cases(draw):
+    """(p, a, b, k): p in n <= 4 variables with exponents <= 3, two
+    different variable indices a and b, and k <= 3."""
+    n = draw(st.integers(2, 4))
+    a, b = draw(st.permutations(range(1, n + 1)))[:2]
+    terms = draw(st.dictionaries(st.tuples(*[st.integers(0, 3)] * n),
+                                 coeffs(), max_size=4))
+    return MultiPoly(n, terms), a, b, draw(st.integers(0, 3))
+
+
+def merge(p, a, b):
+    """p at x_a = x_b, by moving each exponent of x_a onto x_b."""
+    terms = {}
+    for exp, c in p.terms.items():
+        key = list(exp)
+        key[b - 1] += key[a - 1]
+        key[a - 1] = 0
+        terms[tuple(key)] = terms.get(tuple(key), 0) + c
+    return MultiPoly(p.nvars, terms)
 
 
 class TestRingAxioms:
@@ -108,6 +132,9 @@ class TestBasics:
 
 
 class TestDivideExact:
+    """The test-only long division that the package's verdicts are checked
+    against."""
+
     def test_hand_example(self):
         # -(x2-x1)^3 / 6 divided by (x2-x1)^3 is the constant -1/6
         d = (x(2, 2) - x(1, 2)) ** 3
@@ -131,12 +158,50 @@ class TestDivideExact:
         assert q == a
 
 
-class TestCalculus:
-    def test_substitute(self):
-        p = x(1) ** 2 + x(2)
-        q = substitute(p, {1: x(2) + x(3)})
-        assert q == (x(2) + x(3)) ** 2 + x(2)
+class TestShift:
+    @settings(max_examples=80, deadline=None)
+    @given(shift_cases())
+    def test_divisibility_verdict_matches_division(self, case):
+        p, a, b, k = case
+        d = (x(a, p.nvars) - x(b, p.nvars)) ** k
+        for f in (p, p * d):
+            coeffs = shift_coefficients(f, a, b, k)
+            assert len(coeffs) == k + 1
+            divisible = all(c.is_zero() for c in coeffs[:k])
+            assert divisible == (divide_exact(f, d) is not None)
+        # the quotient (p d) / d = p at x_a = x_b is c_k
+        assert shift_coefficients(p * d, a, b, k)[k] == merge(p, a, b)
 
+    @settings(max_examples=60, deadline=None)
+    @given(shift_cases())
+    def test_expansion_sums_back(self, case):
+        # exponents are at most 3, so c_0..c_3 is the whole expansion
+        p, a, b, _ = case
+        u = x(a, p.nvars) - x(b, p.nvars)
+        coeffs = shift_coefficients(p, a, b, 3)
+        assert all(e[a - 1] == 0 for c in coeffs for e in c.terms)
+        total = MultiPoly.zero(p.nvars)
+        for t, c in enumerate(coeffs):
+            total = total + c * u ** t
+        assert total == p
+
+    @settings(max_examples=80, deadline=None)
+    @given(shift_cases())
+    def test_divide_by_difference(self, case):
+        p, i, j, _ = case
+        diff = x(i, p.nvars) - x(j, p.nvars)
+        assert divide_by_difference(p * diff, i, j) == p
+        assert divide_by_difference(p, i, j) == divide_exact(p, diff)
+
+    @pytest.mark.parametrize("a, b", [(1, 1), (0, 2), (1, 4)])
+    def test_rejects_bad_variables(self, a, b):
+        with pytest.raises(ValueError):
+            shift_coefficients(x(1), a, b, 2)
+        with pytest.raises(ValueError):
+            divide_by_difference(x(1), a, b)
+
+
+class TestCalculus:
     def test_partial_derivative(self):
         p = x(1) ** 3 * x(2) + x(2) ** 2
         assert partial_derivative(p, 1) == x(1) ** 2 * x(2) * 3

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quasiinv import quasi
-from quasiinv.exactalg import MultiPoly, divide_exact, elementary_symmetric, vandermonde
+from quasiinv.exactalg import MultiPoly, elementary_symmetric, vandermonde
 from quasiinv.quasi import (
     ResourceGuardError,
     delta_sq_embed,
@@ -24,7 +24,14 @@ from quasiinv.quasi import (
     theorem_main_checks,
 )
 from quasiinv.symgroup import Perm, act
-from quasiinv.tableaux import Partition, hook_tableau, standard_tableaux
+from quasiinv.tableaux import (
+    Partition,
+    hook_tableau,
+    partitions_of,
+    standard_tableaux,
+    v_t,
+)
+from reference import divide_exact
 
 FIRST_PRIME = (1 << 61) - 1  # the first prime the elimination core tries
 
@@ -285,6 +292,29 @@ class TestGammaComponent:
         # symmetric polynomials lie in the component of the single-row tableau
         t = standard_tableaux(Partition([3]))[0]
         assert in_gamma_component(elementary_symmetric(3, 2), t, 1)
+
+    @pytest.mark.parametrize("m", [0, 1])
+    @pytest.mark.parametrize(
+        "t",
+        [t for n in (2, 3, 4) for shape in partitions_of(n)
+         for t in standard_tableaux(shape) if len(t.same_column_pairs()) >= 2],
+        ids=lambda t: str(t.rows))
+    def test_vt_ideal_matches_division(self, t, m):
+        """Checking V_T^(2m+1) one same-column pair at a time agrees with
+        dividing by the whole power, also where a single pair divides to
+        the full power and the others do not."""
+        n = t.n
+        vt = v_t(t)
+        rng = random.Random(10 * n + m)
+        for p in (MultiPoly.constant(n, 1), random_homogeneous(rng, n, 1),
+                  random_homogeneous(rng, n, 2)):
+            cases = [vt ** (2 * m + 1) * p, vt ** (2 * m) * p]
+            cases += [vt ** (2 * m) * (x(below, n) - x(above, n)) * p
+                      for above, below in t.same_column_pairs()]
+            for f in cases:
+                expected = divide_exact(f, vt ** (2 * m + 1)) is not None
+                assert quasi._in_vt_ideal(f, t, m) == expected
+            assert quasi._in_vt_ideal(cases[0], t, m)
 
 
 class TestDeltaSqEmbed:

@@ -25,6 +25,7 @@ from .tableaux import (
     content,
     f_lambda,
     gamma,
+    gamma_apply,
     hook_tableau,
     standard_tableaux,
     v_t,
@@ -78,6 +79,7 @@ __all__ = [
     "f_lambda",
     "full_hilbert",
     "gamma",
+    "gamma_apply",
     "graded_dimension_oracle",
     "hook_basis",
     "hook_quotient_dimension",

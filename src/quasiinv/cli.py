@@ -22,7 +22,7 @@ from .quasi import (
 )
 from .structure import change_of_basis_n2, full_hilbert
 from .symgroup import act, parse_cycles
-from .tableaux import Partition, Tableau, gamma, hook_tableau
+from .tableaux import Partition, Tableau, gamma_apply, hook_tableau
 from .verify import SUITES, run_suite
 
 
@@ -146,7 +146,7 @@ def cmd_apply(args) -> int:
         if t.n != p.nvars:
             print("error: tableau size does not match nvars", file=sys.stderr)
             return 2
-        image = gamma(t).apply(p)
+        image = gamma_apply(t, p)
     elif args.op == "lm":
         try:
             image = apply_lm(LmOperator(n=p.nvars, m=args.m), p)

@@ -196,6 +196,13 @@ class MultiPoly:
         return text[2:] if text.startswith("+ ") else "-" + text[2:]
 
 
+def integer_coefficients(terms):
+    """(den, {key: int}) for a map of Fraction coefficients, such as
+    ``MultiPoly.terms``: the common denominator and the map times it."""
+    den = math.lcm(*(c.denominator for c in terms.values()))
+    return den, {k: c.numerator * (den // c.denominator) for k, c in terms.items()}
+
+
 def shift_coefficients(p: MultiPoly, a: int, b: int, k: int):
     """[c_0, ..., c_k]: the coefficients of u^0..u^k in p at x_a = x_b + u.
 

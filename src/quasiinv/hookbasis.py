@@ -22,7 +22,7 @@ from .exactalg import (
     t_integrate_definite,
 )
 from .symgroup import Perm, act
-from .tableaux import gamma, hook_tableau
+from .tableaux import gamma_apply, hook_tableau
 
 
 class TheoremViolationError(AssertionError):
@@ -127,7 +127,7 @@ def gamma_fixed_check(spec: HookSpec) -> bool:
     """True iff the hook projector fixes the basis element."""
     q = q_integral(spec)
     t = hook_tableau(spec.n, spec.j)
-    return gamma(t).apply(q) == q
+    return gamma_apply(t, q) == q
 
 
 def lowest_quotient(spec: HookSpec) -> MultiPoly:

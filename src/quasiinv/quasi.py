@@ -26,8 +26,8 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exactalg import MultiPoly, shift_coefficients, vandermonde
-from .tableaux import Tableau, gamma, partitions_of, standard_tableaux, v_t
+from .exactalg import MultiPoly, integer_coefficients, shift_coefficients, vandermonde
+from .tableaux import Tableau, gamma_apply, partitions_of, standard_tableaux, v_t
 
 ORACLE_MAX_N = 5
 DEFAULT_DEGREE_CAP = 12
@@ -51,7 +51,7 @@ def is_quasiinvariant(p: MultiPoly, m: int) -> bool:
     """
     if m < 0:
         raise ValueError("m must be non-negative")
-    coeffs = _integer_coefficients(p)
+    _, coeffs = integer_coefficients(p.terms)
     vec = list(coeffs.values())
     return not any(
         sum(a * vec[c] for c, a in row.items())
@@ -65,7 +65,7 @@ def in_gamma_component(p: MultiPoly, t: Tableau, m: int) -> bool:
         raise ValueError("size mismatch between polynomial and tableau")
     if p.is_zero():
         return True
-    if gamma(t).apply(p) != p:
+    if gamma_apply(t, p) != p:
         return False
     return _in_vt_ideal(p, t, m)
 
@@ -273,12 +273,6 @@ def integer_nullspace(rows, ncols):
             return basis
 
 
-def _integer_coefficients(p: MultiPoly) -> dict:
-    """p's coefficients times their common denominator: {exponent: int}."""
-    scale = math.lcm(*(c.denominator for c in p.terms.values()))
-    return {e: c.numerator * (scale // c.denominator) for e, c in p.terms.items()}
-
-
 def poly_rank(polys) -> int:
     """Rank over Q of a list of MultiPoly values.
 
@@ -289,7 +283,7 @@ def poly_rank(polys) -> int:
     polys = [p for p in polys if not p.is_zero()]
     rows = {}
     for k, p in enumerate(polys):
-        for e, c in _integer_coefficients(p).items():
+        for e, c in integer_coefficients(p.terms)[1].items():
             rows.setdefault(e, {})[k] = c
     return len(polys) - len(integer_nullspace(list(rows.values()), len(polys)))
 
@@ -387,8 +381,7 @@ def isotypic_dimension(witness: QIWitness, t: Tableau) -> int:
     """Rank over Q of the gamma_T images of the witness basis."""
     if t.n != witness.n:
         raise ValueError("tableau size mismatch")
-    g = gamma(t)
-    return poly_rank([g.apply(b) for b in witness.basis])
+    return poly_rank([gamma_apply(t, b) for b in witness.basis])
 
 
 def random_homogeneous(rng: random.Random, n: int, degree: int) -> MultiPoly:
@@ -429,13 +422,12 @@ def theorem_main_checks(n: int, m: int, samples: int = 10, seed: int = 0) -> dic
         "checked_b": 0,
         "failures": [],
     }
-    gammas = {t: gamma(t) for t in all_t}
     vt_pow = {t: v_t(t) ** (2 * m + 1) for t in all_t}
     for d in range(max_degree + 1):
         witness = graded_dimension_oracle(n, m, d)
         for q in witness.basis:
             for t in all_t:
-                image = gammas[t].apply(q)
+                image = gamma_apply(t, q)
                 if image.is_zero():
                     continue
                 report["checked_a"] += 1
@@ -449,7 +441,7 @@ def theorem_main_checks(n: int, m: int, samples: int = 10, seed: int = 0) -> dic
         attempts += 1
         t = all_t[rng.randrange(len(all_t))]
         p0 = random_homogeneous(rng, n, rng.randrange(0, 3))
-        w = gammas[t].apply(vt_pow[t] * p0)
+        w = gamma_apply(t, vt_pow[t] * p0)
         if w.is_zero() or not _in_vt_ideal(w, t, m):
             continue
         produced += 1

@@ -30,7 +30,7 @@ from .tableaux import (
     cocharge,
     content,
     f_lambda,
-    gamma,
+    gamma_apply,
     partitions_of,
     standard_tableaux,
 )
@@ -102,13 +102,12 @@ def hook_quotient_dimension(n: int, m: int, d: int, t: Tableau) -> int:
     (QI_m)_{d-i}); freeness over the symmetric functions makes the second
     span the ideal's degree-d piece.
     """
-    g = gamma(t)
-    top = poly_rank([g.apply(b) for b in graded_dimension_oracle(n, m, d).basis])
+    top = poly_rank([gamma_apply(t, b) for b in graded_dimension_oracle(n, m, d).basis])
     ideal_images = []
     for i in range(1, min(n, d) + 1):
         e_i = elementary_symmetric(n, i)
         for b in graded_dimension_oracle(n, m, d - i).basis:
-            ideal_images.append(g.apply(e_i * b))
+            ideal_images.append(gamma_apply(t, e_i * b))
     return top - poly_rank(ideal_images)
 
 

@@ -3,6 +3,13 @@ algebra Q S_n with the bracket sums [U] and [U]'.
 
 Composition convention: (a * b)(i) = a(b(i)), so the action on polynomials
 is a left action: act(a * b, p) = act(a, act(b, p)).
+
+Convolution runs on integers: both operands are scaled by their common
+denominators, image tuples are composed directly, and each output
+coefficient is divided once.  Products are built through trusted private
+constructors; the public constructors validate their input.  A bracket is
+also the telescoping product of ``telescoping_factors``, which is how
+``tableaux.gamma_apply`` applies the Young projector without expanding it.
 """
 
 from __future__ import annotations
@@ -10,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import permutations
 
-from .exactalg import DimensionMismatch, MultiPoly, _coerce
+from .exactalg import DimensionMismatch, MultiPoly, _coerce, integer_coefficients
 
 # Enumerating S_U is factorial in |U|; keep it at desk scale.
 MAX_GROUP_N = 8
@@ -27,6 +34,13 @@ class Perm:
         if sorted(images) != list(range(1, n + 1)):
             raise ValueError(f"{images} is not a permutation of 1..{n}")
         object.__setattr__(self, "images", images)
+
+    @classmethod
+    def _trusted(cls, images: tuple) -> "Perm":
+        """A Perm on an image tuple already known to be a permutation."""
+        perm = object.__new__(cls)
+        object.__setattr__(perm, "images", images)
+        return perm
 
     def __setattr__(self, name, value):
         raise AttributeError("Perm is immutable")
@@ -54,7 +68,7 @@ class Perm:
         """self after other: (self * other)(i) = self(other(i))."""
         if self.n != other.n:
             raise DimensionMismatch("permutation size mismatch")
-        return Perm(self.images[other.images[i] - 1] for i in range(self.n))
+        return Perm._trusted(tuple([self.images[i - 1] for i in other.images]))
 
     __mul__ = compose
 
@@ -146,13 +160,17 @@ def parse_cycles(text: str, n: int) -> Perm:
     return perm
 
 
+def _check_group_size(n: int):
+    if n > MAX_GROUP_N:
+        raise ValueError(f"group enumeration limited to n <= {MAX_GROUP_N}")
+
+
 def subgroup_perms(n: int, support):
     """All permutations of 1..n fixing the complement of ``support``."""
     support = sorted(set(support))
     if any(not 1 <= s <= n for s in support):
         raise ValueError(f"support {support} not inside 1..{n}")
-    if n > MAX_GROUP_N:
-        raise ValueError(f"group enumeration limited to n <= {MAX_GROUP_N}")
+    _check_group_size(n)
     out = []
     for arrangement in permutations(support):
         images = list(range(1, n + 1))
@@ -194,6 +212,15 @@ class GroupAlgebraElem:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "terms", clean)
 
+    @classmethod
+    def _trusted(cls, n: int, terms: dict) -> "GroupAlgebraElem":
+        """An element on terms already known to be nonzero Fractions keyed
+        by permutations of 1..n."""
+        elem = object.__new__(cls)
+        object.__setattr__(elem, "n", n)
+        object.__setattr__(elem, "terms", terms)
+        return elem
+
     def __setattr__(self, name, value):
         raise AttributeError("GroupAlgebraElem is immutable")
 
@@ -234,16 +261,19 @@ class GroupAlgebraElem:
             c = _coerce(other)
             return GroupAlgebraElem(self.n, {p: k * c for p, k in self.terms.items()})
         self._check(other)
-        terms = {}
-        for p1, c1 in self.terms.items():
-            for p2, c2 in other.terms.items():
-                key = p1 * p2
-                s = terms.get(key, Fraction(0)) + c1 * c2
-                if s:
-                    terms[key] = s
-                else:
-                    del terms[key]
-        return GroupAlgebraElem(self.n, terms)
+        den_a, left = integer_coefficients(self.terms)
+        den_b, right = integer_coefficients(other.terms)
+        right_images = [(p2.images, c2) for p2, c2 in right.items()]
+        acc = {}
+        for p1, c1 in left.items():
+            images = p1.images
+            for images2, c2 in right_images:
+                key = tuple([images[i - 1] for i in images2])
+                acc[key] = acc.get(key, 0) + c1 * c2
+        den = den_a * den_b
+        return GroupAlgebraElem._trusted(self.n, {
+            Perm._trusted(key): Fraction(c, den) for key, c in acc.items() if c
+        })
 
     __rmul__ = __mul__
 
@@ -275,8 +305,6 @@ class GroupAlgebraElem:
             body = perm.cycle_text()
             if abs(c) != 1:
                 body = f"{abs(c)}*{body}"
-            elif body == "1":
-                body = "1"
             parts.append(("- " if c < 0 else "+ ") + body)
         text = " ".join(parts)
         return text[2:] if text.startswith("+ ") else "-" + text[2:]
@@ -296,8 +324,16 @@ def bracket(n: int, support, signed: bool) -> GroupAlgebraElem:
     return GroupAlgebraElem(n, terms)
 
 
+def telescoping_factors(order):
+    """The transpositions of each factor of the telescoping product
+    (1 +- (u1,u2))(1 +- (u1,u3) +- (u2,u3))...(1 +- (u1,uk) +- ... +- (u(k-1),uk))
+    over an ordering u1..uk of a set U, first factor first.  The product is
+    [U] with every sign +, and [U]' with every sign -."""
+    return [[(order[s], order[t]) for s in range(t)] for t in range(1, len(order))]
+
+
 def sn_factorization(order, signed: bool) -> GroupAlgebraElem:
-    """Telescoping product (1 +- (i1,i2))(1 +- (i1,i3) +- (i2,i3))...
+    """The telescoping product of ``telescoping_factors`` in Q S_n.
 
     ``order`` must be a permutation of {1..n}; the product equals
     [S_n] (unsigned) or [S_n]' (signed).
@@ -308,10 +344,9 @@ def sn_factorization(order, signed: bool) -> GroupAlgebraElem:
         raise ValueError(f"{order} is not an ordering of 1..{n}")
     result = GroupAlgebraElem.identity(n)
     sign = Fraction(-1 if signed else 1)
-    for t in range(1, n):
+    for pairs in telescoping_factors(order):
         factor = GroupAlgebraElem.identity(n)
-        for s in range(t):
-            tr = Perm.transposition(n, order[s], order[t])
-            factor = factor + GroupAlgebraElem.from_perm(tr, sign)
+        for a, b in pairs:
+            factor = factor + GroupAlgebraElem.from_perm(Perm.transposition(n, a, b), sign)
         result = result * factor
     return result

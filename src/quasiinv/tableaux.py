@@ -2,6 +2,12 @@
 Young projector gamma_T, the column polynomial V_T, and the auxiliary
 group-algebra elements built from a column plus one cell to its right.
 
+gamma_T has two forms.  ``gamma`` expands it in Q S_n, for the algebra
+identities.  ``gamma_apply`` applies it to a polynomial in factored form:
+every bracket runs as its telescoping product of transpositions on integer
+coefficients, with the rational scale applied once, which is the path
+every projection of a polynomial in the package takes.
+
 Cell convention: (row i, column j), 1-based, with row 1 the longest row.
 Standardness: entries increase left-to-right along rows and top-to-bottom
 down columns.  Content is sum of (j - i) over cells, so a single column of
@@ -13,8 +19,14 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .exactalg import MultiPoly
-from .symgroup import GroupAlgebraElem, Perm, bracket
+from .exactalg import DimensionMismatch, MultiPoly, integer_coefficients
+from .symgroup import (
+    GroupAlgebraElem,
+    Perm,
+    _check_group_size,
+    bracket,
+    telescoping_factors,
+)
 
 
 class Partition:
@@ -229,12 +241,54 @@ def col_antisymmetrizer(t: Tableau) -> GroupAlgebraElem:
     return result
 
 
-def gamma(t: Tableau) -> GroupAlgebraElem:
-    """The Young projector f_lambda * N(T) P(T) / n! (an idempotent)."""
+def _check_projector(t: Tableau):
     if not t.is_standard():
         raise ValueError("gamma requires a standard tableau")
+    _check_group_size(t.n)
+
+
+def gamma(t: Tableau) -> GroupAlgebraElem:
+    """The Young projector f_lambda * N(T) P(T) / n! (an idempotent)."""
+    _check_projector(t)
     scale = Fraction(t.shape.hook_length_count(), math.factorial(t.n))
     return (col_antisymmetrizer(t) * row_symmetrizer(t)) * scale
+
+
+def _apply_factor(q: dict, pairs, sign: int) -> dict:
+    """(1 + sign * sum of the transpositions ``pairs``) on {exponent: int}."""
+    out = dict(q)
+    for a, b in pairs:
+        a, b = a - 1, b - 1
+        for e, c in q.items():
+            if e[a] != e[b]:
+                swapped = list(e)
+                swapped[a], swapped[b] = e[b], e[a]
+                e = tuple(swapped)
+            out[e] = out.get(e, 0) + sign * c
+    return {e: c for e, c in out.items() if c}
+
+
+def gamma_apply(t: Tableau, p: MultiPoly) -> MultiPoly:
+    """gamma_T p, equal to gamma(t).apply(p) without expanding gamma_T.
+
+    The action is a left action, so gamma_T p = f_lambda N(T)(P(T) p) / n!:
+    p is scaled to integers once, each row bracket [R] and then each column
+    bracket [C]' runs as its telescoping product, last factor first (O(k^2)
+    transpositions rather than k! permutations), and f_lambda / (n! den)
+    is applied once at the end.
+    """
+    _check_projector(t)
+    if p.nvars != t.n:
+        raise DimensionMismatch("polynomial nvars mismatch")
+    den, q = integer_coefficients(p.terms)
+    brackets = [(row, 1) for row in t.rows]
+    brackets += [(t.column(j), -1) for j in range(1, t.ncols() + 1)]
+    for support, sign in brackets:
+        for pairs in reversed(telescoping_factors(support)):
+            q = _apply_factor(q, pairs, sign)
+    f = t.shape.hook_length_count()
+    scale = math.factorial(t.n) * den
+    return MultiPoly(t.n, {e: Fraction(c * f, scale) for e, c in q.items()})
 
 
 def v_t(t: Tableau) -> MultiPoly:

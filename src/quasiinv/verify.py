@@ -34,6 +34,7 @@ from .tableaux import (
     alpha,
     col_union_antisym,
     gamma,
+    gamma_apply,
     hook_tableau,
     partitions_of,
     row_symmetrizer,
@@ -95,18 +96,19 @@ def suite_groupalgebra(n: int, seed: int = 0, samples: int = 5):
     results.append(("Zero-product / alpha-invariance / gamma idempotence", ok,
                     f"n={n}, {len(tableaux)} tableaux, {checked} (column, cell) pairs"))
 
+    # f(PQ) by the factored projector, P f(Q) by the expanded one, so the
+    # line also checks the two forms of gamma_T against each other
     ok = True
     for _ in range(samples):
         t = tableaux[rng.randrange(len(tableaux))]
-        f = gamma(t)
         p_sym = elementary_symmetric(n, rng.randrange(1, n + 1))
         q = random_homogeneous(rng, n, rng.randrange(0, 3))
-        if f.apply(p_sym * q) != p_sym * f.apply(q):
+        if gamma_apply(t, p_sym * q) != p_sym * gamma(t).apply(q):
             ok = False
     results.append(("Symmetric-factor commutation f(PQ) = P f(Q)", ok,
                     f"n={n}, {samples} samples, seed={seed}"))
 
-    if n <= 4:
+    if n <= 5:
         ok = True
         for m in (0, 1):
             for d in range(4):

@@ -123,6 +123,9 @@ def test_a7_group_algebra_suite():
         for name, ok, detail in run_suite("groupalgebra", n, 0, seed=0):
             results.append((n, name, ok, detail))
     failures = [(n, name) for n, name, ok, _ in results if not ok]
+    # every line runs at n = 5, the projector rank-sum included
+    if sum(1 for n, *_ in results if n == 5) != 4:
+        failures.append((5, "line count"))
     report("A7 group-algebra identities", not failures,
            f"{len(results)} checks, n up to 5")
 

@@ -124,6 +124,26 @@ class TestApply:
 
         assert image == gamma(hook_tableau(3, 2)).apply(p)
 
+    def test_gamma_non_hook(self, capsys, tmp_path):
+        from quasiinv.tableaux import Tableau, gamma
+
+        x = lambda i: MultiPoly.variable(5, i)
+        p = (x(2) ** 2 * x(3) * x(5) * Fraction(3, 2) - x(4) * x(5) ** 3
+             + x(1) * Fraction(-1, 3))
+        path = write_poly(tmp_path, p)
+        code, out, _ = run(capsys, "apply", "--op", "gamma", "--in", path,
+                           "--tableau", "[[1,3],[2,4],[5]]")
+        assert code == 0
+        image = jsonio.poly_from_obj(json.loads(out))
+        assert not image.is_zero()
+        assert image == gamma(Tableau([[1, 3], [2, 4], [5]])).apply(p)
+
+    def test_gamma_nine_variables_exits_2(self, capsys, tmp_path):
+        path = write_poly(tmp_path, MultiPoly.variable(9, 1))
+        assert_one_line_error(*run(capsys, "apply", "--op", "gamma", "--in", path,
+                                   "--tableau", "[[1,2,3,4,5,6,7,8],[9]]"),
+                              "group enumeration limited to n <= 8")
+
     def test_lm_non_polynomial_diagnostic(self, capsys, tmp_path):
         p = MultiPoly.variable(2, 1)
         path = write_poly(tmp_path, p)

@@ -3,8 +3,11 @@ signed/unsigned subgroup sums with their telescoping factorizations."""
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quasiinv.exactalg import MultiPoly
 from quasiinv.symgroup import (
@@ -16,6 +19,7 @@ from quasiinv.symgroup import (
     sn_factorization,
     subgroup_perms,
 )
+from reference import convolve
 
 
 def x(i, n=3):
@@ -119,6 +123,57 @@ class TestGroupAlgebra:
         for support in ((1, 2), (1, 2, 3)):
             e = bracket(3, support, signed=False)
             assert len(e.terms) == math.factorial(len(support))
+
+
+def elements(n):
+    perms = st.permutations(range(1, n + 1)).map(Perm)
+    coeffs = st.fractions(min_value=-6, max_value=6, max_denominator=12)
+    return st.dictionaries(perms, coeffs, max_size=6).map(
+        lambda terms: GroupAlgebraElem(n, terms))
+
+
+@st.composite
+def factor_pairs(draw):
+    """(f, g, cancels): with ``cancels``, f = f0 (1 + s) and g = (1 - s) g0
+    for a transposition s, so f g = 0."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    f, g = draw(elements(n)), draw(elements(n))
+    cancels = n >= 2 and draw(st.booleans())
+    if cancels:
+        a, b = draw(st.sampled_from([(a, b) for a in range(1, n + 1)
+                                     for b in range(a + 1, n + 1)]))
+        e = GroupAlgebraElem.identity(n)
+        s = GroupAlgebraElem.from_perm(Perm.transposition(n, a, b))
+        f, g = convolve(f, e + s), convolve(e - s, g)
+    return f, g, cancels
+
+
+class TestConvolution:
+    @settings(max_examples=150, deadline=None)
+    @given(factor_pairs())
+    def test_integer_convolution_matches_reference(self, case):
+        f, g, cancels = case
+        product = f * g
+        assert product == convolve(f, g)
+        if cancels:
+            assert product.is_zero()
+        for perm, c in product.terms.items():
+            fresh = Perm(perm.images)
+            assert type(perm.images) is tuple
+            assert perm == fresh and hash(perm) == hash(fresh)
+            assert product.terms[fresh] == c
+            assert type(c) is Fraction and c != 0
+
+    def test_compose_keys_like_validated_perms(self):
+        a, b = Perm([2, 3, 1, 4]), Perm([1, 4, 3, 2])
+        assert a.compose(b) == Perm([2, 4, 1, 3])
+        assert hash(a.compose(b)) == hash(Perm([2, 4, 1, 3]))
+
+    def test_public_constructors_still_validate(self):
+        with pytest.raises(ValueError):
+            Perm([1, 1, 2])
+        with pytest.raises(ValueError):
+            GroupAlgebraElem(3, {Perm.identity(2): 1})
 
 
 class TestFactorization:

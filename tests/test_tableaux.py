@@ -1,13 +1,16 @@
 """Partitions, standard tableaux, cocharge, and the Young-symmetrizer
 projections gamma_T with their algebraic identities."""
 
+import functools
 import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from quasiinv.exactalg import MultiPoly
-from quasiinv.symgroup import act, subgroup_perms
+from quasiinv.exactalg import DimensionMismatch, MultiPoly
+from quasiinv.symgroup import GroupAlgebraElem, act, bracket, subgroup_perms
 from quasiinv.tableaux import (
     Partition,
     Tableau,
@@ -18,14 +21,35 @@ from quasiinv.tableaux import (
     content,
     f_lambda,
     gamma,
+    gamma_apply,
     hook_tableau,
     partitions_of,
     row_symmetrizer,
     standard_tableaux,
     v_t,
 )
+from reference import convolve
 
 PARTITION_COUNTS = {1: 1, 2: 2, 3: 3, 4: 5, 5: 7, 6: 11}
+TABLEAUX_UP_TO_5 = [t for n in range(1, 6) for shape in partitions_of(n)
+                    for t in standard_tableaux(shape)]
+
+
+@functools.lru_cache(maxsize=None)
+def expanded_gamma(t):
+    return gamma(t)
+
+
+def rational_polys(n):
+    """Non-homogeneous polynomials with rational coefficients."""
+    exponents = st.tuples(*[st.integers(min_value=0, max_value=3)] * n)
+    coeffs = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+    return st.dictionaries(exponents, coeffs, max_size=6).map(
+        lambda terms: MultiPoly(n, terms))
+
+
+def tableau_id(t):
+    return "/".join(",".join(map(str, row)) for row in t.rows)
 
 
 class TestPartition:
@@ -115,6 +139,19 @@ class TestSymmetrizers:
                     g = gamma(t)
                     assert g * g == g
 
+    @pytest.mark.parametrize("t", TABLEAUX_UP_TO_5, ids=tableau_id)
+    def test_gamma_matches_reference_convolution(self, t):
+        # N(T) P(T) multiplied out by the Fraction reference convolution
+        n = t.n
+        col = row = GroupAlgebraElem.identity(n)
+        for j in range(1, t.ncols() + 1):
+            col = convolve(col, bracket(n, t.column(j), signed=True))
+        for r in t.rows:
+            row = convolve(row, bracket(n, r, signed=False))
+        scale = Fraction(f_lambda(t.shape), math.factorial(n))
+        want = {perm: c * scale for perm, c in convolve(col, row).terms.items()}
+        assert expanded_gamma(t) == GroupAlgebraElem(n, want)
+
     def test_row_symmetrizer_fixes_row_symmetric(self):
         t = hook_tableau(3, 3)  # rows (1,2), (3,)
         x1 = MultiPoly.variable(3, 1)
@@ -188,6 +225,25 @@ class TestSymmetrizers:
         merged = col_union_antisym(t, 1, (1, 2))
         assert not merged.is_zero()
         assert len(merged.terms) == 6  # antisymmetrizes all of {1,2,3}
+
+
+class TestGammaApply:
+    @pytest.mark.parametrize("t", TABLEAUX_UP_TO_5, ids=tableau_id)
+    @settings(max_examples=12, deadline=None)
+    @given(data=st.data())
+    def test_matches_expanded_projector(self, t, data):
+        n = t.n
+        for p in (MultiPoly.zero(n), MultiPoly.constant(n, Fraction(-7, 4)),
+                  data.draw(rational_polys(n))):
+            assert gamma_apply(t, p) == expanded_gamma(t).apply(p)
+
+    def test_refusals(self):
+        with pytest.raises(ValueError, match="^gamma requires a standard tableau$"):
+            gamma_apply(Tableau([(2, 1), (3,)]), MultiPoly.variable(3, 1))
+        with pytest.raises(ValueError, match="^group enumeration limited to n <= 8$"):
+            gamma_apply(Tableau([tuple(range(1, 9)), (9,)]), MultiPoly.variable(9, 1))
+        with pytest.raises(DimensionMismatch):
+            gamma_apply(hook_tableau(3, 2), MultiPoly.variable(4, 1))
 
 
 class TestVT:

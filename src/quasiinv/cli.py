@@ -121,16 +121,25 @@ def cmd_hilbert(args) -> int:
     return 0
 
 
+def _parse_json(text: str, option: str):
+    """The JSON value given to ``option``; nesting too deep for the decoder
+    is refused like any other malformed input."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError(f"{option} JSON is nested too deeply") from None
+
+
 def _load_poly(path: str) -> MultiPoly:
     with open(path, "r", encoding="utf-8") as fh:
-        return jsonio.poly_from_obj(json.load(fh))
+        return jsonio.poly_from_obj(_parse_json(fh.read(), "--in"))
 
 
 def cmd_apply(args) -> int:
     p = _load_poly(args.infile)
     if args.op == "gamma":
         if args.tableau:
-            t = Tableau(json.loads(args.tableau))
+            t = Tableau(_parse_json(args.tableau, "--tableau"))
         elif not args.shape:
             print("error: gamma needs --shape or --tableau", file=sys.stderr)
             return 2

@@ -1,9 +1,18 @@
 """Exact arithmetic foundation.
 
-Rational scalars (``fractions.Fraction``), sparse multivariate polynomials
-over Q, definite integration in an extra variable t = x_(n+1), and
-truncated integer power series in q.  Every divisor in the package is a
-power of some x_a - x_b: ``shift_coefficients`` expands p at x_a = x_b + u.
+Sparse multivariate polynomials over Q, definite integration in an extra
+variable t = x_(n+1), and truncated integer power series in q.  Every
+divisor in the package is a power of some x_a - x_b: ``shift_coefficients``
+expands p at x_a = x_b + u.
+
+A ``MultiPoly`` is integer numerators over one positive denominator, in
+lowest terms, and the kernel (ring operations, shift expansion, division
+by a difference, differentiation, integration) runs on ints alone.  Each
+operation builds its result through the one trusted constructor
+``MultiPoly._from_int``, which drops zeros and divides out one gcd.
+``fractions.Fraction`` appears only at the boundary: the public
+constructors, the ``terms`` view and text output.  ``integer_coefficients``
+is the one home of scaling Fraction coefficients to integers.
 
 All values are immutable after construction and all operations are pure.
 """
@@ -13,6 +22,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import combinations
+from operator import add
 
 
 class DimensionMismatch(ValueError):
@@ -35,12 +45,15 @@ def grlex_key(exp):
 class MultiPoly:
     """Sparse polynomial over Q in variables x_1..x_n.
 
-    ``terms`` maps exponent tuples (length ``nvars``) to nonzero Fraction
-    coefficients.  Zero coefficients are never stored, so equality of term
-    maps is equality of polynomials.
+    The polynomial is ``num`` over ``den``: ``num`` maps exponent tuples
+    (length ``nvars``) to nonzero ints, ``den`` is a positive int, and
+    gcd(den, *num.values()) == 1.  The form is canonical, so equality and
+    hashing compare (nvars, den, num).  The public constructor takes a map
+    of int or Fraction coefficients and validates it; every operation builds
+    its result on ints through the trusted ``_from_int``.
     """
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars", "num", "den")
 
     def __init__(self, nvars: int, terms=None):
         if nvars < 1:
@@ -56,11 +69,38 @@ class MultiPoly:
                 raise ValueError(f"negative exponent in {exp}")
             if c != 0:
                 clean[tuple(exp)] = c
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "terms", clean)
+        den, num = integer_coefficients(clean)
+        _set = object.__setattr__
+        _set(self, "nvars", nvars)
+        _set(self, "num", num)
+        _set(self, "den", den)
+
+    @classmethod
+    def _from_int(cls, nvars: int, num: dict, den: int = 1) -> "MultiPoly":
+        """The polynomial ``num`` / ``den``, for ``num`` a map of exponent
+        tuples of length ``nvars`` to ints (zeros allowed) and ``den`` > 0.
+        Zero numerators are dropped and the fraction is reduced."""
+        num = {e: c for e, c in num.items() if c}
+        if den != 1:
+            g = math.gcd(den, *num.values())
+            if g != 1:
+                num = {e: c // g for e, c in num.items()}
+                den //= g
+        poly = object.__new__(cls)
+        _set = object.__setattr__
+        _set(poly, "nvars", nvars)
+        _set(poly, "num", num)
+        _set(poly, "den", den)
+        return poly
 
     def __setattr__(self, name, value):
         raise AttributeError("MultiPoly is immutable")
+
+    @property
+    def terms(self) -> dict:
+        """{exponent: Fraction coefficient}, for output and inspection."""
+        den = self.den
+        return {e: Fraction(c, den) for e, c in self.num.items()}
 
     # -- constructors -------------------------------------------------
 
@@ -70,7 +110,10 @@ class MultiPoly:
 
     @classmethod
     def constant(cls, nvars: int, c) -> "MultiPoly":
-        return cls(nvars, {(0,) * nvars: _coerce(c)})
+        if nvars < 1:
+            raise ValueError("nvars must be positive")
+        c = _coerce(c)
+        return cls._from_int(nvars, {(0,) * nvars: c.numerator}, c.denominator)
 
     @classmethod
     def variable(cls, nvars: int, i: int) -> "MultiPoly":
@@ -78,7 +121,7 @@ class MultiPoly:
         if not 1 <= i <= nvars:
             raise ValueError(f"variable index {i} out of range 1..{nvars}")
         exp = tuple(1 if k == i - 1 else 0 for k in range(nvars))
-        return cls(nvars, {exp: Fraction(1)})
+        return cls._from_int(nvars, {exp: 1})
 
     @classmethod
     def monomial(cls, exp, c=1) -> "MultiPoly":
@@ -87,20 +130,21 @@ class MultiPoly:
     # -- predicates / views -------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
+        if not self.num:
             return -1
-        return max(sum(e) for e in self.terms)
+        return max(sum(e) for e in self.num)
 
     def is_homogeneous(self) -> bool:
-        degs = {sum(e) for e in self.terms}
+        degs = {sum(e) for e in self.num}
         return len(degs) <= 1
 
     def sorted_terms(self):
-        """Terms in graded-lex descending order of exponent vector."""
+        """Terms in graded-lex descending order of exponent vector, with
+        Fraction coefficients."""
         return sorted(self.terms.items(), key=lambda t: grlex_key(t[0]), reverse=True)
 
     # -- ring operations ----------------------------------------------
@@ -113,19 +157,22 @@ class MultiPoly:
         if isinstance(other, (int, Fraction)):
             other = MultiPoly.constant(self.nvars, other)
         self._check(other)
-        terms = dict(self.terms)
-        for exp, c in other.terms.items():
-            s = terms.get(exp, Fraction(0)) + c
-            if s:
-                terms[exp] = s
-            else:
-                terms.pop(exp, None)
-        return MultiPoly(self.nvars, terms)
+        da, db = self.den, other.den
+        if da == db:
+            den, num, fb = da, dict(self.num), 1
+        else:
+            den = math.lcm(da, db)
+            fa, fb = den // da, den // db
+            num = {e: c * fa for e, c in self.num.items()}
+        get = num.get
+        for e, c in other.num.items():
+            num[e] = get(e, 0) + c * fb
+        return MultiPoly._from_int(self.nvars, num, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly(self.nvars, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._from_int(self.nvars, {e: -c for e, c in self.num.items()}, self.den)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -134,21 +181,20 @@ class MultiPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = _coerce(other)
-            if c == 0:
-                return MultiPoly.zero(self.nvars)
-            return MultiPoly(self.nvars, {e: k * c for e, k in self.terms.items()})
+            a = other.numerator
+            return MultiPoly._from_int(
+                self.nvars, {e: c * a for e, c in self.num.items()},
+                self.den * other.denominator,
+            )
         self._check(other)
-        terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exp = tuple(a + b for a, b in zip(e1, e2))
-                s = terms.get(exp, Fraction(0)) + c1 * c2
-                if s:
-                    terms[exp] = s
-                else:
-                    del terms[exp]
-        return MultiPoly(self.nvars, terms)
+        acc = {}
+        get = acc.get
+        right = list(other.num.items())
+        for e1, c1 in self.num.items():
+            for e2, c2 in right:
+                exp = tuple(map(add, e1, e2))
+                acc[exp] = get(exp, 0) + c1 * c2
+        return MultiPoly._from_int(self.nvars, acc, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -167,17 +213,18 @@ class MultiPoly:
     def __eq__(self, other):
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
+        return (self.nvars == other.nvars and self.den == other.den
+                and self.num == other.num)
 
     def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
+        return hash((self.nvars, self.den, frozenset(self.num.items())))
 
     def __repr__(self):
         return f"MultiPoly({self.nvars}, {self.to_text()!r})"
 
     def to_text(self) -> str:
         """Fully expanded monomial form, graded-lex descending."""
-        if not self.terms:
+        if not self.num:
             return "0"
         parts = []
         for exp, c in self.sorted_terms():
@@ -197,8 +244,9 @@ class MultiPoly:
 
 
 def integer_coefficients(terms):
-    """(den, {key: int}) for a map of Fraction coefficients, such as
-    ``MultiPoly.terms``: the common denominator and the map times it."""
+    """(den, {key: int}) for a map of Fraction coefficients: the least
+    common denominator and the map times it.  Over nonzero coefficients the
+    result is in lowest terms, gcd(den, *values) == 1."""
     den = math.lcm(*(c.denominator for c in terms.values()))
     return den, {k: c.numerator * (den // c.denominator) for k, c in terms.items()}
 
@@ -215,15 +263,17 @@ def shift_coefficients(p: MultiPoly, a: int, b: int, k: int):
     if a == b or not (1 <= a <= n and 1 <= b <= n):
         raise ValueError(f"need two different variables in 1..{n}, got {a} and {b}")
     coeffs = [{} for _ in range(k + 1)]
-    for exp, c in p.terms.items():
+    for exp, c in p.num.items():
         ea = exp[a - 1]
+        key = list(exp)
+        key[a - 1] = 0
+        key[b - 1] += ea
         for t in range(min(k, ea) + 1):
-            key = list(exp)
-            key[a - 1] = 0
-            key[b - 1] += ea - t
-            key = tuple(key)
-            coeffs[t][key] = coeffs[t].get(key, 0) + math.comb(ea, t) * c
-    return [MultiPoly(n, terms) for terms in coeffs]
+            shifted = tuple(key)
+            terms = coeffs[t]
+            terms[shifted] = terms.get(shifted, 0) + math.comb(ea, t) * c
+            key[b - 1] -= 1
+    return [MultiPoly._from_int(n, terms, p.den) for terms in coeffs]
 
 
 def divide_by_difference(p: MultiPoly, i: int, j: int):
@@ -237,7 +287,7 @@ def divide_by_difference(p: MultiPoly, i: int, j: int):
     if not shift_coefficients(p, i, j, 0)[0].is_zero():
         return None
     terms = {}
-    for exp, c in p.terms.items():
+    for exp, c in p.num.items():
         ei = exp[i - 1]
         for s in range(ei):
             key = list(exp)
@@ -245,7 +295,7 @@ def divide_by_difference(p: MultiPoly, i: int, j: int):
             key[j - 1] += ei - 1 - s
             key = tuple(key)
             terms[key] = terms.get(key, 0) + c
-    return MultiPoly(p.nvars, terms)
+    return MultiPoly._from_int(p.nvars, terms, p.den)
 
 
 def partial_derivative(p: MultiPoly, i: int) -> MultiPoly:
@@ -253,14 +303,14 @@ def partial_derivative(p: MultiPoly, i: int) -> MultiPoly:
     if not 1 <= i <= p.nvars:
         raise ValueError(f"variable index {i} out of range 1..{p.nvars}")
     terms = {}
-    for exp, c in p.terms.items():
+    for exp, c in p.num.items():
         e = exp[i - 1]
         if e:
             new = list(exp)
             new[i - 1] = e - 1
             key = tuple(new)
-            terms[key] = terms.get(key, Fraction(0)) + c * e
-    return MultiPoly(p.nvars, terms)
+            terms[key] = terms.get(key, 0) + c * e
+    return MultiPoly._from_int(p.nvars, terms, p.den)
 
 
 def elementary_symmetric(n: int, i: int) -> MultiPoly:
@@ -274,8 +324,8 @@ def elementary_symmetric(n: int, i: int) -> MultiPoly:
         exp = [0] * n
         for s in subset:
             exp[s] = 1
-        terms[tuple(exp)] = Fraction(1)
-    return MultiPoly(n, terms)
+        terms[tuple(exp)] = 1
+    return MultiPoly._from_int(n, terms)
 
 
 def vandermonde(n: int) -> MultiPoly:
@@ -294,23 +344,25 @@ def t_integrate_definite(f: MultiPoly, lower: int, upper: int) -> MultiPoly:
 
     ``f`` is a polynomial in n + 1 variables whose last variable is t; the
     result is a polynomial in x_1..x_n.  Each term c x^a t^d integrates to
-    c/(d+1) (x_upper^(d+1) - x_lower^(d+1)) x^a.
+    c/(d+1) (x_upper^(d+1) - x_lower^(d+1)) x^a; over the least common
+    multiple L of the d + 1, that is c L/(d+1) over L.
     """
     n = f.nvars - 1
     if lower == upper:
         raise ValueError("lower and upper variables must differ")
     if not (1 <= lower <= n and 1 <= upper <= n):
         raise ValueError(f"integration limits must lie in 1..{n}")
+    scale = math.lcm(*{exp[n] + 1 for exp in f.num})
     terms = {}
-    for exp, c in f.terms.items():
+    for exp, c in f.num.items():
         d = exp[n] + 1
-        share = c / d
+        share = c * (scale // d)
         for i, value in ((upper, share), (lower, -share)):
             key = list(exp[:n])
             key[i - 1] += d
             key = tuple(key)
             terms[key] = terms.get(key, 0) + value
-    return MultiPoly(n, terms)
+    return MultiPoly._from_int(n, terms, f.den * scale)
 
 
 class PowerSeriesQ:

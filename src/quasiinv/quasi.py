@@ -26,7 +26,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exactalg import MultiPoly, integer_coefficients, shift_coefficients, vandermonde
+from .exactalg import MultiPoly, shift_coefficients, vandermonde
 from .tableaux import Tableau, gamma_apply, partitions_of, standard_tableaux, v_t
 
 ORACLE_MAX_N = 5
@@ -46,16 +46,15 @@ def is_quasiinvariant(p: MultiPoly, m: int) -> bool:
     """True iff (x_i - x_j)^(2m+1) divides (1 - (i,j)) p for all i < j.
 
     Every constraint row of the oracle over p's own monomials must vanish
-    on p's coefficients, scaled to integers.  A row's key fixes the degree
-    of its monomials, so p need not be homogeneous.
+    on p's integer numerators.  A row's key fixes the degree of its
+    monomials, so p need not be homogeneous.
     """
     if m < 0:
         raise ValueError("m must be non-negative")
-    _, coeffs = integer_coefficients(p.terms)
-    vec = list(coeffs.values())
+    vec = list(p.num.values())
     return not any(
         sum(a * vec[c] for c, a in row.items())
-        for row in _constraint_rows(p.nvars, m, list(coeffs))
+        for row in _constraint_rows(p.nvars, m, list(p.num))
     )
 
 
@@ -278,12 +277,12 @@ def poly_rank(polys) -> int:
 
     The kernel of the monomial-by-polynomial coefficient matrix is the space
     of linear relations among the polynomials; each polynomial's column is
-    scaled to integers by its common denominator.
+    its integer numerators, which share one denominator.
     """
     polys = [p for p in polys if not p.is_zero()]
     rows = {}
     for k, p in enumerate(polys):
-        for e, c in integer_coefficients(p.terms)[1].items():
+        for e, c in p.num.items():
             rows.setdefault(e, {})[k] = c
     return len(polys) - len(integer_nullspace(list(rows.values()), len(polys)))
 
@@ -371,7 +370,7 @@ def graded_dimension_oracle(n: int, m: int, d: int) -> QIWitness:
     rows = _constraint_rows(n, m, monomials)
     basis_vectors = integer_nullspace(rows, len(monomials))
     basis = tuple(
-        MultiPoly(n, {monomials[c]: Fraction(v) for c, v in vec.items()})
+        MultiPoly._from_int(n, {monomials[c]: v for c, v in vec.items()})
         for vec in basis_vectors
     )
     return QIWitness(n=n, m=m, degree=d, basis=basis)
@@ -391,7 +390,7 @@ def random_homogeneous(rng: random.Random, n: int, degree: int) -> MultiPoly:
     terms = {}
     for _ in range(min(4, len(monomials))):
         exp = monomials[rng.randrange(len(monomials))]
-        terms[exp] = terms.get(exp, Fraction(0)) + Fraction(rng.randint(-5, 5))
+        terms[exp] = terms.get(exp, 0) + rng.randint(-5, 5)
     return MultiPoly(n, terms)
 
 

@@ -183,17 +183,16 @@ def subgroup_perms(n: int, support):
 def act(s: Perm, p: MultiPoly) -> MultiPoly:
     """sigma P = P(x_{sigma(1)}, ..., x_{sigma(n)}).
 
-    On exponent vectors: the exponent of x_i migrates to x_{sigma(i)}.
+    On exponent vectors: the exponent of x_i migrates to x_{sigma(i)}, so
+    slot k of the image reads slot sigma^(-1)(k) of the source.
     """
     if s.n != p.nvars:
         raise DimensionMismatch("permutation and polynomial sizes differ")
-    terms = {}
-    for exp, c in p.terms.items():
-        new = [0] * len(exp)
-        for i, e in enumerate(exp, start=1):
-            new[s(i) - 1] = e
-        terms[tuple(new)] = c
-    return MultiPoly(p.nvars, terms)
+    source = [0] * s.n
+    for i, image in enumerate(s.images):
+        source[image - 1] = i
+    num = {tuple([exp[i] for i in source]): c for exp, c in p.num.items()}
+    return MultiPoly._from_int(p.nvars, num, p.den)
 
 
 class GroupAlgebraElem:
@@ -281,11 +280,13 @@ class GroupAlgebraElem:
         """sum_sigma f_sigma (sigma p)."""
         if p.nvars != self.n:
             raise DimensionMismatch("polynomial nvars mismatch")
-        terms = {}
-        for perm, c in self.terms.items():
-            for e, a in act(perm, p).terms.items():
-                terms[e] = terms.get(e, 0) + a * c
-        return MultiPoly(self.n, terms)
+        den, coeffs = integer_coefficients(self.terms)
+        num = {}
+        get = num.get
+        for perm, c in coeffs.items():
+            for e, a in act(perm, p).num.items():
+                num[e] = get(e, 0) + a * c
+        return MultiPoly._from_int(self.n, num, den * p.den)
 
     def __eq__(self, other):
         if not isinstance(other, GroupAlgebraElem):

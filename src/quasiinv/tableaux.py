@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .exactalg import DimensionMismatch, MultiPoly, integer_coefficients
+from .exactalg import DimensionMismatch, MultiPoly
 from .symgroup import (
     GroupAlgebraElem,
     Perm,
@@ -272,23 +272,23 @@ def gamma_apply(t: Tableau, p: MultiPoly) -> MultiPoly:
     """gamma_T p, equal to gamma(t).apply(p) without expanding gamma_T.
 
     The action is a left action, so gamma_T p = f_lambda N(T)(P(T) p) / n!:
-    p is scaled to integers once, each row bracket [R] and then each column
-    bracket [C]' runs as its telescoping product, last factor first (O(k^2)
-    transpositions rather than k! permutations), and f_lambda / (n! den)
-    is applied once at the end.
+    each row bracket [R] and then each column bracket [C]' runs on p's
+    integer numerators as its telescoping product, last factor first
+    (O(k^2) transpositions rather than k! permutations), and
+    f_lambda / (n! den) is applied once at the end.
     """
     _check_projector(t)
     if p.nvars != t.n:
         raise DimensionMismatch("polynomial nvars mismatch")
-    den, q = integer_coefficients(p.terms)
+    q = p.num
     brackets = [(row, 1) for row in t.rows]
     brackets += [(t.column(j), -1) for j in range(1, t.ncols() + 1)]
     for support, sign in brackets:
         for pairs in reversed(telescoping_factors(support)):
             q = _apply_factor(q, pairs, sign)
     f = t.shape.hook_length_count()
-    scale = math.factorial(t.n) * den
-    return MultiPoly(t.n, {e: Fraction(c * f, scale) for e, c in q.items()})
+    return MultiPoly._from_int(t.n, {e: c * f for e, c in q.items()},
+                               math.factorial(t.n) * p.den)
 
 
 def v_t(t: Tableau) -> MultiPoly:

@@ -21,6 +21,7 @@ from .hookbasis import (
     recursion_residual,
 )
 from .quasi import (
+    ResourceGuardError,
     graded_dimension_oracle,
     in_gamma_component,
     is_quasiinvariant,
@@ -41,6 +42,10 @@ from .tableaux import (
     standard_tableaux,
 )
 
+# The idempotence and factorization checks multiply expanded elements of
+# up to n! terms: n = 6 takes about 6 s, and n = 7 ran for over a minute.
+GROUPALGEBRA_MAX_N = 6
+
 
 def _all_standard(n):
     return [t for shape in partitions_of(n) for t in standard_tableaux(shape)]
@@ -57,6 +62,10 @@ def _column_cells(t):
 
 
 def suite_groupalgebra(n: int, seed: int = 0, samples: int = 5):
+    if n > GROUPALGEBRA_MAX_N:
+        raise ResourceGuardError(
+            f"groupalgebra limited to n <= {GROUPALGEBRA_MAX_N}, got {n}"
+        )
     rng = random.Random(seed)
     results = []
 

@@ -1,5 +1,6 @@
-"""Test-only references: general polynomial long division and the
-convolution of Q S_n by its definition.
+"""Test-only references: general polynomial long division, the
+convolution of Q S_n by its definition, and the polynomial kernel on
+Fraction coefficient maps.
 
 The package divides only by powers of differences x_a - x_b, through
 ``exactalg.shift_coefficients``.  This graded-lex long division makes no
@@ -9,8 +10,14 @@ divisibility verdicts and quotients.
 ``GroupAlgebraElem.__mul__`` convolves on integers over one common
 denominator; ``convolve`` multiplies term by term in ``Fraction``
 arithmetic, composing with ``Perm.compose``.
+
+``MultiPoly`` stores integer numerators over one denominator.  The
+``ref_*`` functions compute the same operations term by term on plain
+``{exponent: Fraction}`` maps, with no common denominator and no
+reduction, by the textbook definitions.
 """
 
+import math
 from fractions import Fraction
 
 from quasiinv.exactalg import MultiPoly, grlex_key
@@ -52,3 +59,65 @@ def convolve(f: GroupAlgebraElem, g: GroupAlgebraElem) -> GroupAlgebraElem:
             key = p1.compose(p2)
             terms[key] = terms.get(key, Fraction(0)) + c1 * c2
     return GroupAlgebraElem(f.n, terms)
+
+
+def _clean(terms: dict) -> dict:
+    return {e: c for e, c in terms.items() if c}
+
+
+def ref_add(p: dict, q: dict) -> dict:
+    out = dict(p)
+    for e, c in q.items():
+        out[e] = out.get(e, Fraction(0)) + c
+    return _clean(out)
+
+
+def ref_scale(p: dict, c) -> dict:
+    return _clean({e: k * Fraction(c) for e, k in p.items()})
+
+
+def ref_mul(p: dict, q: dict) -> dict:
+    out = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            out[e] = out.get(e, Fraction(0)) + c1 * c2
+    return _clean(out)
+
+
+def ref_partial_derivative(p: dict, i: int) -> dict:
+    out = {}
+    for e, c in p.items():
+        if e[i - 1]:
+            d = list(e)
+            d[i - 1] -= 1
+            out[tuple(d)] = out.get(tuple(d), Fraction(0)) + c * e[i - 1]
+    return _clean(out)
+
+
+def ref_t_integrate_definite(f: dict, lower: int, upper: int) -> dict:
+    """Integral of f dt from x_lower to x_upper, t being the last variable."""
+    out = {}
+    for e, c in f.items():
+        d = e[-1] + 1
+        for i, sign in ((upper, 1), (lower, -1)):
+            key = list(e[:-1])
+            key[i - 1] += d
+            key = tuple(key)
+            out[key] = out.get(key, Fraction(0)) + sign * c / d
+    return _clean(out)
+
+
+def ref_shift_coefficients(p: dict, a: int, b: int, k: int) -> list:
+    """Coefficients of u^0..u^k in p at x_a = x_b + u, by expanding each
+    (x_b + u)^(e_a) with the binomial theorem."""
+    out = [{} for _ in range(k + 1)]
+    for e, c in p.items():
+        ea = e[a - 1]
+        for t in range(min(k, ea) + 1):
+            key = list(e)
+            key[a - 1] = 0
+            key[b - 1] += ea - t
+            key = tuple(key)
+            out[t][key] = out[t].get(key, Fraction(0)) + math.comb(ea, t) * c
+    return [_clean(terms) for terms in out]

@@ -85,6 +85,13 @@ class TestVerify:
                                    "--m", "-1"), "m >= 0")
 
 
+    @pytest.mark.parametrize("suite", ["groupalgebra", "all"])
+    def test_groupalgebra_refuses_n_above_six(self, capsys, suite):
+        # the expanded products have n! terms; n = 7 used to run for minutes
+        assert_one_line_error(*run(capsys, "verify", "--suite", suite, "--n", "7"),
+                              "groupalgebra limited to n <= 6, got 7")
+
+
 class TestHilbert:
     def test_oracle_agreement(self, capsys):
         code, out, _ = run(capsys, "hilbert", "--n", "2", "--m", "1",
@@ -184,6 +191,18 @@ class TestApply:
     def test_missing_or_malformed_option(self, capsys, tmp_path, argv, text):
         path = write_poly(tmp_path, MultiPoly.variable(3, 1))
         assert_one_line_error(*run(capsys, "apply", "--in", path, *argv), text)
+
+    def test_deeply_nested_input_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000)
+        assert_one_line_error(*run(capsys, "apply", "--op", "perm", "--sigma", "(1,2)",
+                                   "--in", str(path)), "--in JSON is nested too deeply")
+
+    def test_deeply_nested_tableau_exits_2(self, capsys, tmp_path):
+        path = write_poly(tmp_path, MultiPoly.variable(3, 1))
+        assert_one_line_error(*run(capsys, "apply", "--op", "gamma", "--in", path,
+                                   "--tableau", "[" * 5000),
+                              "--tableau JSON is nested too deeply")
 
     @pytest.mark.parametrize("sigma", ["(1,2))", ")", ")(1,2)"])
     def test_unbalanced_sigma(self, capsys, tmp_path, sigma):

@@ -1,8 +1,10 @@
-"""Exact polynomial arithmetic: ring axioms, the shift expansion at
-x_a = x_b + u and division by x_i - x_j (checked against the test-only long
-division), differentiation, definite integration in t = x_(n+1), and
-q-series expansion."""
+"""Exact polynomial arithmetic: the integer kernel against a Fraction
+reference, ring axioms, the shift expansion at x_a = x_b + u and division
+by x_i - x_j (checked against the test-only long division),
+differentiation, definite integration in t = x_(n+1), and q-series
+expansion."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -21,7 +23,15 @@ from quasiinv.exactalg import (
     t_integrate_definite,
     vandermonde,
 )
-from reference import divide_exact
+from reference import (
+    divide_exact,
+    ref_add,
+    ref_mul,
+    ref_partial_derivative,
+    ref_scale,
+    ref_shift_coefficients,
+    ref_t_integrate_definite,
+)
 
 NVARS = 3
 
@@ -75,6 +85,127 @@ def merge(p, a, b):
         key[a - 1] = 0
         terms[tuple(key)] = terms.get(tuple(key), 0) + c
     return MultiPoly(p.nvars, terms)
+
+
+def coeff_maps(n):
+    """{exponent: Fraction} maps in n variables: mixed denominators,
+    negative coefficients, exponents up to 3."""
+    return st.dictionaries(st.tuples(*[st.integers(0, 3)] * n),
+                           coeffs().filter(bool), max_size=4)
+
+
+@st.composite
+def kernel_cases(draw, min_n=1):
+    """(n, p, q): two coefficient maps in n variables.  q is free, the
+    negation of p (their sum is zero), p with a tail negated (a sum that
+    cancels in part), or a - b against p = a + b (a product whose cross
+    terms cancel)."""
+    n = draw(st.integers(min_n, 3))
+    a, b, c = draw(coeff_maps(n)), draw(coeff_maps(n)), draw(coeff_maps(n))
+    p = ref_add(a, b)
+    q = draw(st.sampled_from([
+        c,
+        ref_scale(p, -1),
+        ref_add(ref_scale(p, Fraction(-3, 7)), c),
+        ref_add(a, ref_scale(b, -1)),
+    ]))
+    return n, p, q
+
+
+def scalars():
+    return st.one_of(st.integers(-6, 6), coeffs())
+
+
+def assert_canonical(p: MultiPoly):
+    """Integer numerators over one positive denominator, in lowest terms,
+    with no zero numerator."""
+    assert type(p.den) is int and p.den > 0
+    assert all(type(c) is int and c != 0 for c in p.num.values())
+    assert all(len(e) == p.nvars for e in p.num)
+    assert math.gcd(p.den, *p.num.values()) == 1
+
+
+def assert_matches(p: MultiPoly, reference: dict):
+    assert_canonical(p)
+    assert p.terms == reference
+
+
+class TestIntegerKernel:
+    """Each operation on integer numerators over one denominator agrees
+    with the same operation on Fraction coefficient maps, and every result
+    is in canonical form."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(kernel_cases())
+    def test_add_sub_neg(self, case):
+        n, p, q = case
+        P, Q = MultiPoly(n, p), MultiPoly(n, q)
+        assert_matches(P, p)
+        assert_matches(P + Q, ref_add(p, q))
+        assert_matches(P - Q, ref_add(p, ref_scale(q, -1)))
+        assert_matches(-P, ref_scale(p, -1))
+
+    @settings(max_examples=60, deadline=None)
+    @given(kernel_cases())
+    def test_mul(self, case):
+        n, p, q = case
+        assert_matches(MultiPoly(n, p) * MultiPoly(n, q), ref_mul(p, q))
+
+    @settings(max_examples=40, deadline=None)
+    @given(kernel_cases(), scalars())
+    def test_scalar_mul_and_constant_add(self, case, c):
+        n, p, _ = case
+        P = MultiPoly(n, p)
+        assert_matches(P * c, ref_scale(p, c))
+        assert_matches(c * P, ref_scale(p, c))
+        assert_matches(P + c, ref_add(p, {(0,) * n: Fraction(c)} if c else {}))
+
+    @settings(max_examples=40, deadline=None)
+    @given(kernel_cases(), st.integers(1, 3))
+    def test_partial_derivative(self, case, i):
+        n, p, _ = case
+        i = min(i, n)
+        assert_matches(partial_derivative(MultiPoly(n, p), i),
+                       ref_partial_derivative(p, i))
+
+    @settings(max_examples=40, deadline=None)
+    @given(kernel_cases(min_n=3), st.sampled_from([(1, 2), (2, 1)]))
+    def test_t_integrate_definite(self, case, limits):
+        # the last of the n variables is t, so two limits need n >= 3
+        n, p, _ = case
+        lower, upper = limits
+        assert_matches(t_integrate_definite(MultiPoly(n, p), lower, upper),
+                       ref_t_integrate_definite(p, lower, upper))
+
+    @settings(max_examples=40, deadline=None)
+    @given(kernel_cases(min_n=2), st.permutations(range(1, 4)), st.integers(0, 4))
+    def test_shift_coefficients(self, case, pair, k):
+        n, p, _ = case
+        a, b = [v for v in pair if v <= n][:2]
+        got = shift_coefficients(MultiPoly(n, p), a, b, k)
+        want = ref_shift_coefficients(p, a, b, k)
+        assert len(got) == len(want) == k + 1
+        for c, ref in zip(got, want):
+            assert_matches(c, ref)
+
+    @settings(max_examples=40, deadline=None)
+    @given(kernel_cases())
+    def test_equal_values_by_different_routes(self, case):
+        n, p, q = case
+        P, Q = MultiPoly(n, p), MultiPoly(n, q)
+        routes = [
+            (P * Fraction(3, 7)) * Fraction(7, 3),
+            (P + Q) - Q,
+            P * 2 - P,
+            P * MultiPoly.constant(n, 1),
+            MultiPoly(n, P.terms),
+        ]
+        for r in routes:
+            assert_canonical(r)
+            assert r == P and hash(r) == hash(P)
+        assert P - P == MultiPoly.zero(n)
+        assert hash(P - P) == hash(MultiPoly.zero(n))
+        assert (P * 0).num == {} and (P * 0).den == 1
 
 
 class TestRingAxioms:

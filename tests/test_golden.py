@@ -1,0 +1,87 @@
+"""Golden output: the CLI's stdout for a fixed command set, as sha256
+digests recorded in ``golden.json``.
+
+The determinism tests show that one build repeats itself; these digests
+show that a change to the arithmetic leaves every printed byte as it was.
+The inputs of the ``apply`` commands are the small polynomials in
+``golden_inputs/``: hook basis elements of QI_1 at n = 3 and n = 4, and
+two polynomials with mixed denominators and negative coefficients.
+
+To record the digests of the current build (only when an output change is
+intended):
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from quasiinv.cli import main
+
+HERE = Path(__file__).parent
+GOLDEN = HERE / "golden.json"
+INPUTS = HERE / "golden_inputs"
+
+COMMANDS = [
+    "basis --n 3 --m 1 --j 2",
+    "basis --n 4 --m 2 --j 3 --verify",
+    "basis --n 4 --m 1 --j 4 --format text",
+    "basis --n 5 --m 1 --j 2 --verify --format text",
+    "apply --op lm --m 1 --in {inputs}/hook4.json",
+    "apply --op lm --m 1 --in {inputs}/hook3.json --format text",
+    "apply --op lm --m 0 --in {inputs}/mixed4.json --format text",
+    "apply --op lm --m 1 --in {inputs}/mixed3.json",
+    "apply --op delta2 --m 1 --in {inputs}/hook3.json",
+    "apply --op delta2 --m 1 --in {inputs}/hook3.json --format text",
+    "apply --op perm --sigma (1,3,2) --in {inputs}/mixed3.json",
+    "apply --op perm --sigma (1,4)(2,3) --in {inputs}/mixed4.json --format text",
+    "apply --op gamma --shape 2,1 --j 3 --in {inputs}/mixed3.json",
+    "apply --op gamma --shape 2,1 --j 2 --in {inputs}/mixed3.json --format text",
+    "apply --op gamma --tableau [[1,3],[2,4]] --in {inputs}/mixed4.json",
+    "apply --op gamma --tableau [[1,2,4],[3]] --in {inputs}/mixed4.json --format text",
+    "detcheck --m 2 --format text",
+    "detcheck --m 1",
+    "oracle --n 3 --m 1 --d 5",
+]
+
+
+def _run(command: str):
+    """(exit code, sha256 of stdout) of one command line."""
+    argv = command.format(inputs=INPUTS).split(" ")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+def _record():
+    golden = {}
+    for command in COMMANDS:
+        code, digest = _run(command)
+        golden[command] = {"exit": code, "stdout_sha256": digest}
+    return golden
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN.read_text(encoding="utf-8"))
+
+
+def test_golden_covers_every_command(golden):
+    assert sorted(golden) == sorted(COMMANDS)
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_stdout_matches_golden_digest(golden, command):
+    code, digest = _run(command)
+    assert {"exit": code, "stdout_sha256": digest} == golden[command]
+
+
+if __name__ == "__main__":
+    GOLDEN.write_text(json.dumps(_record(), indent=1, sort_keys=True) + "\n",
+                      encoding="utf-8")

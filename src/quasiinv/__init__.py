@@ -45,7 +45,7 @@ from .hookbasis import (
     q_closed_form,
     q_integral,
 )
-from .calogero import LmOperator, NonPolynomialError, apply_lm
+from .calogero import NonPolynomialError, apply_lm
 from .structure import (
     HilbertReport,
     change_of_basis_n2,
@@ -59,7 +59,6 @@ __all__ = [
     "GroupAlgebraElem",
     "HilbertReport",
     "HookSpec",
-    "LmOperator",
     "MultiPoly",
     "NonPolynomialError",
     "Partition",

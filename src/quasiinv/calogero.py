@@ -2,14 +2,13 @@
 
 L_m = sum_i d^2/dx_i^2 - 2m sum_{i<j} (x_i - x_j)^{-1} (d/dx_i - d/dx_j).
 
-The 1/(x_i - x_j) factor is realized as the exact divided difference
+``apply_lm(p, m)`` applies L_m in the variables of p.  The 1/(x_i - x_j)
+factor is realized as the exact divided difference
 ``divide_by_difference``; inputs outside the operator's polynomial domain
 raise NonPolynomialError.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .exactalg import MultiPoly, divide_by_difference, partial_derivative
 from .hookbasis import HookSpec, q_integral
@@ -19,24 +18,15 @@ class NonPolynomialError(ArithmeticError):
     """The operator image left the polynomial ring."""
 
 
-@dataclass(frozen=True)
-class LmOperator:
-    n: int
-    m: int
-
-    def __post_init__(self):
-        if self.n < 1 or self.m < 0:
-            raise ValueError("need n >= 1 and m >= 0")
-
-
-def apply_lm(op: LmOperator, p: MultiPoly) -> MultiPoly:
-    if p.nvars != op.n:
-        raise ValueError("polynomial nvars mismatch")
-    n = op.n
+def apply_lm(p: MultiPoly, m: int) -> MultiPoly:
+    """L_m p, in the variables of p."""
+    if m < 0:
+        raise ValueError("need m >= 0")
+    n = p.nvars
     result = MultiPoly.zero(n)
     for i in range(1, n + 1):
         result = result + partial_derivative(partial_derivative(p, i), i)
-    if op.m == 0:
+    if m == 0:
         return result
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
@@ -48,15 +38,14 @@ def apply_lm(op: LmOperator, p: MultiPoly) -> MultiPoly:
                 raise NonPolynomialError(
                     f"(x_{i} - x_{j}) does not divide the derivative difference"
                 )
-            result = result - quotient * (2 * op.m)
+            result = result - quotient * (2 * m)
     return result
 
 
 def lm_eigen_check(spec: HookSpec) -> MultiPoly:
     """L_m Q^(k,m) - k(k-1) Q^(k-2,m); the zero polynomial when the
     eigen-identity holds (the subtracted term is omitted for k < 2)."""
-    op = LmOperator(n=spec.n, m=spec.m)
-    residual = apply_lm(op, q_integral(spec))
+    residual = apply_lm(q_integral(spec), spec.m)
     if spec.k >= 2:
         lower = HookSpec(n=spec.n, m=spec.m, j=spec.j, k=spec.k - 2)
         residual = residual - q_integral(lower) * (spec.k * (spec.k - 1))

@@ -12,7 +12,7 @@ import json
 import sys
 
 from . import jsonio
-from .calogero import LmOperator, NonPolynomialError, apply_lm
+from .calogero import NonPolynomialError, apply_lm
 from .exactalg import MultiPoly
 from .hookbasis import TheoremViolationError, hook_basis
 from .quasi import (
@@ -92,8 +92,8 @@ def cmd_hilbert(args) -> int:
                 {
                     "degree": d,
                     "oracle": dim,
-                    "series": report.total.coeffs[d],
-                    "match": dim == report.total.coeffs[d],
+                    "series": report.total[d],
+                    "match": dim == report.total[d],
                 }
             )
     if args.format == "json":
@@ -102,7 +102,7 @@ def cmd_hilbert(args) -> int:
         lines = [f"Hilbert series of QI_{args.m} for n={args.n} through q^{args.D}"]
         for parts, exps in report.shape_exponents:
             lines.append(f"  shape {list(parts)}: numerator exponents {list(exps)}")
-        lines.append(f"  total coefficients: {list(report.total.coeffs)}")
+        lines.append(f"  total coefficients: {list(report.total)}")
         if oracle is not None:
             verdict = all(entry["match"] for entry in oracle)
             lines.append(
@@ -158,7 +158,7 @@ def cmd_apply(args) -> int:
         image = gamma_apply(t, p)
     elif args.op == "lm":
         try:
-            image = apply_lm(LmOperator(n=p.nvars, m=args.m), p)
+            image = apply_lm(p, args.m)
         except NonPolynomialError as exc:
             _emit(jsonio.dumps({"error": "NonPolynomial", "detail": str(exc)}),
                   args.out)

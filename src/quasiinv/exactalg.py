@@ -1,18 +1,21 @@
 """Exact arithmetic foundation.
 
 Sparse multivariate polynomials over Q, definite integration in an extra
-variable t = x_(n+1), and truncated integer power series in q.  Every
-divisor in the package is a power of some x_a - x_b: ``shift_coefficients``
-expands p at x_a = x_b + u.
+variable t = x_(n+1), and truncated integer power series in q, kept as
+plain int tuples.  Every divisor in the package is a power of some
+x_a - x_b: ``shift_coefficients`` expands p at x_a = x_b + u.
 
-A ``MultiPoly`` is integer numerators over one positive denominator, in
-lowest terms, and the kernel (ring operations, shift expansion, division
-by a difference, differentiation, integration) runs on ints alone.  Each
-operation builds its result through the one trusted constructor
-``MultiPoly._from_int``, which drops zeros and divides out one gcd.
-``fractions.Fraction`` appears only at the boundary: the public
-constructors, the ``terms`` view and text output.  ``integer_coefficients``
-is the one home of scaling Fraction coefficients to integers.
+``_Combination`` is the one exact linear-combination core: integer
+numerators keyed by exponent tuples (``MultiPoly``) or by permutation
+image tuples (``symgroup.GroupAlgebraElem``) over one positive
+denominator, in lowest terms.  Its validating public constructor is the
+one place that scales Fraction coefficients to integers; every operation
+builds its result on ints through the one trusted constructor
+``_from_int``, which drops zeros and divides out one gcd.  The kernel
+(ring operations, shift expansion, division by a difference,
+differentiation, integration) runs on ints alone; ``fractions.Fraction``
+appears only at the boundary: the public constructors, the ``terms`` views
+and text output.
 
 All values are immutable after construction and all operations are pure.
 """
@@ -26,14 +29,14 @@ from operator import add
 
 
 class DimensionMismatch(ValueError):
-    """Operands belong to polynomial rings with different variable counts."""
+    """Operands have different sizes: polynomial rings with different
+    variable counts, or group algebras of different S_n."""
 
 
-def _coerce(c) -> Fraction:
-    if isinstance(c, Fraction):
+def _scalar(c):
+    """``c`` if it is an int or a Fraction; anything else is refused."""
+    if isinstance(c, (int, Fraction)):
         return c
-    if isinstance(c, int):
-        return Fraction(c)
     raise TypeError(f"expected int or Fraction, got {type(c).__name__}")
 
 
@@ -42,59 +45,161 @@ def grlex_key(exp):
     return (sum(exp), exp)
 
 
-class MultiPoly:
-    """Sparse polynomial over Q in variables x_1..x_n.
+class _Combination:
+    """A sparse exact linear combination over Q: int numerators ``num``
+    keyed by hashable keys, over one positive denominator ``den``, with no
+    zero numerator and gcd(den, *num.values()) == 1.
 
-    The polynomial is ``num`` over ``den``: ``num`` maps exponent tuples
-    (length ``nvars``) to nonzero ints, ``den`` is a positive int, and
-    gcd(den, *num.values()) == 1.  The form is canonical, so equality and
-    hashing compare (nvars, den, num).  The public constructor takes a map
-    of int or Fraction coefficients and validates it; every operation builds
-    its result on ints through the trusted ``_from_int``.
+    The form is canonical, so equality and hashing compare the size, ``den``
+    and ``num``.  A subclass names its size slot in ``_SIZE`` and chooses its
+    keys: exponent tuples for polynomials, image tuples for the group
+    algebra.  The base holds what the two share: the validating public
+    constructor, the trusted ``_from_int``, and the additive structure
+    (+, -, negation, scaling by an int or a Fraction).
     """
 
-    __slots__ = ("nvars", "num", "den")
+    __slots__ = ("num", "den")
+    _SIZE = None
+
+    def __init__(self, size: int, terms: dict):
+        """The combination sum c * key over ``terms``, a map of keys the
+        subclass has validated to int or Fraction coefficients, scaled once
+        to integers over the least common denominator."""
+        clean = {}
+        for key, c in terms.items():
+            if _scalar(c):
+                clean[key] = c
+        den = math.lcm(*(c.denominator for c in clean.values()))
+        _set = object.__setattr__
+        _set(self, self._SIZE, size)
+        _set(self, "num", {k: c.numerator * (den // c.denominator)
+                           for k, c in clean.items()})
+        _set(self, "den", den)
+
+    @classmethod
+    def _from_int(cls, size: int, num: dict, den: int = 1):
+        """The combination ``num`` / ``den``, for ``num`` a map of valid keys
+        to ints (zeros allowed) and ``den`` > 0.  Zero numerators are
+        dropped and the fraction is reduced."""
+        num = {k: c for k, c in num.items() if c}
+        if den != 1:
+            g = math.gcd(den, *num.values())
+            if g != 1:
+                num = {k: c // g for k, c in num.items()}
+                den //= g
+        obj = object.__new__(cls)
+        _set = object.__setattr__
+        _set(obj, cls._SIZE, size)
+        _set(obj, "num", num)
+        _set(obj, "den", den)
+        return obj
+
+    @classmethod
+    def _term(cls, size: int, key, c):
+        """The combination c * key, for c an int or a Fraction."""
+        c = _scalar(c)
+        return cls._from_int(size, {key: c.numerator}, c.denominator)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def is_zero(self) -> bool:
+        return not self.num
+
+    def _check(self, other):
+        if type(other) is not type(self):
+            raise TypeError(f"cannot combine {type(self).__name__} "
+                            f"with {type(other).__name__}")
+        size = self._SIZE
+        if getattr(self, size) != getattr(other, size):
+            raise DimensionMismatch(
+                f"{size} {getattr(self, size)} != {getattr(other, size)}")
+
+    def _scale(self, c):
+        """self times an int or a Fraction."""
+        a = c.numerator
+        return self._from_int(getattr(self, self._SIZE),
+                              {k: v * a for k, v in self.num.items()},
+                              self.den * c.denominator)
+
+    def __add__(self, other):
+        self._check(other)
+        da, db = self.den, other.den
+        if da == db:
+            den, num, fb = da, dict(self.num), 1
+        else:
+            den = math.lcm(da, db)
+            fa, fb = den // da, den // db
+            num = {k: c * fa for k, c in self.num.items()}
+        get = num.get
+        for k, c in other.num.items():
+            num[k] = get(k, 0) + c * fb
+        return self._from_int(getattr(self, self._SIZE), num, den)
+
+    def __neg__(self):
+        return self._from_int(getattr(self, self._SIZE),
+                              {k: -c for k, c in self.num.items()}, self.den)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        size = self._SIZE
+        return (getattr(self, size) == getattr(other, size) and self.den == other.den
+                and self.num == other.num)
+
+    def __hash__(self):
+        return hash((getattr(self, self._SIZE), self.den, frozenset(self.num.items())))
+
+    def _signed_sum(self, words) -> str:
+        """The text of sum c * word over ``words``, (key, word) pairs in
+        print order: each term is |c|*word, with a unit coefficient left
+        out, and an empty word stands for 1."""
+        den = self.den
+        parts = []
+        for key, word in words:
+            c = Fraction(self.num[key], den)
+            a = abs(c)
+            if not word:
+                body = f"{a}"
+            elif a == 1:
+                body = word
+            else:
+                body = f"{a}*{word}"
+            parts.append(("- " if c < 0 else "+ ") + body)
+        text = " ".join(parts)
+        if not text:
+            return "0"
+        return text[2:] if text.startswith("+ ") else "-" + text[2:]
+
+
+class MultiPoly(_Combination):
+    """Sparse polynomial over Q in variables x_1..x_n.
+
+    The keys are exponent tuples of length ``nvars``.  The public
+    constructor takes a map of int or Fraction coefficients and validates
+    it; every operation builds its result on ints through the trusted
+    ``_from_int``.
+    """
+
+    __slots__ = ("nvars",)
+    _SIZE = "nvars"
 
     def __init__(self, nvars: int, terms=None):
         if nvars < 1:
             raise ValueError("nvars must be positive")
-        clean = {}
+        keyed = {}
         for exp, c in (terms or {}).items():
-            c = _coerce(c)
             if len(exp) != nvars:
                 raise DimensionMismatch(
                     f"exponent vector {exp} has length {len(exp)}, expected {nvars}"
                 )
             if any(e < 0 for e in exp):
                 raise ValueError(f"negative exponent in {exp}")
-            if c != 0:
-                clean[tuple(exp)] = c
-        den, num = integer_coefficients(clean)
-        _set = object.__setattr__
-        _set(self, "nvars", nvars)
-        _set(self, "num", num)
-        _set(self, "den", den)
-
-    @classmethod
-    def _from_int(cls, nvars: int, num: dict, den: int = 1) -> "MultiPoly":
-        """The polynomial ``num`` / ``den``, for ``num`` a map of exponent
-        tuples of length ``nvars`` to ints (zeros allowed) and ``den`` > 0.
-        Zero numerators are dropped and the fraction is reduced."""
-        num = {e: c for e, c in num.items() if c}
-        if den != 1:
-            g = math.gcd(den, *num.values())
-            if g != 1:
-                num = {e: c // g for e, c in num.items()}
-                den //= g
-        poly = object.__new__(cls)
-        _set = object.__setattr__
-        _set(poly, "nvars", nvars)
-        _set(poly, "num", num)
-        _set(poly, "den", den)
-        return poly
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MultiPoly is immutable")
+            keyed[tuple(exp)] = c
+        super().__init__(nvars, keyed)
 
     @property
     def terms(self) -> dict:
@@ -112,8 +217,7 @@ class MultiPoly:
     def constant(cls, nvars: int, c) -> "MultiPoly":
         if nvars < 1:
             raise ValueError("nvars must be positive")
-        c = _coerce(c)
-        return cls._from_int(nvars, {(0,) * nvars: c.numerator}, c.denominator)
+        return cls._term(nvars, (0,) * nvars, c)
 
     @classmethod
     def variable(cls, nvars: int, i: int) -> "MultiPoly":
@@ -125,12 +229,9 @@ class MultiPoly:
 
     @classmethod
     def monomial(cls, exp, c=1) -> "MultiPoly":
-        return cls(len(exp), {tuple(exp): _coerce(c)})
+        return cls(len(exp), {tuple(exp): c})
 
     # -- predicates / views -------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.num
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
@@ -149,43 +250,16 @@ class MultiPoly:
 
     # -- ring operations ----------------------------------------------
 
-    def _check(self, other: "MultiPoly"):
-        if self.nvars != other.nvars:
-            raise DimensionMismatch(f"nvars {self.nvars} != {other.nvars}")
-
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = MultiPoly.constant(self.nvars, other)
-        self._check(other)
-        da, db = self.den, other.den
-        if da == db:
-            den, num, fb = da, dict(self.num), 1
-        else:
-            den = math.lcm(da, db)
-            fa, fb = den // da, den // db
-            num = {e: c * fa for e, c in self.num.items()}
-        get = num.get
-        for e, c in other.num.items():
-            num[e] = get(e, 0) + c * fb
-        return MultiPoly._from_int(self.nvars, num, den)
+        return _Combination.__add__(self, other)
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return MultiPoly._from_int(self.nvars, {e: -c for e, c in self.num.items()}, self.den)
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = MultiPoly.constant(self.nvars, other)
-        return self + (-other)
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            a = other.numerator
-            return MultiPoly._from_int(
-                self.nvars, {e: c * a for e, c in self.num.items()},
-                self.den * other.denominator,
-            )
+            return self._scale(other)
         self._check(other)
         acc = {}
         get = acc.get
@@ -210,45 +284,16 @@ class MultiPoly:
             k >>= 1
         return result
 
-    def __eq__(self, other):
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
-        return (self.nvars == other.nvars and self.den == other.den
-                and self.num == other.num)
-
-    def __hash__(self):
-        return hash((self.nvars, self.den, frozenset(self.num.items())))
-
     def __repr__(self):
         return f"MultiPoly({self.nvars}, {self.to_text()!r})"
 
     def to_text(self) -> str:
         """Fully expanded monomial form, graded-lex descending."""
-        if not self.num:
-            return "0"
-        parts = []
-        for exp, c in self.sorted_terms():
-            mono = "*".join(
-                f"x{i+1}" if e == 1 else f"x{i+1}^{e}"
-                for i, e in enumerate(exp)
-                if e
-            )
-            if mono:
-                lead = "" if abs(c) == 1 else f"{abs(c)}*"
-                body = f"{lead}{mono}"
-            else:
-                body = f"{abs(c)}"
-            parts.append(("- " if c < 0 else "+ ") + body)
-        text = " ".join(parts)
-        return text[2:] if text.startswith("+ ") else "-" + text[2:]
-
-
-def integer_coefficients(terms):
-    """(den, {key: int}) for a map of Fraction coefficients: the least
-    common denominator and the map times it.  Over nonzero coefficients the
-    result is in lowest terms, gcd(den, *values) == 1."""
-    den = math.lcm(*(c.denominator for c in terms.values()))
-    return den, {k: c.numerator * (den // c.denominator) for k, c in terms.items()}
+        return self._signed_sum(
+            (exp, "*".join(f"x{i+1}" if e == 1 else f"x{i+1}^{e}"
+                           for i, e in enumerate(exp) if e))
+            for exp in sorted(self.num, key=grlex_key, reverse=True)
+        )
 
 
 def shift_coefficients(p: MultiPoly, a: int, b: int, k: int):
@@ -365,69 +410,20 @@ def t_integrate_definite(f: MultiPoly, lower: int, upper: int) -> MultiPoly:
     return MultiPoly._from_int(n, terms, f.den * scale)
 
 
-class PowerSeriesQ:
-    """Truncated power series in q with integer coefficients.
-
-    ``coeffs`` has length exactly truncation+1 (degrees 0..D).
-    """
-
-    __slots__ = ("truncation", "coeffs")
-
-    def __init__(self, truncation: int, coeffs):
-        if truncation < 0:
-            raise ValueError("truncation must be non-negative")
-        coeffs = list(coeffs)
-        if len(coeffs) > truncation + 1:
-            coeffs = coeffs[: truncation + 1]
-        coeffs += [0] * (truncation + 1 - len(coeffs))
-        if not all(isinstance(c, int) for c in coeffs):
-            raise TypeError("PowerSeriesQ coefficients must be integers")
-        object.__setattr__(self, "truncation", truncation)
-        object.__setattr__(self, "coeffs", tuple(coeffs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PowerSeriesQ is immutable")
-
-    @classmethod
-    def from_exponents(cls, exponents, truncation: int) -> "PowerSeriesQ":
-        coeffs = [0] * (truncation + 1)
-        for e in exponents:
-            if 0 <= e <= truncation:
-                coeffs[e] += 1
-        return cls(truncation, coeffs)
-
-    def _check(self, other: "PowerSeriesQ"):
-        if self.truncation != other.truncation:
-            raise ValueError("truncation mismatch")
-
-    def __add__(self, other: "PowerSeriesQ") -> "PowerSeriesQ":
-        self._check(other)
-        return PowerSeriesQ(
-            self.truncation, [a + b for a, b in zip(self.coeffs, other.coeffs)]
-        )
-
-    def __eq__(self, other):
-        if not isinstance(other, PowerSeriesQ):
-            return NotImplemented
-        return self.truncation == other.truncation and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.truncation, self.coeffs))
-
-    def __repr__(self):
-        return f"PowerSeriesQ(D={self.truncation}, {list(self.coeffs)})"
-
-
-def series_expand(numerator: PowerSeriesQ, n: int, D: int) -> PowerSeriesQ:
-    """numerator / prod_{i=1..n} (1 - q^i), truncated at q^D.
+def series_expand(exponents, n: int, D: int) -> tuple:
+    """(c_0, ..., c_D): the coefficients of sum_e q^e / prod_{i=1..n} (1 - q^i)
+    through q^D, for ``exponents`` the numerator's exponent multiset.
 
     Division by (1 - q^i) is the stride-i prefix sum, which is exact over
     the integers because the constant term of each factor is 1.
     """
     if D < 0:
         raise ValueError("D must be non-negative")
-    coeffs = list(numerator.coeffs[: D + 1]) + [0] * max(0, D + 1 - len(numerator.coeffs))
+    coeffs = [0] * (D + 1)
+    for e in exponents:
+        if 0 <= e <= D:
+            coeffs[e] += 1
     for i in range(1, n + 1):
         for d in range(i, D + 1):
             coeffs[d] += coeffs[d - i]
-    return PowerSeriesQ(D, coeffs)
+    return tuple(coeffs)

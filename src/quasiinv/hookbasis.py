@@ -22,7 +22,6 @@ from .exactalg import (
     t_integrate_definite,
 )
 from .symgroup import Perm, act
-from .tableaux import gamma_apply, hook_tableau
 
 
 class TheoremViolationError(AssertionError):
@@ -121,13 +120,6 @@ def recursion_residual(spec: HookSpec) -> MultiPoly:
         lower = HookSpec(n=n, m=spec.m - 1, j=spec.j, k=n - i + spec.k)
         total = total - elementary_symmetric(n, i) * q_integral(lower) * ((-1) ** i)
     return total
-
-
-def gamma_fixed_check(spec: HookSpec) -> bool:
-    """True iff the hook projector fixes the basis element."""
-    q = q_integral(spec)
-    t = hook_tableau(spec.n, spec.j)
-    return gamma_apply(t, q) == q
 
 
 def lowest_quotient(spec: HookSpec) -> MultiPoly:

@@ -75,10 +75,10 @@ def hilbert_report_to_obj(report: HilbertReport, oracle=None) -> dict:
             for parts, exps in report.shape_exponents
         ],
         "per_shape_series": [
-            {"shape": list(parts), "coeffs": list(series.coeffs)}
+            {"shape": list(parts), "coeffs": list(series)}
             for parts, series in report.per_shape_series
         ],
-        "total": list(report.total.coeffs),
+        "total": list(report.total),
     }
     if oracle is not None:
         obj["oracle"] = oracle

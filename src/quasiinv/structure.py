@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 from .exactalg import (
     MultiPoly,
-    PowerSeriesQ,
     elementary_symmetric,
     series_expand,
     vandermonde,
@@ -48,8 +47,8 @@ class HilbertReport:
     m: int
     truncation: int
     shape_exponents: tuple  # ((parts, sorted exponent multiset), ...)
-    per_shape_series: tuple  # ((parts, PowerSeriesQ), ...)
-    total: PowerSeriesQ
+    per_shape_series: tuple  # ((parts, coefficients of q^0..q^D), ...)
+    total: tuple  # coefficients of q^0..q^D
 
 
 def numerator_exponent(m: int, t: Tableau) -> int:
@@ -68,21 +67,20 @@ def full_hilbert(n: int, m: int, D: int) -> HilbertReport:
         raise ValueError("m and D must be non-negative")
     shape_exponents = []
     per_shape = []
-    total = PowerSeriesQ(D, [])
+    total = [0] * (D + 1)
     for shape in partitions_of(n):
         tabs = standard_tableaux(shape)
         exponents = sorted(numerator_exponent(m, t) for t in tabs)
         if len(exponents) != f_lambda(shape):
             raise AssertionError("exponent multiset size mismatch")
         # each exponent counts f_lambda times, once per copy of the irreducible
-        numerator = PowerSeriesQ.from_exponents(exponents * len(exponents), D)
-        series = series_expand(numerator, n, D)
-        if any(c < 0 for c in series.coeffs):
+        series = series_expand(exponents * len(exponents), n, D)
+        if any(c < 0 for c in series):
             raise NegativeCoefficientError(f"negative coefficient for shape {shape}")
         shape_exponents.append((shape.parts, tuple(exponents)))
         per_shape.append((shape.parts, series))
-        total = total + series
-    if any(c < 0 for c in total.coeffs):
+        total = [a + b for a, b in zip(total, series)]
+    if any(c < 0 for c in total):
         raise NegativeCoefficientError("negative coefficient in total series")
     return HilbertReport(
         n=n,
@@ -90,7 +88,7 @@ def full_hilbert(n: int, m: int, D: int) -> HilbertReport:
         truncation=D,
         shape_exponents=tuple(shape_exponents),
         per_shape_series=tuple(per_shape),
-        total=total,
+        total=tuple(total),
     )
 
 
@@ -148,13 +146,13 @@ def change_of_basis_n2(m: int):
             raise AssertionError("claimed basis element fails quasiinvariance")
     # free rank-2 module series (1 + q^(2m+1)) / ((1-q)(1-q^2))
     D = 2 * m + 4
-    series = series_expand(PowerSeriesQ.from_exponents([0, 2 * m + 1], D), n, D)
+    series = series_expand([0, 2 * m + 1], n, D)
     for d in range(D + 1):
         dim = graded_dimension_oracle(n, m, d).dimension
-        if dim != series.coeffs[d]:
+        if dim != series[d]:
             raise AssertionError(
                 f"oracle dimension {dim} != series coefficient "
-                f"{series.coeffs[d]} at degree {d}"
+                f"{series[d]} at degree {d}"
             )
     e1 = elementary_symmetric(n, 1)
     e2 = elementary_symmetric(n, 2)

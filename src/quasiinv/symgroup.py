@@ -4,11 +4,13 @@ algebra Q S_n with the bracket sums [U] and [U]'.
 Composition convention: (a * b)(i) = a(b(i)), so the action on polynomials
 is a left action: act(a * b, p) = act(a, act(b, p)).
 
-Convolution runs on integers: both operands are scaled by their common
-denominators, image tuples are composed directly, and each output
-coefficient is divided once.  Products are built through trusted private
-constructors; the public constructors validate their input.  A bracket is
-also the telescoping product of ``telescoping_factors``, which is how
+An element of Q S_n is an ``exactalg._Combination`` keyed by image tuples:
+int numerators over one denominator, with the additive structure, equality
+and the trusted constructor shared with ``MultiPoly``.  Convolution
+composes image tuples directly on the numerators, and ``apply`` sums the
+images ``act`` gives on the polynomial's numerators; the Fraction view
+``terms`` is built only for output and inspection.  A bracket is also the
+telescoping product of ``telescoping_factors``, which is how
 ``tableaux.gamma_apply`` applies the Young projector without expanding it.
 """
 
@@ -17,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import permutations
 
-from .exactalg import DimensionMismatch, MultiPoly, _coerce, integer_coefficients
+from .exactalg import DimensionMismatch, MultiPoly, _Combination
 
 # Enumerating S_U is factorial in |U|; keep it at desk scale.
 MAX_GROUP_N = 8
@@ -195,84 +197,48 @@ def act(s: Perm, p: MultiPoly) -> MultiPoly:
     return MultiPoly._from_int(p.nvars, num, p.den)
 
 
-class GroupAlgebraElem:
-    """A finite Q-linear combination of permutations of {1..n}."""
+class GroupAlgebraElem(_Combination):
+    """A finite Q-linear combination of permutations of {1..n}: int
+    numerators keyed by image tuples over one denominator."""
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("n",)
+    _SIZE = "n"
 
     def __init__(self, n: int, terms=None):
-        clean = {}
+        keyed = {}
         for perm, c in (terms or {}).items():
             if perm.n != n:
                 raise DimensionMismatch("permutation size mismatch")
-            c = _coerce(c)
-            if c != 0:
-                clean[perm] = c
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "terms", clean)
+            keyed[perm.images] = c
+        super().__init__(n, keyed)
 
-    @classmethod
-    def _trusted(cls, n: int, terms: dict) -> "GroupAlgebraElem":
-        """An element on terms already known to be nonzero Fractions keyed
-        by permutations of 1..n."""
-        elem = object.__new__(cls)
-        object.__setattr__(elem, "n", n)
-        object.__setattr__(elem, "terms", terms)
-        return elem
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GroupAlgebraElem is immutable")
+    @property
+    def terms(self) -> dict:
+        """{Perm: Fraction coefficient}, for output and inspection."""
+        den = self.den
+        return {Perm._trusted(k): Fraction(c, den) for k, c in self.num.items()}
 
     @classmethod
     def identity(cls, n: int) -> "GroupAlgebraElem":
-        return cls(n, {Perm.identity(n): Fraction(1)})
+        return cls.from_perm(Perm.identity(n))
 
     @classmethod
     def from_perm(cls, perm: Perm, c=1) -> "GroupAlgebraElem":
-        return cls(perm.n, {perm: _coerce(c)})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def _check(self, other: "GroupAlgebraElem"):
-        if self.n != other.n:
-            raise DimensionMismatch(f"group algebra over S_{self.n} vs S_{other.n}")
-
-    def __add__(self, other: "GroupAlgebraElem") -> "GroupAlgebraElem":
-        self._check(other)
-        terms = dict(self.terms)
-        for perm, c in other.terms.items():
-            s = terms.get(perm, Fraction(0)) + c
-            if s:
-                terms[perm] = s
-            else:
-                del terms[perm]
-        return GroupAlgebraElem(self.n, terms)
-
-    def __neg__(self):
-        return GroupAlgebraElem(self.n, {p: -c for p, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
+        """c * perm, for c an int or a Fraction."""
+        return cls._term(perm.n, perm.images, c)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = _coerce(other)
-            return GroupAlgebraElem(self.n, {p: k * c for p, k in self.terms.items()})
+            return self._scale(other)
         self._check(other)
-        den_a, left = integer_coefficients(self.terms)
-        den_b, right = integer_coefficients(other.terms)
-        right_images = [(p2.images, c2) for p2, c2 in right.items()]
+        right = list(other.num.items())
         acc = {}
-        for p1, c1 in left.items():
-            images = p1.images
-            for images2, c2 in right_images:
+        get = acc.get
+        for images, c1 in self.num.items():
+            for images2, c2 in right:
                 key = tuple([images[i - 1] for i in images2])
-                acc[key] = acc.get(key, 0) + c1 * c2
-        den = den_a * den_b
-        return GroupAlgebraElem._trusted(self.n, {
-            Perm._trusted(key): Fraction(c, den) for key, c in acc.items() if c
-        })
+                acc[key] = get(key, 0) + c1 * c2
+        return GroupAlgebraElem._from_int(self.n, acc, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -280,35 +246,17 @@ class GroupAlgebraElem:
         """sum_sigma f_sigma (sigma p)."""
         if p.nvars != self.n:
             raise DimensionMismatch("polynomial nvars mismatch")
-        den, coeffs = integer_coefficients(self.terms)
         num = {}
         get = num.get
-        for perm, c in coeffs.items():
-            for e, a in act(perm, p).num.items():
+        for images, c in self.num.items():
+            for e, a in act(Perm._trusted(images), p).num.items():
                 num[e] = get(e, 0) + a * c
-        return MultiPoly._from_int(self.n, num, den * p.den)
-
-    def __eq__(self, other):
-        if not isinstance(other, GroupAlgebraElem):
-            return NotImplemented
-        return self.n == other.n and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.n, frozenset(self.terms.items())))
+        return MultiPoly._from_int(self.n, num, self.den * p.den)
 
     def to_text(self) -> str:
         """Cycle notation with rational coefficients, identity first."""
-        if not self.terms:
-            return "0"
-        ordered = sorted(self.terms.items(), key=lambda t: t[0].images)
-        parts = []
-        for perm, c in ordered:
-            body = perm.cycle_text()
-            if abs(c) != 1:
-                body = f"{abs(c)}*{body}"
-            parts.append(("- " if c < 0 else "+ ") + body)
-        text = " ".join(parts)
-        return text[2:] if text.startswith("+ ") else "-" + text[2:]
+        return self._signed_sum(
+            (k, Perm._trusted(k).cycle_text()) for k in sorted(self.num))
 
     def __repr__(self):
         return f"GroupAlgebraElem({self.n}, {self.to_text()!r})"
@@ -319,10 +267,9 @@ def bracket(n: int, support, signed: bool) -> GroupAlgebraElem:
     support = sorted(set(support))
     if not support:
         raise ValueError("bracket over the empty set")
-    terms = {}
-    for perm in subgroup_perms(n, support):
-        terms[perm] = Fraction(perm.sign() if signed else 1)
-    return GroupAlgebraElem(n, terms)
+    terms = {perm.images: perm.sign() if signed else 1
+             for perm in subgroup_perms(n, support)}
+    return GroupAlgebraElem._from_int(n, terms)
 
 
 def telescoping_factors(order):
@@ -343,11 +290,12 @@ def sn_factorization(order, signed: bool) -> GroupAlgebraElem:
     n = len(order)
     if sorted(order) != list(range(1, n + 1)):
         raise ValueError(f"{order} is not an ordering of 1..{n}")
+    identity = tuple(range(1, n + 1))
+    sign = -1 if signed else 1
     result = GroupAlgebraElem.identity(n)
-    sign = Fraction(-1 if signed else 1)
     for pairs in telescoping_factors(order):
-        factor = GroupAlgebraElem.identity(n)
+        factor = {identity: 1}
         for a, b in pairs:
-            factor = factor + GroupAlgebraElem.from_perm(Perm.transposition(n, a, b), sign)
-        result = result * factor
+            factor[Perm.transposition(n, a, b).images] = sign
+        result = result * GroupAlgebraElem._from_int(n, factor)
     return result

@@ -316,10 +316,8 @@ def _check_column_cell(t: Tableau, i: int, cell):
 def alpha(t: Tableau, i: int, cell) -> GroupAlgebraElem:
     """Sum of transpositions (entry of column i, entry at ``cell``)."""
     target = _check_column_cell(t, i, cell)
-    terms = {}
-    for source in t.column(i):
-        terms[Perm.transposition(t.n, source, target)] = Fraction(1)
-    return GroupAlgebraElem(t.n, terms)
+    terms = {Perm.transposition(t.n, source, target).images: 1 for source in t.column(i)}
+    return GroupAlgebraElem._from_int(t.n, terms)
 
 
 def col_union_antisym(t: Tableau, i: int, cell) -> GroupAlgebraElem:

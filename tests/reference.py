@@ -7,14 +7,13 @@ The package divides only by powers of differences x_a - x_b, through
 use of that, so the tests use it as an independent check of the
 divisibility verdicts and quotients.
 
-``GroupAlgebraElem.__mul__`` convolves on integers over one common
-denominator; ``convolve`` multiplies term by term in ``Fraction``
-arithmetic, composing with ``Perm.compose``.
-
-``MultiPoly`` stores integer numerators over one denominator.  The
-``ref_*`` functions compute the same operations term by term on plain
-``{exponent: Fraction}`` maps, with no common denominator and no
-reduction, by the textbook definitions.
+``MultiPoly`` and ``GroupAlgebraElem`` store integer numerators over one
+denominator.  The ``ref_*`` functions compute the same operations term by
+term on plain ``{exponent: Fraction}`` or ``{Perm: Fraction}`` maps, with
+no common denominator and no reduction, by the textbook definitions:
+``ref_add`` and ``ref_scale`` serve both, ``ref_convolve`` multiplies in
+Q S_n, composing with ``Perm.compose``, and ``convolve`` is the same
+product on ``GroupAlgebraElem`` values.
 """
 
 import math
@@ -51,14 +50,19 @@ def divide_exact(p: MultiPoly, d: MultiPoly):
     return MultiPoly(n, quotient)
 
 
-def convolve(f: GroupAlgebraElem, g: GroupAlgebraElem) -> GroupAlgebraElem:
-    """f * g: the sum of c1 c2 (p1 p2) over every pair of terms."""
-    terms = {}
-    for p1, c1 in f.terms.items():
-        for p2, c2 in g.terms.items():
+def ref_convolve(f: dict, g: dict) -> dict:
+    """f * g in Q S_n: the sum of c1 c2 (p1 p2) over every pair of terms."""
+    out = {}
+    for p1, c1 in f.items():
+        for p2, c2 in g.items():
             key = p1.compose(p2)
-            terms[key] = terms.get(key, Fraction(0)) + c1 * c2
-    return GroupAlgebraElem(f.n, terms)
+            out[key] = out.get(key, Fraction(0)) + c1 * c2
+    return _clean(out)
+
+
+def convolve(f: GroupAlgebraElem, g: GroupAlgebraElem) -> GroupAlgebraElem:
+    """f * g by ``ref_convolve`` on the Fraction views."""
+    return GroupAlgebraElem(f.n, ref_convolve(f.terms, g.terms))
 
 
 def _clean(terms: dict) -> dict:

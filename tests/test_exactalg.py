@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from quasiinv.exactalg import (
     DimensionMismatch,
     MultiPoly,
-    PowerSeriesQ,
     divide_by_difference,
     elementary_symmetric,
     partial_derivative,
@@ -55,10 +54,10 @@ def polys():
 
 def mul_one_minus_q_power(s, j):
     """Reference: multiply a truncated series by (1 - q^j)."""
-    out = list(s.coeffs)
-    for d in range(s.truncation, j - 1, -1):
-        out[d] -= s.coeffs[d - j]
-    return PowerSeriesQ(s.truncation, out)
+    out = list(s)
+    for d in range(len(s) - 1, j - 1, -1):
+        out[d] -= s[d - j]
+    return tuple(out)
 
 
 def x(i, n=NVARS):
@@ -412,12 +411,12 @@ class TestIntegration:
 
 class TestSeries:
     def test_from_exponents(self):
-        s = PowerSeriesQ.from_exponents([0, 3, 3], truncation=5)
-        assert list(s.coeffs) == [1, 0, 0, 2, 0, 0]
+        # with no factor to divide by, the series is the numerator itself
+        assert series_expand([0, 3, 3, 9], n=0, D=5) == (1, 0, 0, 2, 0, 0)
 
     def test_expand_matches_brute_force_convolution(self):
         # 1 / ((1-q)(1-q^2)(1-q^3)) through q^4 is 1 + q + 2q^2 + 3q^3 + 4q^4
-        got = series_expand(PowerSeriesQ.from_exponents([0], 4), n=3, D=4)
+        got = series_expand([0], n=3, D=4)
         D = 4
         brute = [0] * (D + 1)
         for a in range(D + 1):
@@ -425,7 +424,7 @@ class TestSeries:
                 for c in range(0, D + 1, 3):
                     if a + b + c <= D:
                         brute[a + b + c] += 1
-        assert list(got.coeffs) == brute == [1, 1, 2, 3, 4]
+        assert list(got) == brute == [1, 1, 2, 3, 4]
 
     @settings(max_examples=25, deadline=None)
     @given(st.lists(st.integers(min_value=0, max_value=8), min_size=1,
@@ -433,9 +432,9 @@ class TestSeries:
            st.integers(min_value=1, max_value=4))
     def test_expand_inverts_product(self, exps, n):
         D = 10
-        numerator = PowerSeriesQ.from_exponents(exps, truncation=D)
-        expanded = series_expand(numerator, n=n, D=D)
+        numerator = tuple(exps.count(d) for d in range(D + 1))
+        expanded = series_expand(exps, n=n, D=D)
         back = expanded
         for i in range(1, n + 1):
             back = mul_one_minus_q_power(back, i)
-        assert list(back.coeffs) == list(numerator.coeffs)
+        assert back == numerator

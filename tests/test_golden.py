@@ -47,6 +47,10 @@ COMMANDS = [
     "detcheck --m 2 --format text",
     "detcheck --m 1",
     "oracle --n 3 --m 1 --d 5",
+    "verify --suite groupalgebra --n 4 --seed 1",
+    "verify --suite all --n 3 --m 1",
+    "hilbert --n 4 --m 1 --D 7 --oracle --format text",
+    "hilbert --n 3 --m 2 --D 9",
 ]
 
 

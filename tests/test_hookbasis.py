@@ -9,7 +9,6 @@ from quasiinv.exactalg import MultiPoly
 from quasiinv.hookbasis import (
     HookSpec,
     TheoremViolationError,
-    gamma_fixed_check,
     hook_basis,
     lowest_quotient,
     lowest_quotient_rhs,
@@ -89,7 +88,6 @@ class TestMembership:
     def test_component_and_quasiinvariance(self, spec):
         q = q_integral(spec)
         t = hook_tableau(spec.n, spec.j)
-        assert gamma_fixed_check(spec)
         assert in_gamma_component(q, t, spec.m)
         assert is_quasiinvariant(q, spec.m)
 

@@ -19,7 +19,7 @@ from quasiinv.symgroup import (
     sn_factorization,
     subgroup_perms,
 )
-from reference import convolve
+from reference import convolve, ref_add, ref_convolve, ref_scale
 
 
 def x(i, n=3):
@@ -174,6 +174,99 @@ class TestConvolution:
             Perm([1, 1, 2])
         with pytest.raises(ValueError):
             GroupAlgebraElem(3, {Perm.identity(2): 1})
+
+
+def perm_maps(n):
+    """{Perm: Fraction} maps over S_n: mixed denominators, negative
+    coefficients."""
+    coeffs = st.fractions(min_value=-50, max_value=50, max_denominator=12)
+    return st.dictionaries(st.permutations(range(1, n + 1)).map(Perm),
+                           coeffs.filter(bool), max_size=5)
+
+
+@st.composite
+def map_cases(draw):
+    """(n, f, g): two {Perm: Fraction} maps over S_n.  g is free, the
+    negation of f (their sum is zero), f with a tail negated (a sum that
+    cancels in part), or a - b against f = a + b."""
+    n = draw(st.integers(1, 4))
+    a, b, c = draw(perm_maps(n)), draw(perm_maps(n)), draw(perm_maps(n))
+    f = ref_add(a, b)
+    g = draw(st.sampled_from([
+        c,
+        ref_scale(f, -1),
+        ref_add(ref_scale(f, Fraction(-3, 7)), c),
+        ref_add(a, ref_scale(b, -1)),
+    ]))
+    return n, f, g
+
+
+def assert_canonical(e: GroupAlgebraElem):
+    """Integer numerators keyed by image tuples over one positive
+    denominator, in lowest terms, with no zero numerator."""
+    assert type(e.den) is int and e.den > 0
+    assert all(type(c) is int and c != 0 for c in e.num.values())
+    assert all(type(k) is tuple and sorted(k) == list(range(1, e.n + 1)) for k in e.num)
+    assert math.gcd(e.den, *e.num.values()) == 1
+
+
+def assert_matches(e: GroupAlgebraElem, reference: dict):
+    assert_canonical(e)
+    assert e.terms == reference
+    assert all(type(p) is Perm and type(c) is Fraction for p, c in e.terms.items())
+
+
+class TestSharedBase:
+    """The additive structure, scaling and equality that GroupAlgebraElem
+    shares with MultiPoly agree with the same operations on Fraction maps,
+    and every result is in canonical form."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(map_cases())
+    def test_add_sub_neg(self, case):
+        n, f, g = case
+        F, G = GroupAlgebraElem(n, f), GroupAlgebraElem(n, g)
+        assert_matches(F, f)
+        assert_matches(F + G, ref_add(f, g))
+        assert_matches(F - G, ref_add(f, ref_scale(g, -1)))
+        assert_matches(-F, ref_scale(f, -1))
+
+    @settings(max_examples=40, deadline=None)
+    @given(map_cases(), st.one_of(st.integers(-6, 6),
+                                  st.fractions(-50, 50, max_denominator=12)))
+    def test_scale(self, case, c):
+        n, f, _ = case
+        F = GroupAlgebraElem(n, f)
+        assert_matches(F * c, ref_scale(f, c))
+        assert_matches(c * F, ref_scale(f, c))
+
+    @settings(max_examples=60, deadline=None)
+    @given(map_cases())
+    def test_product(self, case):
+        n, f, g = case
+        assert_matches(GroupAlgebraElem(n, f) * GroupAlgebraElem(n, g),
+                       ref_convolve(f, g))
+
+    @settings(max_examples=40, deadline=None)
+    @given(map_cases())
+    def test_equal_values_by_different_routes(self, case):
+        n, f, g = case
+        F, G = GroupAlgebraElem(n, f), GroupAlgebraElem(n, g)
+        one = GroupAlgebraElem.identity(n)
+        routes = [
+            (F * Fraction(3, 7)) * Fraction(7, 3),
+            (F + G) - G,
+            F * 2 - F,
+            F * one,
+            one * F,
+            GroupAlgebraElem(n, F.terms),
+        ]
+        for r in routes:
+            assert_canonical(r)
+            assert r == F and hash(r) == hash(F)
+        zero = GroupAlgebraElem(n)
+        assert F - F == zero and hash(F - F) == hash(zero)
+        assert (F * 0).num == {} and (F * 0).den == 1
 
 
 class TestFactorization:

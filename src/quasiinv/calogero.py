@@ -23,14 +23,15 @@ def apply_lm(p: MultiPoly, m: int) -> MultiPoly:
     if m < 0:
         raise ValueError("need m >= 0")
     n = p.nvars
+    d = {i: partial_derivative(p, i) for i in range(1, n + 1)}
     result = MultiPoly.zero(n)
     for i in range(1, n + 1):
-        result = result + partial_derivative(partial_derivative(p, i), i)
+        result = result + partial_derivative(d[i], i)
     if m == 0:
         return result
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            diff = partial_derivative(p, i) - partial_derivative(p, j)
+            diff = d[i] - d[j]
             if diff.is_zero():
                 continue
             quotient = divide_by_difference(diff, i, j)

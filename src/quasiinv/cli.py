@@ -15,11 +15,7 @@ from . import jsonio
 from .calogero import NonPolynomialError, apply_lm
 from .exactalg import MultiPoly
 from .hookbasis import TheoremViolationError, hook_basis
-from .quasi import (
-    ResourceGuardError,
-    delta_sq_embed,
-    graded_dimension_oracle,
-)
+from .quasi import delta_sq_embed, graded_dimension_oracle
 from .structure import change_of_basis_n2, full_hilbert
 from .symgroup import act, parse_cycles
 from .tableaux import Partition, Tableau, gamma_apply, hook_tableau
@@ -284,9 +280,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ResourceGuardError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except TheoremViolationError as exc:
         print(f"identity failure: {exc}", file=sys.stderr)
         return 1

@@ -20,6 +20,7 @@ or check brings in further primes, never a guess.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import random
@@ -104,8 +105,10 @@ def delta_sq_embed(p: MultiPoly, m: int) -> MultiPoly:
 # checked exactly against the integer rows before anything is returned.
 
 
+@functools.cache
 def _is_prime(n: int) -> bool:
-    """Miller-Rabin with the first twelve prime bases: exact below 3.3e24."""
+    """Miller-Rabin with the first twelve prime bases: exact below 3.3e24.
+    Cached, since every nullspace call walks the same primes from 2^61 - 1."""
     bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
     if n < 2:
         return False

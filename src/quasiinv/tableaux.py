@@ -16,6 +16,7 @@ size 3 has content -3.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -105,9 +106,15 @@ def partitions_of(n: int):
 
 
 class Tableau:
-    """A filling of a Young diagram with {1..n}; rows as tuples."""
+    """A filling of a Young diagram with {1..n}.
 
-    __slots__ = ("shape", "rows")
+    ``rows`` and ``columns`` are tuples of entry tuples (rows left to
+    right, columns top to bottom); ``n`` is the number of cells, and
+    ``standard`` says whether every row and every column increases.  All
+    are set once here; non-standard fillings are valid tableaux too.
+    """
+
+    __slots__ = ("shape", "rows", "columns", "n", "standard")
 
     def __init__(self, rows):
         try:
@@ -122,49 +129,22 @@ class Tableau:
         entries = [v for row in rows for v in row]
         if sorted(entries) != list(range(1, n + 1)):
             raise ValueError("entries must be a bijection onto 1..n")
+        columns = tuple(tuple(row[j] for row in rows if len(row) > j)
+                        for j in range(shape.parts[0]))
+        standard = all(line[k] < line[k + 1]
+                       for line in rows + columns for k in range(len(line) - 1))
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "columns", columns)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "standard", standard)
 
     def __setattr__(self, name, value):
         raise AttributeError("Tableau is immutable")
 
-    @property
-    def n(self) -> int:
-        return self.shape.size
-
-    def column(self, j: int):
-        """Entries of column j, top to bottom."""
-        return tuple(row[j - 1] for row in self.rows if len(row) >= j)
-
-    def ncols(self) -> int:
-        return self.shape.parts[0]
-
-    def is_standard(self) -> bool:
-        for row in self.rows:
-            if any(row[k] >= row[k + 1] for k in range(len(row) - 1)):
-                return False
-        for j in range(1, self.ncols() + 1):
-            col = self.column(j)
-            if any(col[k] >= col[k + 1] for k in range(len(col) - 1)):
-                return False
-        return True
-
-    def reading_word(self):
-        """Rows left-to-right, last (shortest) row first."""
-        word = []
-        for row in reversed(self.rows):
-            word.extend(row)
-        return tuple(word)
-
     def same_column_pairs(self):
         """Pairs (above, below) of entries sharing a column."""
-        pairs = []
-        for j in range(1, self.ncols() + 1):
-            col = self.column(j)
-            for a in range(len(col)):
-                for b in range(a + 1, len(col)):
-                    pairs.append((col[a], col[b]))
-        return pairs
+        return [pair for col in self.columns for pair in itertools.combinations(col, 2)]
 
     def __eq__(self, other):
         if not isinstance(other, Tableau):
@@ -212,9 +192,10 @@ def f_lambda(shape: Partition) -> int:
 def cocharge(t: Tableau) -> int:
     """Cocharge of the reading word: label(1) = 0, and label(v+1) is
     label(v)+1 when v+1 sits to the left of v, else label(v)."""
-    if not t.is_standard():
+    if not t.standard:
         raise ValueError("cocharge requires a standard tableau")
-    word = t.reading_word()
+    # reading word: rows left to right, last (shortest) row first
+    word = [v for row in reversed(t.rows) for v in row]
     pos = {v: k for k, v in enumerate(word)}
     label = 0
     total = 0
@@ -236,13 +217,13 @@ def row_symmetrizer(t: Tableau) -> GroupAlgebraElem:
 def col_antisymmetrizer(t: Tableau) -> GroupAlgebraElem:
     """N(T): product over columns of the signed bracket sums."""
     result = GroupAlgebraElem.identity(t.n)
-    for j in range(1, t.ncols() + 1):
-        result = result * bracket(t.n, t.column(j), signed=True)
+    for col in t.columns:
+        result = result * bracket(t.n, col, signed=True)
     return result
 
 
 def _check_projector(t: Tableau):
-    if not t.is_standard():
+    if not t.standard:
         raise ValueError("gamma requires a standard tableau")
     _check_group_size(t.n)
 
@@ -281,8 +262,7 @@ def gamma_apply(t: Tableau, p: MultiPoly) -> MultiPoly:
     if p.nvars != t.n:
         raise DimensionMismatch("polynomial nvars mismatch")
     q = p.num
-    brackets = [(row, 1) for row in t.rows]
-    brackets += [(t.column(j), -1) for j in range(1, t.ncols() + 1)]
+    brackets = [(row, 1) for row in t.rows] + [(col, -1) for col in t.columns]
     for support, sign in brackets:
         for pairs in reversed(telescoping_factors(support)):
             q = _apply_factor(q, pairs, sign)
@@ -305,9 +285,9 @@ def v_t(t: Tableau) -> MultiPoly:
 
 def _check_column_cell(t: Tableau, i: int, cell):
     k, j = cell
-    if not 1 <= i < j <= t.ncols():
+    if not 1 <= i < j <= len(t.columns):
         raise ValueError(f"need columns i < j within the diagram, got i={i}, j={j}")
-    col_j = t.column(j)
+    col_j = t.columns[j - 1]
     if not 1 <= k <= len(col_j):
         raise ValueError(f"cell ({k},{j}) not in the tableau")
     return col_j[k - 1]
@@ -316,14 +296,15 @@ def _check_column_cell(t: Tableau, i: int, cell):
 def alpha(t: Tableau, i: int, cell) -> GroupAlgebraElem:
     """Sum of transpositions (entry of column i, entry at ``cell``)."""
     target = _check_column_cell(t, i, cell)
-    terms = {Perm.transposition(t.n, source, target).images: 1 for source in t.column(i)}
+    terms = {Perm.transposition(t.n, source, target).images: 1
+             for source in t.columns[i - 1]}
     return GroupAlgebraElem._from_int(t.n, terms)
 
 
 def col_union_antisym(t: Tableau, i: int, cell) -> GroupAlgebraElem:
     """[C_i union {entry at cell}]', the signed bracket over the enlarged set."""
     target = _check_column_cell(t, i, cell)
-    return bracket(t.n, tuple(t.column(i)) + (target,), signed=True)
+    return bracket(t.n, t.columns[i - 1] + (target,), signed=True)
 
 
 def hook_tableau(n: int, j: int) -> Tableau:

@@ -52,12 +52,10 @@ def _all_standard(n):
 
 def _column_cells(t):
     """Valid (i, (k, j)) argument pairs for the alpha construction."""
-    out = []
-    for i in range(1, t.ncols() + 1):
-        for j in range(i + 1, t.ncols() + 1):
-            for k in range(1, len(t.column(j)) + 1):
-                out.append((i, (k, j)))
-    return out
+    return [(i, (k, j))
+            for i in range(1, len(t.columns))
+            for j, col in enumerate(t.columns[i:], start=i + 1)
+            for k in range(1, len(col) + 1)]
 
 
 def suite_groupalgebra(n: int, seed: int = 0, samples: int = 5):
@@ -97,7 +95,7 @@ def suite_groupalgebra(n: int, seed: int = 0, samples: int = 5):
             if a * g != g:
                 ok = False
             # (1 - alpha) [C_i]' = [C_i union {cell}]'
-            ci = bracket(n, t.column(i), signed=True)
+            ci = bracket(n, t.columns[i - 1], signed=True)
             lhs = (GroupAlgebraElem.identity(n) - a) * ci
             if lhs != col_union_antisym(t, i, cell):
                 ok = False

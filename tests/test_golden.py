@@ -51,6 +51,8 @@ COMMANDS = [
     "verify --suite all --n 3 --m 1",
     "hilbert --n 4 --m 1 --D 7 --oracle --format text",
     "hilbert --n 3 --m 2 --D 9",
+    "verify --suite thm-main --n 4 --m 1 --seed 1",
+    "verify --suite groupalgebra --n 5 --seed 1",
 ]
 
 

@@ -2,6 +2,7 @@
 projections gamma_T with their algebraic identities."""
 
 import functools
+import itertools
 import math
 from fractions import Fraction
 
@@ -83,7 +84,7 @@ class TestStandardTableaux:
             for shape in partitions_of(n):
                 tabs = standard_tableaux(shape)
                 assert len(tabs) == f_lambda(shape)
-                assert all(t.is_standard() for t in tabs)
+                assert all(t.standard for t in tabs)
                 assert len(set(tabs)) == len(tabs)
 
     def test_dimension_sum_of_squares(self):
@@ -99,13 +100,42 @@ class TestStandardTableaux:
     def test_hook_tableau(self):
         t = hook_tableau(4, 3)
         assert t.rows == ((1, 2, 4), (3,))
-        assert t.is_standard()
+        assert t.standard
         with pytest.raises(ValueError):
             hook_tableau(4, 1)
 
     def test_non_standard_detected(self):
-        assert not Tableau([(2, 3), (1,)]).is_standard()
-        assert not Tableau([(1, 3), (4, 2)]).is_standard()
+        assert not Tableau([(2, 3), (1,)]).standard
+        assert not Tableau([(1, 3), (4, 2)]).standard
+
+
+def reference_columns(rows):
+    """Columns of a filling by transposing its cell map {(row, col): entry}."""
+    cells = {(i, j): v for i, row in enumerate(rows) for j, v in enumerate(row)}
+    width = 1 + max(j for _, j in cells)
+    return tuple(tuple(cells[i, j] for i in range(len(rows)) if (i, j) in cells)
+                 for j in range(width))
+
+
+class TestTableauData:
+    def test_derived_data_of_every_filling(self):
+        # every filling of every shape with n <= 5: columns, n and the
+        # same-column pairs against a transpose of the rows, and standard
+        # against membership in the enumeration (so the enumeration is complete)
+        for n in range(1, 6):
+            for shape in partitions_of(n):
+                standard = set(standard_tableaux(shape))
+                for word in itertools.permutations(range(1, n + 1)):
+                    it = iter(word)
+                    rows = [tuple(itertools.islice(it, part)) for part in shape.parts]
+                    t = Tableau(rows)
+                    columns = reference_columns(rows)
+                    assert t.columns == columns
+                    assert t.n == n
+                    assert t.same_column_pairs() == [
+                        (col[a], col[b]) for col in columns
+                        for a, b in itertools.combinations(range(len(col)), 2)]
+                    assert t.standard == (t in standard)
 
 
 class TestCocharge:
@@ -144,8 +174,8 @@ class TestSymmetrizers:
         # N(T) P(T) multiplied out by the Fraction reference convolution
         n = t.n
         col = row = GroupAlgebraElem.identity(n)
-        for j in range(1, t.ncols() + 1):
-            col = convolve(col, bracket(n, t.column(j), signed=True))
+        for column in t.columns:
+            col = convolve(col, bracket(n, column, signed=True))
         for r in t.rows:
             row = convolve(row, bracket(n, r, signed=False))
         scale = Fraction(f_lambda(t.shape), math.factorial(n))
@@ -197,9 +227,9 @@ class TestSymmetrizers:
             for shape in partitions_of(n):
                 for t in standard_tableaux(shape):
                     g = gamma(t)
-                    for i in range(1, t.ncols()):
-                        for j in range(i + 1, t.ncols() + 1):
-                            for k in range(1, len(t.column(j)) + 1):
+                    for i in range(1, len(t.columns)):
+                        for j in range(i + 1, len(t.columns) + 1):
+                            for k in range(1, len(t.columns[j - 1]) + 1):
                                 a = alpha(t, i, (k, j))
                                 assert a * g == g
 
@@ -210,11 +240,11 @@ class TestSymmetrizers:
         for n in range(3, 5):
             for shape in partitions_of(n):
                 for t in standard_tableaux(shape):
-                    for i in range(1, t.ncols()):
-                        for j in range(i + 1, t.ncols() + 1):
-                            for k in range(1, len(t.column(j)) + 1):
+                    for i in range(1, len(t.columns)):
+                        for j in range(i + 1, len(t.columns) + 1):
+                            for k in range(1, len(t.columns[j - 1]) + 1):
                                 a = alpha(t, i, (k, j))
-                                ci = bracket(n, t.column(i), signed=True)
+                                ci = bracket(n, t.columns[i - 1], signed=True)
                                 lhs = (GroupAlgebraElem.identity(n) - a) * ci
                                 assert lhs == col_union_antisym(t, i, (k, j))
 

@@ -6,95 +6,50 @@ projection characterization through Young symmetrizers, builds the explicit
 hook-shape basis by definite integration and by closed form, applies the
 rational Calogero-Moser operator, and verifies graded dimensions against a
 brute-force linear-algebra oracle.  All arithmetic is exact rational.
+
+Importing the package loads no submodule: each exported name is imported
+from its home module on first access (PEP 562), so a command loads only
+the layers it uses.
 """
 
-from .exactalg import (
-    DimensionMismatch,
-    MultiPoly,
-    elementary_symmetric,
-    partial_derivative,
-    series_expand,
-    t_integrate_definite,
-    vandermonde,
-)
-from .symgroup import GroupAlgebraElem, Perm, act, bracket, parse_cycles
-from .tableaux import (
-    Partition,
-    Tableau,
-    cocharge,
-    content,
-    f_lambda,
-    gamma,
-    gamma_apply,
-    hook_tableau,
-    standard_tableaux,
-    v_t,
-)
-from .quasi import (
-    QIWitness,
-    ResourceGuardError,
-    graded_dimension_oracle,
-    in_gamma_component,
-    is_quasiinvariant,
-    theorem_main_checks,
-)
-from .hookbasis import (
-    HookSpec,
-    TheoremViolationError,
-    hook_basis,
-    q_closed_form,
-    q_integral,
-)
-from .calogero import NonPolynomialError, apply_lm
-from .structure import (
-    HilbertReport,
-    change_of_basis_n2,
-    det_degree,
-    full_hilbert,
-    hook_quotient_dimension,
-)
+import importlib
 
-__all__ = [
-    "DimensionMismatch",
-    "GroupAlgebraElem",
-    "HilbertReport",
-    "HookSpec",
-    "MultiPoly",
-    "NonPolynomialError",
-    "Partition",
-    "Perm",
-    "QIWitness",
-    "ResourceGuardError",
-    "Tableau",
-    "TheoremViolationError",
-    "act",
-    "apply_lm",
-    "bracket",
-    "change_of_basis_n2",
-    "cocharge",
-    "content",
-    "det_degree",
-    "elementary_symmetric",
-    "f_lambda",
-    "full_hilbert",
-    "gamma",
-    "gamma_apply",
-    "graded_dimension_oracle",
-    "hook_basis",
-    "hook_quotient_dimension",
-    "hook_tableau",
-    "in_gamma_component",
-    "is_quasiinvariant",
-    "parse_cycles",
-    "partial_derivative",
-    "q_closed_form",
-    "q_integral",
-    "series_expand",
-    "standard_tableaux",
-    "t_integrate_definite",
-    "theorem_main_checks",
-    "v_t",
-    "vandermonde",
-]
+_HOMES = {
+    "exactalg": ("DimensionMismatch", "MultiPoly", "elementary_symmetric",
+                 "partial_derivative", "series_expand", "t_integrate_definite",
+                 "vandermonde"),
+    "symgroup": ("GroupAlgebraElem", "Perm", "act", "bracket", "parse_cycles"),
+    "tableaux": ("Partition", "Tableau", "cocharge", "content", "f_lambda",
+                 "gamma", "gamma_apply", "hook_tableau", "standard_tableaux",
+                 "v_t"),
+    "quasi": ("QIWitness", "ResourceGuardError", "graded_dimension_oracle",
+              "is_quasiinvariant"),
+    "hookbasis": ("HookSpec", "TheoremViolationError", "hook_basis",
+                  "q_closed_form", "q_integral"),
+    "calogero": ("NonPolynomialError", "apply_lm"),
+    "structure": ("HilbertReport", "change_of_basis_n2", "det_degree",
+                  "full_hilbert", "hook_quotient_dimension",
+                  "in_gamma_component", "theorem_main_checks"),
+}
+_HOME_OF = {name: module for module, names in _HOMES.items() for name in names}
+
+__all__ = sorted(_HOME_OF)
 
 __version__ = "1.0.0"
+
+# The verify suites by name, here so that the CLI parser can offer them
+# without loading the suites and every layer they check.
+SUITES = ("groupalgebra", "thm-main", "hook", "lm", "chain")
+
+
+def __getattr__(name):
+    module = _HOME_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -2,7 +2,8 @@
 
 All numeric work is exact; output is canonical JSON or plain text, written
 to stdout or to --out, and byte-identical across repeated invocations with
-the same flags and seed.
+the same flags and seed.  Each subcommand imports the layers it calls
+when it runs, so a command loads only those modules.
 """
 
 from __future__ import annotations
@@ -11,15 +12,7 @@ import argparse
 import json
 import sys
 
-from . import jsonio
-from .calogero import NonPolynomialError, apply_lm
-from .exactalg import MultiPoly
-from .hookbasis import TheoremViolationError, hook_basis
-from .quasi import delta_sq_embed, graded_dimension_oracle
-from .structure import change_of_basis_n2, full_hilbert
-from .symgroup import act, parse_cycles
-from .tableaux import Partition, Tableau, gamma_apply, hook_tableau
-from .verify import SUITES, run_suite
+from . import SUITES, jsonio
 
 
 def _emit(text: str, out_path: str | None):
@@ -34,14 +27,24 @@ def _poly_text(p: MultiPoly) -> str:
     return p.to_text() + "\n"
 
 
+def _identity_failure(exc) -> int:
+    print(f"identity failure: {exc}", file=sys.stderr)
+    return 1
+
+
 def cmd_basis(args) -> int:
+    from .hookbasis import TheoremViolationError, hook_basis
+
     if args.n < 2:
         print("error: basis requires n >= 2", file=sys.stderr)
         return 2
     if not 2 <= args.j <= args.n:
         print(f"error: j must lie in 2..{args.n}", file=sys.stderr)
         return 2
-    basis = hook_basis(args.n, args.m, args.j, verify=args.verify)
+    try:
+        basis = hook_basis(args.n, args.m, args.j, verify=args.verify)
+    except TheoremViolationError as exc:
+        return _identity_failure(exc)
     if args.format == "json":
         obj = {
             "n": args.n,
@@ -66,8 +69,14 @@ def cmd_basis(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    results = run_suite(args.suite, args.n, args.m, samples=args.samples,
-                        seed=args.seed)
+    from .hookbasis import TheoremViolationError
+    from .verify import run_suite
+
+    try:
+        results = run_suite(args.suite, args.n, args.m, samples=args.samples,
+                            seed=args.seed)
+    except TheoremViolationError as exc:
+        return _identity_failure(exc)
     lines = [f"suite={args.suite} n={args.n} m={args.m} seed={args.seed}"]
     for name, passed, detail in results:
         lines.append(f"{name}: {'PASS' if passed else 'FAIL'} ({detail})")
@@ -78,6 +87,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_hilbert(args) -> int:
+    from .quasi import graded_dimension_oracle
+    from .structure import full_hilbert
+
     report = full_hilbert(args.n, args.m, args.D)
     oracle = None
     if args.oracle:
@@ -134,6 +146,8 @@ def _load_poly(path: str) -> MultiPoly:
 def cmd_apply(args) -> int:
     p = _load_poly(args.infile)
     if args.op == "gamma":
+        from .tableaux import Partition, Tableau, gamma_apply, hook_tableau
+
         if args.tableau:
             t = Tableau(_parse_json(args.tableau, "--tableau"))
         elif not args.shape:
@@ -153,6 +167,8 @@ def cmd_apply(args) -> int:
             return 2
         image = gamma_apply(t, p)
     elif args.op == "lm":
+        from .calogero import NonPolynomialError, apply_lm
+
         try:
             image = apply_lm(p, args.m)
         except NonPolynomialError as exc:
@@ -160,11 +176,15 @@ def cmd_apply(args) -> int:
                   args.out)
             return 1
     elif args.op == "perm":
+        from .symgroup import act, parse_cycles
+
         if args.sigma is None:
             print("error: perm needs --sigma", file=sys.stderr)
             return 2
         image = act(parse_cycles(args.sigma, p.nvars), p)
     elif args.op == "delta2":
+        from .quasi import delta_sq_embed
+
         try:
             image = delta_sq_embed(p, args.m)
         except ValueError as exc:
@@ -180,12 +200,16 @@ def cmd_apply(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from .quasi import graded_dimension_oracle
+
     witness = graded_dimension_oracle(args.n, args.m, args.d)
     _emit(jsonio.dumps(jsonio.witness_to_obj(witness, seed=args.seed)), args.out)
     return 0
 
 
 def cmd_detcheck(args) -> int:
+    from .structure import change_of_basis_n2
+
     matrix, determinant = change_of_basis_n2(args.m)
     obj = {
         "m": args.m,
@@ -280,9 +304,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except TheoremViolationError as exc:
-        print(f"identity failure: {exc}", file=sys.stderr)
-        return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

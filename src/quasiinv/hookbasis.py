@@ -11,7 +11,6 @@ to cross-check the first.  The limit formula reads the quotient by
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
@@ -28,23 +27,23 @@ class TheoremViolationError(AssertionError):
     """An exact identity the construction relies on failed to hold."""
 
 
-@dataclass(frozen=True)
 class HookSpec:
     """Parameters of one basis element: n variables, deformation order m,
     second-row entry j, and power k."""
 
-    n: int
-    m: int
-    j: int
-    k: int
+    __slots__ = ("n", "m", "j", "k")
 
-    def __post_init__(self):
-        if self.n < 2:
+    def __init__(self, n: int, m: int, j: int, k: int):
+        if n < 2:
             raise ValueError("need n >= 2")
-        if self.m < 0 or self.k < 0:
+        if m < 0 or k < 0:
             raise ValueError("m and k must be non-negative")
-        if not 2 <= self.j <= self.n:
-            raise ValueError(f"second-row entry {self.j} outside 2..{self.n}")
+        if not 2 <= j <= n:
+            raise ValueError(f"second-row entry {j} outside 2..{n}")
+        self.n, self.m, self.j, self.k = n, m, j, k
+
+    def __repr__(self):
+        return f"HookSpec(n={self.n}, m={self.m}, j={self.j}, k={self.k})"
 
 
 def q_integral(spec: HookSpec) -> MultiPoly:

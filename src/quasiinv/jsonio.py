@@ -11,8 +11,6 @@ import json
 from fractions import Fraction
 
 from .exactalg import MultiPoly
-from .quasi import QIWitness
-from .structure import HilbertReport
 
 
 def poly_to_obj(p: MultiPoly) -> dict:

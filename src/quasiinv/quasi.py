@@ -1,5 +1,5 @@
-"""The quasiinvariance predicate, membership in the projected components,
-and the brute-force graded-dimension oracle.
+"""The quasiinvariance predicate and the brute-force graded-dimension
+oracle.
 
 The defining condition, (x_i - x_j)^(2m+1) divides (1 - (i,j)) p, is
 written out once, in ``_constraint_rows``: substituting x_i = x_j + u, the
@@ -7,9 +7,10 @@ coefficients of u^0..u^2m must vanish, which gives one sparse integer row
 per (pair, u-power, residual monomial) over a list of monomials.  The
 predicate checks a polynomial's integer-scaled coefficients against the
 rows over its own monomials; the oracle takes the rows over all monomials
-of degree d and computes their exact integer nullspace.  Membership in
-V_T^(2m+1) R is checked one same-column pair at a time, by the shift
-expansion of ``exactalg.shift_coefficients``.
+of degree d and computes their exact integer nullspace.  The module
+depends on ``exactalg`` alone; the checks of the projection
+characterization, which also need the Young projectors, are in
+``structure``.
 
 The one linear-algebra core behind the oracle and ``poly_rank`` finds the
 pivot pattern by sparse elimination modulo a 61-bit prime, lifts the
@@ -23,12 +24,9 @@ from __future__ import annotations
 import functools
 import math
 import os
-import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exactalg import MultiPoly, shift_coefficients, vandermonde
-from .tableaux import Tableau, gamma_apply, partitions_of, standard_tableaux, v_t
+from .exactalg import MultiPoly, vandermonde
 
 ORACLE_MAX_N = 5
 DEFAULT_DEGREE_CAP = 12
@@ -56,32 +54,6 @@ def is_quasiinvariant(p: MultiPoly, m: int) -> bool:
     return not any(
         sum(a * vec[c] for c, a in row.items())
         for row in _constraint_rows(p.nvars, m, list(p.num))
-    )
-
-
-def in_gamma_component(p: MultiPoly, t: Tableau, m: int) -> bool:
-    """Membership in gamma_T R intersect V_T^(2m+1) R."""
-    if p.nvars != t.n:
-        raise ValueError("size mismatch between polynomial and tableau")
-    if p.is_zero():
-        return True
-    if gamma_apply(t, p) != p:
-        return False
-    return _in_vt_ideal(p, t, m)
-
-
-def _in_vt_ideal(p: MultiPoly, t: Tableau, m: int) -> bool:
-    """True iff V_T^(2m+1) divides p.
-
-    The same-column differences x_below - x_above are distinct linear
-    forms, hence pairwise coprime, so V_T^(2m+1) divides p exactly when
-    each (x_below - x_above)^(2m+1) does: at x_below = x_above + u the
-    coefficients of u^0..u^2m vanish.
-    """
-    return all(
-        c.is_zero()
-        for above, below in t.same_column_pairs()
-        for c in shift_coefficients(p, below, above, 2 * m)
     )
 
 
@@ -293,14 +265,13 @@ def poly_rank(polys) -> int:
 # -- the oracle ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class QIWitness:
     """An exact basis of the degree-d homogeneous component of QI_m."""
 
-    n: int
-    m: int
-    degree: int
-    basis: tuple = field(default_factory=tuple)
+    __slots__ = ("n", "m", "degree", "basis")
+
+    def __init__(self, n: int, m: int, degree: int, basis: tuple = ()):
+        self.n, self.m, self.degree, self.basis = n, m, degree, basis
 
     @property
     def dimension(self) -> int:
@@ -379,76 +350,12 @@ def graded_dimension_oracle(n: int, m: int, d: int) -> QIWitness:
     return QIWitness(n=n, m=m, degree=d, basis=basis)
 
 
-def isotypic_dimension(witness: QIWitness, t: Tableau) -> int:
-    """Rank over Q of the gamma_T images of the witness basis."""
-    if t.n != witness.n:
-        raise ValueError("tableau size mismatch")
-    return poly_rank([gamma_apply(t, b) for b in witness.basis])
-
-
-def random_homogeneous(rng: random.Random, n: int, degree: int) -> MultiPoly:
+def random_homogeneous(rng, n: int, degree: int) -> MultiPoly:
     """Deterministic pseudo-random homogeneous polynomial of at most four
-    terms (seeded rng)."""
+    terms, drawn from the seeded ``random.Random`` rng."""
     monomials = monomials_of_degree(n, degree)
     terms = {}
     for _ in range(min(4, len(monomials))):
         exp = monomials[rng.randrange(len(monomials))]
         terms[exp] = terms.get(exp, 0) + rng.randint(-5, 5)
     return MultiPoly(n, terms)
-
-
-def theorem_main_checks(n: int, m: int, samples: int = 10, seed: int = 0) -> dict:
-    """Sampled verification of the two directions of the direct-sum
-    characterization of QI_m.
-
-    (a) gamma_T projections of oracle witnesses of degree up to
-        min(mn + 2, degree cap) land in V_T^(2m+1) R and remain
-        m-quasiinvariant.
-    (b) random gamma_T-fixed multiples of V_T^(2m+1) (filtered on
-        divisibility, which projection does not preserve automatically)
-        are m-quasiinvariant.
-    """
-    rng = random.Random(seed)
-    max_degree = min(degree_cap(), m * n + 2)
-    all_t = [
-        t
-        for shape in partitions_of(n)
-        for t in standard_tableaux(shape)
-    ]
-    report = {
-        "n": n,
-        "m": m,
-        "seed": seed,
-        "samples": samples,
-        "checked_a": 0,
-        "checked_b": 0,
-        "failures": [],
-    }
-    vt_pow = {t: v_t(t) ** (2 * m + 1) for t in all_t}
-    for d in range(max_degree + 1):
-        witness = graded_dimension_oracle(n, m, d)
-        for q in witness.basis:
-            for t in all_t:
-                image = gamma_apply(t, q)
-                if image.is_zero():
-                    continue
-                report["checked_a"] += 1
-                if not _in_vt_ideal(image, t, m):
-                    report["failures"].append(("a:divisibility", d, t.rows))
-                elif not is_quasiinvariant(image, m):
-                    report["failures"].append(("a:quasiinvariance", d, t.rows))
-    produced = 0
-    attempts = 0
-    while produced < samples and attempts < 20 * samples:
-        attempts += 1
-        t = all_t[rng.randrange(len(all_t))]
-        p0 = random_homogeneous(rng, n, rng.randrange(0, 3))
-        w = gamma_apply(t, vt_pow[t] * p0)
-        if w.is_zero() or not _in_vt_ideal(w, t, m):
-            continue
-        produced += 1
-        report["checked_b"] += 1
-        if not is_quasiinvariant(w, m):
-            report["failures"].append(("b:quasiinvariance", w.degree(), t.rows))
-    report["passed"] = not report["failures"]
-    return report

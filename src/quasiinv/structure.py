@@ -1,28 +1,36 @@
-"""Hilbert-series assembly, the hook quotient dimension, and the n = 2
-change-of-basis determinant experiment.
+"""Hilbert-series assembly, the projection characterization of QI_m, the
+hook quotient dimension, and the n = 2 change-of-basis determinant
+experiment.
 
 The graded dimension generating function of QI_m is assembled per shape
 from the exponents m(C(n,2) - content(shape)) + cocharge(T) and divided by
-prod (1 - q^i).
+prod (1 - q^i).  The characterization checks combine the oracle and the
+quasiinvariance predicate of ``quasi`` with the Young projectors of
+``tableaux``; membership in V_T^(2m+1) R is checked one same-column pair
+at a time, by the shift expansion of ``exactalg.shift_coefficients``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import random
 
 from .exactalg import (
     MultiPoly,
     elementary_symmetric,
     series_expand,
+    shift_coefficients,
     vandermonde,
 )
 from .quasi import (
+    QIWitness,
     ResourceGuardError,
+    degree_cap,
     delta_sq_embed,
     graded_dimension_oracle,
     is_quasiinvariant,
     poly_rank,
+    random_homogeneous,
 )
 from .tableaux import (
     Tableau,
@@ -32,6 +40,7 @@ from .tableaux import (
     gamma_apply,
     partitions_of,
     standard_tableaux,
+    v_t,
 )
 
 HILBERT_MAX_N = 6
@@ -41,14 +50,21 @@ class NegativeCoefficientError(AssertionError):
     """A Hilbert series produced a negative coefficient."""
 
 
-@dataclass(frozen=True)
 class HilbertReport:
-    n: int
-    m: int
-    truncation: int
-    shape_exponents: tuple  # ((parts, sorted exponent multiset), ...)
-    per_shape_series: tuple  # ((parts, coefficients of q^0..q^D), ...)
-    total: tuple  # coefficients of q^0..q^D
+    """The series of ``full_hilbert``: ``shape_exponents`` holds (parts,
+    sorted exponent multiset) per shape, ``per_shape_series`` (parts,
+    coefficients of q^0..q^D) per shape, and ``total`` the coefficients of
+    q^0..q^D."""
+
+    __slots__ = ("n", "m", "truncation", "shape_exponents", "per_shape_series",
+                 "total")
+
+    def __init__(self, n: int, m: int, truncation: int, shape_exponents: tuple,
+                 per_shape_series: tuple, total: tuple):
+        self.n, self.m, self.truncation = n, m, truncation
+        self.shape_exponents = shape_exponents
+        self.per_shape_series = per_shape_series
+        self.total = total
 
 
 def numerator_exponent(m: int, t: Tableau) -> int:
@@ -92,6 +108,96 @@ def full_hilbert(n: int, m: int, D: int) -> HilbertReport:
     )
 
 
+def in_gamma_component(p: MultiPoly, t: Tableau, m: int) -> bool:
+    """Membership in gamma_T R intersect V_T^(2m+1) R."""
+    if p.nvars != t.n:
+        raise ValueError("size mismatch between polynomial and tableau")
+    if p.is_zero():
+        return True
+    if gamma_apply(t, p) != p:
+        return False
+    return _in_vt_ideal(p, t, m)
+
+
+def _in_vt_ideal(p: MultiPoly, t: Tableau, m: int) -> bool:
+    """True iff V_T^(2m+1) divides p.
+
+    The same-column differences x_below - x_above are distinct linear
+    forms, hence pairwise coprime, so V_T^(2m+1) divides p exactly when
+    each (x_below - x_above)^(2m+1) does: at x_below = x_above + u the
+    coefficients of u^0..u^2m vanish.
+    """
+    return all(
+        c.is_zero()
+        for above, below in t.same_column_pairs()
+        for c in shift_coefficients(p, below, above, 2 * m)
+    )
+
+
+def isotypic_dimension(witness: QIWitness, t: Tableau) -> int:
+    """Rank over Q of the gamma_T images of the witness basis."""
+    if t.n != witness.n:
+        raise ValueError("tableau size mismatch")
+    return poly_rank([gamma_apply(t, b) for b in witness.basis])
+
+
+def theorem_main_checks(n: int, m: int, samples: int = 10, seed: int = 0) -> dict:
+    """Sampled verification of the two directions of the direct-sum
+    characterization of QI_m.
+
+    (a) gamma_T projections of oracle witnesses of degree up to
+        min(mn + 2, degree cap) land in V_T^(2m+1) R and remain
+        m-quasiinvariant.
+    (b) random gamma_T-fixed multiples of V_T^(2m+1) (filtered on
+        divisibility, which projection does not preserve automatically)
+        are m-quasiinvariant.
+    """
+    rng = random.Random(seed)
+    max_degree = min(degree_cap(), m * n + 2)
+    all_t = [
+        t
+        for shape in partitions_of(n)
+        for t in standard_tableaux(shape)
+    ]
+    report = {
+        "n": n,
+        "m": m,
+        "seed": seed,
+        "samples": samples,
+        "checked_a": 0,
+        "checked_b": 0,
+        "failures": [],
+    }
+    vt_pow = {t: v_t(t) ** (2 * m + 1) for t in all_t}
+    for d in range(max_degree + 1):
+        witness = graded_dimension_oracle(n, m, d)
+        for q in witness.basis:
+            for t in all_t:
+                image = gamma_apply(t, q)
+                if image.is_zero():
+                    continue
+                report["checked_a"] += 1
+                if not _in_vt_ideal(image, t, m):
+                    report["failures"].append(("a:divisibility", d, t.rows))
+                elif not is_quasiinvariant(image, m):
+                    report["failures"].append(("a:quasiinvariance", d, t.rows))
+    produced = 0
+    attempts = 0
+    while produced < samples and attempts < 20 * samples:
+        attempts += 1
+        t = all_t[rng.randrange(len(all_t))]
+        p0 = random_homogeneous(rng, n, rng.randrange(0, 3))
+        w = gamma_apply(t, vt_pow[t] * p0)
+        if w.is_zero() or not _in_vt_ideal(w, t, m):
+            continue
+        produced += 1
+        report["checked_b"] += 1
+        if not is_quasiinvariant(w, m):
+            report["failures"].append(("b:quasiinvariance", w.degree(), t.rows))
+    report["passed"] = not report["failures"]
+    return report
+
+
 def hook_quotient_dimension(n: int, m: int, d: int, t: Tableau) -> int:
     """Graded dimension of the gamma_T component of QI_m modulo the ideal
     generated by e_1..e_n, at degree d.
@@ -100,7 +206,7 @@ def hook_quotient_dimension(n: int, m: int, d: int, t: Tableau) -> int:
     (QI_m)_{d-i}); freeness over the symmetric functions makes the second
     span the ideal's degree-d piece.
     """
-    top = poly_rank([gamma_apply(t, b) for b in graded_dimension_oracle(n, m, d).basis])
+    top = isotypic_dimension(graded_dimension_oracle(n, m, d), t)
     ideal_images = []
     for i in range(1, min(n, d) + 1):
         e_i = elementary_symmetric(n, i)

@@ -16,6 +16,7 @@ size 3 has content -3.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -249,6 +250,18 @@ def _apply_factor(q: dict, pairs, sign: int) -> dict:
     return {e: c for e, c in out.items() if c}
 
 
+@functools.cache
+def _projection_plan(t: Tableau):
+    """What ``gamma_apply`` runs for ``t``, derived on the first projection
+    by ``t`` and then reused: the telescoping factors (transpositions,
+    sign) in the order they act, f_lambda and n!."""
+    _check_projector(t)
+    brackets = [(row, 1) for row in t.rows] + [(col, -1) for col in t.columns]
+    factors = tuple((tuple(pairs), sign) for support, sign in brackets
+                    for pairs in reversed(telescoping_factors(support)))
+    return factors, t.shape.hook_length_count(), math.factorial(t.n)
+
+
 def gamma_apply(t: Tableau, p: MultiPoly) -> MultiPoly:
     """gamma_T p, equal to gamma(t).apply(p) without expanding gamma_T.
 
@@ -258,17 +271,14 @@ def gamma_apply(t: Tableau, p: MultiPoly) -> MultiPoly:
     (O(k^2) transpositions rather than k! permutations), and
     f_lambda / (n! den) is applied once at the end.
     """
-    _check_projector(t)
+    factors, f, n_factorial = _projection_plan(t)
     if p.nvars != t.n:
         raise DimensionMismatch("polynomial nvars mismatch")
     q = p.num
-    brackets = [(row, 1) for row in t.rows] + [(col, -1) for col in t.columns]
-    for support, sign in brackets:
-        for pairs in reversed(telescoping_factors(support)):
-            q = _apply_factor(q, pairs, sign)
-    f = t.shape.hook_length_count()
+    for pairs, sign in factors:
+        q = _apply_factor(q, pairs, sign)
     return MultiPoly._from_int(t.n, {e: c * f for e, c in q.items()},
-                               math.factorial(t.n) * p.den)
+                               n_factorial * p.den)
 
 
 def v_t(t: Tableau) -> MultiPoly:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 
+from . import SUITES
 from .calogero import NonPolynomialError, apply_lm, lm_eigen_check
 from .exactalg import MultiPoly, elementary_symmetric
 from .hookbasis import (
@@ -22,13 +23,17 @@ from .hookbasis import (
 from .quasi import (
     ResourceGuardError,
     graded_dimension_oracle,
-    in_gamma_component,
     is_quasiinvariant,
-    isotypic_dimension,
     random_homogeneous,
+)
+from .structure import (
+    change_of_basis_n2,
+    delta_sq_chain_check,
+    det_degree,
+    in_gamma_component,
+    isotypic_dimension,
     theorem_main_checks,
 )
-from .structure import change_of_basis_n2, delta_sq_chain_check, det_degree
 from .symgroup import GroupAlgebraElem, bracket, sn_factorization
 from .tableaux import (
     alpha,
@@ -207,9 +212,6 @@ def suite_chain(n: int, m: int):
             ok = False
     results.append(("Determinant degree formula", ok, "n <= 6"))
     return results
-
-
-SUITES = ("groupalgebra", "thm-main", "hook", "lm", "chain")
 
 
 def run_suite(name: str, n: int, m: int, samples: int = 10, seed: int = 0):

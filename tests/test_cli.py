@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from quasiinv import jsonio
+from quasiinv import SUITES, jsonio
 from quasiinv.cli import main
 from quasiinv.exactalg import MultiPoly
 from quasiinv.hookbasis import HookSpec, q_closed_form
@@ -52,6 +52,18 @@ class TestBasis:
         assert code == 2
         assert "j must lie" in err
 
+    def test_identity_failure_exits_1(self, capsys, monkeypatch):
+        from quasiinv import hookbasis
+
+        monkeypatch.setattr(hookbasis, "q_closed_form",
+                            lambda spec: MultiPoly.zero(spec.n))
+        code, out, err = run(capsys, "basis", "--n", "3", "--m", "1", "--j", "2",
+                             "--verify")
+        assert code == 1
+        assert out == ""
+        assert err == ("identity failure: dual constructions disagree for "
+                       "HookSpec(n=3, m=1, j=2, k=0)\n")
+
 
 class TestVerify:
     def test_suite_passes(self, capsys):
@@ -90,6 +102,36 @@ class TestVerify:
         # the expanded products have n! terms; n = 7 used to run for minutes
         assert_one_line_error(*run(capsys, "verify", "--suite", suite, "--n", "7"),
                               "groupalgebra limited to n <= 6, got 7")
+
+    def test_identity_failure_exits_1(self, capsys, monkeypatch):
+        from quasiinv import verify
+        from quasiinv.hookbasis import TheoremViolationError
+
+        def fail(spec):
+            raise TheoremViolationError(f"forced for {spec}")
+
+        monkeypatch.setattr(verify, "lowest_quotient", fail)
+        code, out, err = run(capsys, "verify", "--suite", "hook", "--n", "2",
+                             "--m", "0")
+        assert code == 1
+        assert out == ""
+        assert err == "identity failure: forced for HookSpec(n=2, m=0, j=2, k=0)\n"
+
+    def test_unknown_suite_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--suite", "bogus", "--n", "2"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            "quasiinv verify: error: argument --suite: invalid choice: 'bogus' "
+            "(choose from 'groupalgebra', 'thm-main', 'hook', 'lm', 'chain', "
+            "'all')\n")
+
+    @pytest.mark.parametrize("suite", SUITES + ("all",))
+    def test_every_offered_suite_runs(self, capsys, suite):
+        # the parser offers the names that run_suite dispatches on
+        code, out, _ = run(capsys, "verify", "--suite", suite, "--n", "2", "--m", "0")
+        assert code == 0
+        assert out.startswith(f"suite={suite} n=2 m=0 seed=0\n")
 
 
 class TestHilbert:

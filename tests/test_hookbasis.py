@@ -16,7 +16,8 @@ from quasiinv.hookbasis import (
     q_integral,
     recursion_residual,
 )
-from quasiinv.quasi import in_gamma_component, is_quasiinvariant
+from quasiinv.quasi import is_quasiinvariant
+from quasiinv.structure import in_gamma_component
 from quasiinv.tableaux import hook_tableau
 from reference import divide_exact
 

@@ -9,20 +9,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quasiinv import quasi
+from quasiinv import quasi, structure
 from quasiinv.exactalg import MultiPoly, elementary_symmetric, vandermonde
 from quasiinv.quasi import (
     ResourceGuardError,
     delta_sq_embed,
     graded_dimension_oracle,
-    in_gamma_component,
     integer_nullspace,
     is_quasiinvariant,
     monomials_of_degree,
     poly_rank,
     random_homogeneous,
-    theorem_main_checks,
 )
+from quasiinv.structure import in_gamma_component, theorem_main_checks
 from quasiinv.symgroup import Perm, act
 from quasiinv.tableaux import (
     Partition,
@@ -313,8 +312,8 @@ class TestGammaComponent:
                       for above, below in t.same_column_pairs()]
             for f in cases:
                 expected = divide_exact(f, vt ** (2 * m + 1)) is not None
-                assert quasi._in_vt_ideal(f, t, m) == expected
-            assert quasi._in_vt_ideal(cases[0], t, m)
+                assert structure._in_vt_ideal(f, t, m) == expected
+            assert structure._in_vt_ideal(cases[0], t, m)
 
 
 class TestDeltaSqEmbed:

@@ -6,23 +6,38 @@ is a left action: act(a * b, p) = act(a, act(b, p)).
 
 An element of Q S_n is an ``exactalg._Combination`` keyed by image tuples:
 int numerators over one denominator, with the additive structure, equality
-and the trusted constructor shared with ``MultiPoly``.  Convolution
-composes image tuples directly on the numerators, and ``apply`` sums the
-images ``act`` gives on the polynomial's numerators; the Fraction view
-``terms`` is built only for output and inspection.  A bracket is also the
-telescoping product of ``telescoping_factors``, which is how
-``tableaux.gamma_apply`` applies the Young projector without expanding it.
+and the trusted constructor shared with ``MultiPoly``.  Every composition
+of image tuples, and every permutation of an exponent tuple, is one call
+of an index getter (``_getter``): convolution builds one per right-hand
+term and composes each left-hand key with it, and ``apply`` sums the
+images ``act`` gives on the polynomial's numerators.  The Fraction view
+``terms`` is built only for output and inspection.  ``bracket`` builds
+each [U] and [U]' once per process; a bracket is also the telescoping
+product of ``telescoping_factors``, which is how ``tableaux.gamma_apply``
+applies the Young projector without expanding it.
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from itertools import permutations
+from operator import itemgetter
 
 from .exactalg import DimensionMismatch, MultiPoly, _Combination
 
 # Enumerating S_U is factorial in |U|; keep it at desk scale.
 MAX_GROUP_N = 8
+
+
+def _getter(indices):
+    """The map t -> (t[indices[0]], ..., t[indices[-1]]) on tuples, as one
+    ``itemgetter``.  With a single index ``itemgetter`` returns a bare item,
+    so n = 1 (and n = 0) read the slice t[i:i+1] (t[0:0]) instead."""
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    start = indices[0] if indices else 0
+    return itemgetter(slice(start, start + len(indices)))
 
 
 class Perm:
@@ -70,7 +85,7 @@ class Perm:
         """self after other: (self * other)(i) = self(other(i))."""
         if self.n != other.n:
             raise DimensionMismatch("permutation size mismatch")
-        return Perm._trusted(tuple([self.images[i - 1] for i in other.images]))
+        return Perm._trusted(_getter([i - 1 for i in other.images])(self.images))
 
     __mul__ = compose
 
@@ -193,7 +208,8 @@ def act(s: Perm, p: MultiPoly) -> MultiPoly:
     source = [0] * s.n
     for i, image in enumerate(s.images):
         source[image - 1] = i
-    num = {tuple([exp[i] for i in source]): c for exp, c in p.num.items()}
+    permute = _getter(source)
+    num = {permute(exp): c for exp, c in p.num.items()}
     return MultiPoly._from_int(p.nvars, num, p.den)
 
 
@@ -231,12 +247,14 @@ class GroupAlgebraElem(_Combination):
         if isinstance(other, (int, Fraction)):
             return self._scale(other)
         self._check(other)
-        right = list(other.num.items())
+        # (a * b)(i) = a(b(i)): the key of a * b reads a's images at b's
+        right = [(_getter([i - 1 for i in images2]), c2)
+                 for images2, c2 in other.num.items()]
         acc = {}
         get = acc.get
         for images, c1 in self.num.items():
-            for images2, c2 in right:
-                key = tuple([images[i - 1] for i in images2])
+            for compose, c2 in right:
+                key = compose(images)
                 acc[key] = get(key, 0) + c1 * c2
         return GroupAlgebraElem._from_int(self.n, acc, self.den * other.den)
 
@@ -263,8 +281,20 @@ class GroupAlgebraElem(_Combination):
 
 
 def bracket(n: int, support, signed: bool) -> GroupAlgebraElem:
-    """[U] = sum over S_U, or [U]' = signed sum, inside S_n."""
-    support = sorted(set(support))
+    """[U] = sum over S_U, or [U]' = signed sum, inside S_n.
+
+    Each bracket is built once per process and then shared (elements are
+    immutable); a refused request raises on every call.  Entries must be
+    ints: a float such as 1.0 equals 1, so it would find, or fill, the
+    cache entry of the int support."""
+    support = tuple(sorted(set(support)))
+    if any(type(s) is not int for s in support):
+        raise ValueError(f"support entries must be integers, got {support}")
+    return _bracket(n, support, bool(signed))
+
+
+@functools.cache
+def _bracket(n: int, support: tuple, signed: bool) -> GroupAlgebraElem:
     if not support:
         raise ValueError("bracket over the empty set")
     terms = {perm.images: perm.sign() if signed else 1

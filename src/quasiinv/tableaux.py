@@ -19,6 +19,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 from .exactalg import DimensionMismatch, MultiPoly
@@ -209,18 +210,14 @@ def cocharge(t: Tableau) -> int:
 
 def row_symmetrizer(t: Tableau) -> GroupAlgebraElem:
     """P(T): product over rows of the unsigned bracket sums."""
-    result = GroupAlgebraElem.identity(t.n)
-    for row in t.rows:
-        result = result * bracket(t.n, row, signed=False)
-    return result
+    return functools.reduce(operator.mul, [bracket(t.n, row, signed=False)
+                                           for row in t.rows])
 
 
 def col_antisymmetrizer(t: Tableau) -> GroupAlgebraElem:
     """N(T): product over columns of the signed bracket sums."""
-    result = GroupAlgebraElem.identity(t.n)
-    for col in t.columns:
-        result = result * bracket(t.n, col, signed=True)
-    return result
+    return functools.reduce(operator.mul, [bracket(t.n, col, signed=True)
+                                           for col in t.columns])
 
 
 def _check_projector(t: Tableau):

@@ -47,7 +47,8 @@ from .tableaux import (
 )
 
 # The idempotence and factorization checks multiply expanded elements of
-# up to n! terms: n = 6 takes about 6 s, and n = 7 ran for over a minute.
+# up to n! terms: on a 2-vCPU VM with Python 3.11, n = 6 takes about 2.6 s,
+# and n = 7 (with this cap raised) took 139 s.
 GROUPALGEBRA_MAX_N = 6
 
 

@@ -12,15 +12,16 @@ denominator.  The ``ref_*`` functions compute the same operations term by
 term on plain ``{exponent: Fraction}`` or ``{Perm: Fraction}`` maps, with
 no common denominator and no reduction, by the textbook definitions:
 ``ref_add`` and ``ref_scale`` serve both, ``ref_convolve`` multiplies in
-Q S_n, composing with ``Perm.compose``, and ``convolve`` is the same
-product on ``GroupAlgebraElem`` values.
+Q S_n, composing pointwise, (p1 p2)(i) = p1(p2(i)), into validated
+``Perm`` values rather than through the kernel's index getters, and
+``convolve`` is the same product on ``GroupAlgebraElem`` values.
 """
 
 import math
 from fractions import Fraction
 
 from quasiinv.exactalg import MultiPoly, grlex_key
-from quasiinv.symgroup import GroupAlgebraElem
+from quasiinv.symgroup import GroupAlgebraElem, Perm
 
 
 def divide_exact(p: MultiPoly, d: MultiPoly):
@@ -55,7 +56,7 @@ def ref_convolve(f: dict, g: dict) -> dict:
     out = {}
     for p1, c1 in f.items():
         for p2, c2 in g.items():
-            key = p1.compose(p2)
+            key = Perm([p1(p2(i)) for i in range(1, p1.n + 1)])
             out[key] = out.get(key, Fraction(0)) + c1 * c2
     return _clean(out)
 

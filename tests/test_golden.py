@@ -5,7 +5,8 @@ The determinism tests show that one build repeats itself; these digests
 show that a change to the arithmetic leaves every printed byte as it was.
 The inputs of the ``apply`` commands are the small polynomials in
 ``golden_inputs/``: hook basis elements of QI_1 at n = 3 and n = 4, and
-two polynomials with mixed denominators and negative coefficients.
+polynomials with mixed denominators and negative coefficients in one,
+three and four variables.
 
 To record the digests of the current build (only when an output change is
 intended):
@@ -53,6 +54,9 @@ COMMANDS = [
     "hilbert --n 3 --m 2 --D 9",
     "verify --suite thm-main --n 4 --m 1 --seed 1",
     "verify --suite groupalgebra --n 5 --seed 1",
+    "verify --suite groupalgebra --n 2 --seed 0",
+    "verify --suite groupalgebra --n 3 --seed 2",
+    "apply --op perm --sigma 1 --in {inputs}/mixed1.json",
 ]
 
 

@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 
 from quasiinv.exactalg import MultiPoly
 from quasiinv.symgroup import (
+    MAX_GROUP_N,
     GroupAlgebraElem,
     Perm,
+    _bracket,
     act,
     bracket,
     parse_cycles,
@@ -169,6 +171,39 @@ class TestConvolution:
         assert a.compose(b) == Perm([2, 4, 1, 3])
         assert hash(a.compose(b)) == hash(Perm([2, 4, 1, 3]))
 
+    def test_products_in_s1(self):
+        one = Perm([1])
+        f = GroupAlgebraElem(1, {one: Fraction(-3, 4)})
+        g = GroupAlgebraElem(1, {one: Fraction(5, 6)})
+        product = f * g
+        assert product == convolve(f, g)
+        assert product.terms == {one: Fraction(-5, 8)}
+        assert all(type(k) is tuple for k in product.num)
+
+    def test_non_commuting_pair_matches_reference(self):
+        s12 = Perm.transposition(3, 1, 2)
+        c123 = parse_cycles("(1,2,3)", 3)
+        f = GroupAlgebraElem(3, {s12: 2, c123: Fraction(1, 3)})
+        g = GroupAlgebraElem(3, {Perm.transposition(3, 2, 3): -1, c123: 5})
+        fg, gf = f * g, g * f
+        assert fg != gf
+        assert fg == convolve(f, g) and gf == convolve(g, f)
+        assert all(type(k) is tuple for k in fg.num) and all(type(k) is tuple for k in gf.num)
+
+    def test_compose_and_act_at_n_1(self):
+        one = Perm([1])
+        assert one.compose(one) == one and type(one.compose(one).images) is tuple
+        p = MultiPoly(1, {(3,): Fraction(-2, 3), (0,): 7})
+        assert act(one, p) == p
+        assert all(type(e) is tuple for e in act(one, p).num)
+        assert GroupAlgebraElem.identity(1).apply(p) == p
+
+    def test_products_in_s0(self):
+        empty = Perm(())
+        assert empty.compose(empty) == empty and type(empty.compose(empty).images) is tuple
+        one = GroupAlgebraElem.identity(0)
+        assert one * one == one == convolve(one, one)
+
     def test_public_constructors_still_validate(self):
         with pytest.raises(ValueError):
             Perm([1, 1, 2])
@@ -267,6 +302,48 @@ class TestSharedBase:
         zero = GroupAlgebraElem(n)
         assert F - F == zero and hash(F - F) == hash(zero)
         assert (F * 0).num == {} and (F * 0).den == 1
+
+
+class TestBracketCache:
+    """``bracket`` builds each (n, support, signed) once and shares it."""
+
+    def test_equal_for_every_form_of_the_support(self):
+        expected = GroupAlgebraElem._from_int(
+            4, {p.images: p.sign() for p in subgroup_perms(4, (2, 3, 4))})
+        forms = [[2, 3, 4], (2, 3, 4), range(2, 5), {2, 3, 4}, (4, 2, 3), [3, 4, 3, 2, 4]]
+        values = [bracket(4, support, signed=True) for support in forms]
+        for value in values:
+            assert value == expected and value is values[0]
+
+    def test_refusals_raise_on_every_call(self):
+        assert bracket(3, (1, 2), signed=True) == bracket(3, [2, 1], signed=True)
+        entries = _bracket.cache_info().currsize
+        for _ in range(2):
+            with pytest.raises(ValueError, match="not inside"):
+                bracket(3, (1, 4), signed=True)
+            with pytest.raises(ValueError, match="limited to"):
+                bracket(MAX_GROUP_N + 1, (1, 2), signed=True)
+            with pytest.raises(ValueError, match="empty set"):
+                bracket(3, (), signed=False)
+            with pytest.raises(ValueError, match="integers"):
+                bracket(3, (1.0, 3), signed=False)
+        assert _bracket.cache_info().currsize == entries
+
+    def test_signed_and_unsigned_differ(self):
+        for support in ((1, 2), (1, 2, 3)):
+            unsigned = bracket(3, support, signed=False)
+            signed = bracket(3, support, signed=True)
+            assert unsigned != signed
+            assert set(unsigned.num.values()) == {1}
+            assert set(signed.num.values()) == {-1, 1}
+
+    def test_shared_value_is_immutable(self):
+        value = bracket(3, (1, 3), signed=False)
+        with pytest.raises(AttributeError):
+            value.den = 2
+        with pytest.raises(AttributeError):
+            value.n = 4
+        assert value == bracket(3, (3, 1), signed=False) and value.den == 1
 
 
 class TestFactorization:

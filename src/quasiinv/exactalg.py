@@ -227,10 +227,6 @@ class MultiPoly(_Combination):
         exp = tuple(1 if k == i - 1 else 0 for k in range(nvars))
         return cls._from_int(nvars, {exp: 1})
 
-    @classmethod
-    def monomial(cls, exp, c=1) -> "MultiPoly":
-        return cls(len(exp), {tuple(exp): c})
-
     # -- predicates / views -------------------------------------------
 
     def degree(self) -> int:

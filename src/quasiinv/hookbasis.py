@@ -10,6 +10,7 @@ to cross-check the first.  The limit formula reads the quotient by
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from itertools import product
@@ -20,7 +21,6 @@ from .exactalg import (
     shift_coefficients,
     t_integrate_definite,
 )
-from .symgroup import Perm, act
 
 
 class TheoremViolationError(AssertionError):
@@ -34,6 +34,8 @@ class HookSpec:
     __slots__ = ("n", "m", "j", "k")
 
     def __init__(self, n: int, m: int, j: int, k: int):
+        if any(type(v) is not int for v in (n, m, j, k)):
+            raise ValueError(f"n, m, j and k must be integers, got {(n, m, j, k)}")
         if n < 2:
             raise ValueError("need n >= 2")
         if m < 0 or k < 0:
@@ -49,16 +51,22 @@ class HookSpec:
 def q_integral(spec: HookSpec) -> MultiPoly:
     """Integrate t^k prod_i (t - x_i)^m dt from x_1 to x_j.
 
-    The integrand lives in n + 1 variables with t = x_(n+1); it is built
-    one factor (t - x_i)^m at a time, which keeps the intermediate
-    products smaller than raising prod_i (t - x_i) to the m-th power.
+    Each element is integrated once per process and then shared (values
+    are immutable); ``spec`` has been validated when it was built.
     """
-    n = spec.n
+    return _q_integral(spec.n, spec.m, spec.j, spec.k)
+
+
+@functools.cache
+def _q_integral(n: int, m: int, j: int, k: int) -> MultiPoly:
+    """The integrand lives in n + 1 variables with t = x_(n+1); it is built
+    one factor (t - x_i)^m at a time, which keeps the intermediate
+    products smaller than raising prod_i (t - x_i) to the m-th power."""
     t = MultiPoly.variable(n + 1, n + 1)
-    integrand = t ** spec.k
+    integrand = t ** k
     for i in range(1, n + 1):
-        integrand = integrand * (t - MultiPoly.variable(n + 1, i)) ** spec.m
-    return t_integrate_definite(integrand, lower=1, upper=spec.j)
+        integrand = integrand * (t - MultiPoly.variable(n + 1, i)) ** m
+    return t_integrate_definite(integrand, lower=1, upper=j)
 
 
 def q_closed_form(spec: HookSpec) -> MultiPoly:
@@ -73,39 +81,38 @@ def q_closed_form(spec: HookSpec) -> MultiPoly:
     with K = k + m(n-2) - sum i_t and 2m+1 <= r <= K + 2m+1.  General j is
     the (2, j)-image of the j = 2 polynomial.  At m = 0 the only index is
     (0, ..., 0) and the sum is (x_2^(k+1) - x_1^(k+1)) / (k+1).
+
+    The coefficients are int numerators over one denominator, the lcm of
+    the falling factorials r (r-1) ... (r-m), and z^r is expanded by the
+    binomial theorem in place; no integration is involved, so the result
+    is an independent check of ``q_integral``.
     """
     n, m, j, k = spec.n, spec.m, spec.j, spec.k
-    z = MultiPoly.variable(n, 2) - MultiPoly.variable(n, 1)
-    z_pow = {}
-
-    def zp(r):
-        if r not in z_pow:
-            z_pow[r] = z ** r
-        return z_pow[r]
-
-    result = MultiPoly.zero(n)
+    r_max = k + m * (n - 2) + 2 * m + 1
+    falling = {r: math.perm(r, m + 1) for r in range(2 * m + 1, r_max + 1)}
+    den = math.lcm(*falling.values())
     m_fact = math.factorial(m)
+    num = {}
+    get = num.get
     for idx in product(range(m + 1), repeat=n - 2):
         s = sum(idx)
         K = k + m * (n - 2) - s
-        weight = (-1) ** (m + s)
+        weight = (-1) ** (m + s) * m_fact
         for it in idx:
             weight *= math.comb(m, it)
-        mono = [0] * n
-        for slot, it in zip(range(3, n + 1), idx):
-            mono[slot - 1] = it
+        # the exponents of x_3..x_n, moved by (2, j); x_2's goes to slot j
+        exp = [0, 0, *idx]
+        exp[1], exp[j - 1] = exp[j - 1], exp[1]
         for R in range(K + 1):
             r = R + 2 * m + 1
-            falling = 1
-            for a in range(m + 1):
-                falling *= r - a
-            coeff = Fraction(m_fact * weight * math.comb(K, R), falling)
-            exp = list(mono)
-            exp[0] = K - R
-            result = result + MultiPoly.monomial(tuple(exp), coeff) * zp(r)
-    if j != 2:
-        result = act(Perm.transposition(n, 2, j), result)
-    return result
+            coeff = weight * math.comb(K, R) * (den // falling[r])
+            # x_1^(K-R) z^r = sum_b C(r, b) (-1)^(r-b) x_1^(K-R+r-b) x_2^b
+            for b in range(r + 1):
+                exp[0], exp[j - 1] = K - R + r - b, b
+                key = tuple(exp)
+                c = coeff * math.comb(r, b)
+                num[key] = get(key, 0) + (c if (r - b) % 2 == 0 else -c)
+    return MultiPoly._from_int(n, num, den)
 
 
 def recursion_residual(spec: HookSpec) -> MultiPoly:

@@ -2,15 +2,16 @@
 oracle.
 
 The defining condition, (x_i - x_j)^(2m+1) divides (1 - (i,j)) p, is
-written out once, in ``_constraint_rows``: substituting x_i = x_j + u, the
-coefficients of u^0..u^2m must vanish, which gives one sparse integer row
-per (pair, u-power, residual monomial) over a list of monomials.  The
-predicate checks a polynomial's integer-scaled coefficients against the
-rows over its own monomials; the oracle takes the rows over all monomials
-of degree d and computes their exact integer nullspace.  The module
-depends on ``exactalg`` alone; the checks of the projection
-characterization, which also need the Young projectors, are in
-``structure``.
+written out once, in ``_pair_terms``: substituting x_i = c + u,
+x_j = c - u, only the odd powers u^1, u^3, ..., u^(2m-1) can carry a
+nonzero coefficient, which gives one sparse integer row per (pair, odd
+u-power, residual monomial) over a list of monomials.  The predicate sums
+a polynomial's integer numerators into those rows one pair at a time and
+stops at the first pair with a nonzero residual; the oracle takes the rows
+over all monomials of degree d (``_constraint_rows``) and computes their
+exact integer nullspace.  The module depends on ``exactalg`` alone; the
+checks of the projection characterization, which also need the Young
+projectors, are in ``structure``.
 
 The one linear-algebra core behind the oracle and ``poly_rank`` finds the
 pivot pattern by sparse elimination modulo a 61-bit prime, lifts the
@@ -44,17 +45,23 @@ def degree_cap() -> int:
 def is_quasiinvariant(p: MultiPoly, m: int) -> bool:
     """True iff (x_i - x_j)^(2m+1) divides (1 - (i,j)) p for all i < j.
 
-    Every constraint row of the oracle over p's own monomials must vanish
-    on p's integer numerators.  A row's key fixes the degree of its
-    monomials, so p need not be homogeneous.
+    Pair by pair, p's integer numerators are summed into the constraint
+    rows of ``_pair_terms``; the first pair with a nonzero residual ends
+    the check, so no later pair is expanded.  A row's key fixes the degree
+    of its monomials, so p need not be homogeneous.
     """
     if m < 0:
         raise ValueError("m must be non-negative")
-    vec = list(p.num.values())
-    return not any(
-        sum(a * vec[c] for c, a in row.items())
-        for row in _constraint_rows(p.nvars, m, list(p.num))
-    )
+    n, num = p.nvars, p.num
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            residual = {}
+            get = residual.get
+            for key, exp, w in _pair_terms(i, j, m, num):
+                residual[key] = get(key, 0) + w * num[exp]
+            if any(residual.values()):
+                return False
+    return True
 
 
 def delta_sq_embed(p: MultiPoly, m: int) -> MultiPoly:
@@ -293,35 +300,62 @@ def monomials_of_degree(n: int, d: int):
     return out
 
 
-def _constraint_rows(n: int, m: int, monomials):
-    """Sparse integer constraint rows {column: int}: one per (pair, u-power,
-    residual monomial).
+@functools.cache
+def _odd_weights(a: int, b: int, m: int) -> tuple:
+    """The pairs (t, W(a, b, t)) with W(a, b, t) != 0, for odd t < 2m,
+    where W(a, b, t) is the coefficient of u^t in (c + u)^a (c - u)^b."""
+    out = []
+    for t in range(1, min(2 * m, a + b + 1), 2):
+        w = sum(math.comb(a, s) * math.comb(b, t - s) * (-1) ** (t - s)
+                for s in range(max(0, t - b), min(a, t) + 1))
+        if w:
+            out.append((t, w))
+    return tuple(out)
 
-    For the pair (i, j), substituting x_i = x_j + u into (1 - (i,j)) x^a
-    contributes C(a_i, t) - C(a_j, t) at u^t times the residual monomial
-    with the x_j slot carrying a_i + a_j - t.  The key (i, j, t, residual)
-    fixes the degree |residual| + t, so the monomials need not share one.
+
+def _pair_terms(i: int, j: int, m: int, monomials):
+    """The constraint terms of the pair (i, j): (key, exponent, w) for
+    each monomial x^e of ``monomials`` and each row it enters.
+
+    (c, u) = ((x_i + x_j)/2, (x_i - x_j)/2) is an invertible linear change
+    of variables, so (x_i - x_j)^(2m+1) = (2u)^(2m+1) divides a polynomial
+    exactly when its coefficients of u^0..u^2m vanish after substituting
+    x_i = c + u, x_j = c - u.  With a = e_i and b = e_j, x^e becomes
+    (c + u)^a (c - u)^b times the other variables and (i,j) x^e becomes
+    (c + u)^b (c - u)^a, which is the same polynomial at -u; so
+    W(b, a, t) = (-1)^t W(a, b, t), and (1 - (i,j)) x^e contributes
+    2 W(a, b, t) c^(a+b-t) u^t at odd t and nothing at even t.  The rows
+    are thus the odd t < 2m, keyed by (t, a + b, the other exponents),
+    which fixes the monomial c^(a+b-t) u^t x^rest and its degree, so the
+    monomials need not share one; each term carries w = W(a, b, t), the
+    common factor 2 dropped.
     """
+    for exp in monomials:
+        a, b = exp[i - 1], exp[j - 1]
+        if a == b:
+            continue
+        weights = _odd_weights(a, b, m)
+        if not weights:
+            continue
+        rest = list(exp)
+        rest[i - 1] = rest[j - 1] = 0
+        rest = tuple(rest)
+        for t, w in weights:
+            yield (t, a + b, rest), exp, w
+
+
+def _constraint_rows(n: int, m: int, monomials):
+    """Sparse integer constraint rows {column: int} over ``monomials``: one
+    per (pair, odd u-power, residual monomial) of ``_pair_terms``."""
     col_index = {e: k for k, e in enumerate(monomials)}
-    rows = {}
+    rows = []
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            for exp in monomials:
-                ai, aj = exp[i - 1], exp[j - 1]
-                if ai == aj:
-                    continue
-                col = col_index[exp]
-                for t in range(min(2 * m, ai + aj) + 1):
-                    coeff = math.comb(ai, t) - math.comb(aj, t)
-                    if not coeff:
-                        continue
-                    residual = list(exp)
-                    residual[i - 1] = 0
-                    residual[j - 1] = ai + aj - t
-                    key = (i, j, t, tuple(residual))
-                    row = rows.setdefault(key, {})
-                    row[col] = row.get(col, 0) + coeff
-    return [rows[key] for key in sorted(rows)]
+            pair_rows = {}
+            for key, exp, w in _pair_terms(i, j, m, monomials):
+                pair_rows.setdefault(key, {})[col_index[exp]] = w
+            rows.extend(pair_rows[key] for key in sorted(pair_rows))
+    return rows
 
 
 def graded_dimension_oracle(n: int, m: int, d: int) -> QIWitness:

@@ -168,7 +168,7 @@ def theorem_main_checks(n: int, m: int, samples: int = 10, seed: int = 0) -> dic
         "checked_b": 0,
         "failures": [],
     }
-    vt_pow = {t: v_t(t) ** (2 * m + 1) for t in all_t}
+    vt_pow = {}  # V_T^(2m+1), built for the tableaux the samples draw
     for d in range(max_degree + 1):
         witness = graded_dimension_oracle(n, m, d)
         for q in witness.basis:
@@ -187,6 +187,8 @@ def theorem_main_checks(n: int, m: int, samples: int = 10, seed: int = 0) -> dic
         attempts += 1
         t = all_t[rng.randrange(len(all_t))]
         p0 = random_homogeneous(rng, n, rng.randrange(0, 3))
+        if t not in vt_pow:
+            vt_pow[t] = v_t(t) ** (2 * m + 1)
         w = gamma_apply(t, vt_pow[t] * p0)
         if w.is_zero() or not _in_vt_ideal(w, t, m):
             continue

@@ -48,7 +48,9 @@ class Perm:
     def __init__(self, images):
         images = tuple(images)
         n = len(images)
-        if sorted(images) != list(range(1, n + 1)):
+        # a float such as 2.0 equals 2, so the sort alone would accept it
+        if (any(type(i) is not int for i in images)
+                or sorted(images) != list(range(1, n + 1))):
             raise ValueError(f"{images} is not a permutation of 1..{n}")
         object.__setattr__(self, "images", images)
 
@@ -185,7 +187,7 @@ def _check_group_size(n: int):
 def subgroup_perms(n: int, support):
     """All permutations of 1..n fixing the complement of ``support``."""
     support = sorted(set(support))
-    if any(not 1 <= s <= n for s in support):
+    if any(type(s) is not int or not 1 <= s <= n for s in support):
         raise ValueError(f"support {support} not inside 1..{n}")
     _check_group_size(n)
     out = []

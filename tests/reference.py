@@ -15,6 +15,10 @@ no common denominator and no reduction, by the textbook definitions:
 Q S_n, composing pointwise, (p1 p2)(i) = p1(p2(i)), into validated
 ``Perm`` values rather than through the kernel's index getters, and
 ``convolve`` is the same product on ``GroupAlgebraElem`` values.
+
+``ref_constraint_rows`` writes the quasiinvariance condition in the
+asymmetric form x_i = x_j + u, with every power u^0..u^2m, as a second
+row set with the same kernel as the package's odd-power rows.
 """
 
 import math
@@ -47,7 +51,7 @@ def divide_exact(p: MultiPoly, d: MultiPoly):
             return None
         c = r_coef / d_coef
         quotient[q_exp] = quotient.get(q_exp, Fraction(0)) + c
-        r = r - d * MultiPoly.monomial(q_exp, c)
+        r = r - d * MultiPoly(n, {q_exp: c})
     return MultiPoly(n, quotient)
 
 
@@ -126,3 +130,26 @@ def ref_shift_coefficients(p: dict, a: int, b: int, k: int) -> list:
             key = tuple(key)
             out[t][key] = out[t].get(key, Fraction(0)) + math.comb(ea, t) * c
     return [_clean(terms) for terms in out]
+
+
+def ref_constraint_rows(n: int, m: int, monomials) -> list:
+    """Sparse integer rows {column: int}, one per (pair, u-power, residual
+    monomial): substituting x_i = x_j + u into (1 - (i,j)) x^a gives
+    C(a_i, t) - C(a_j, t) at u^t times the residual monomial whose x_j
+    slot carries a_i + a_j - t, for t = 0..2m."""
+    col_index = {e: k for k, e in enumerate(monomials)}
+    rows = {}
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            for exp in monomials:
+                ai, aj = exp[i - 1], exp[j - 1]
+                for t in range(min(2 * m, ai + aj) + 1):
+                    coeff = math.comb(ai, t) - math.comb(aj, t)
+                    if not coeff:
+                        continue
+                    residual = list(exp)
+                    residual[i - 1] = 0
+                    residual[j - 1] = ai + aj - t
+                    row = rows.setdefault((i, j, t, tuple(residual)), {})
+                    row[col_index[exp]] = row.get(col_index[exp], 0) + coeff
+    return [rows[key] for key in sorted(rows)]

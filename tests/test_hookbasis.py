@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from quasiinv import hookbasis
 from quasiinv.exactalg import MultiPoly
 from quasiinv.hookbasis import (
     HookSpec,
@@ -45,6 +46,29 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             HookSpec(n=3, m=0, j=2, k=-1)
 
+    def test_refusals_raise_on_every_call(self):
+        # a float equal to an int would find, or fill, the int's cache entry
+        q_integral(HookSpec(n=3, m=1, j=2, k=1))
+        entries = hookbasis._q_integral.cache_info().currsize
+        bad = [(1, 0, 2, 0), (3, -1, 2, 0), (3, 0, 4, 0), (3, 0, 1, 0),
+               (3, 0, 2, -1), (3, 1, 2, 1.0), (3.0, 1, 2, 1), (3, True, 2, 1)]
+        for _ in range(2):
+            for n, m, j, k in bad:
+                with pytest.raises(ValueError):
+                    q_integral(HookSpec(n=n, m=m, j=j, k=k))
+        assert hookbasis._q_integral.cache_info().currsize == entries
+
+
+class TestIntegralCache:
+    def test_repeated_calls_share_one_value(self):
+        spec = HookSpec(n=4, m=1, j=3, k=2)
+        first = q_integral(spec)
+        entries = hookbasis._q_integral.cache_info().currsize
+        again = [q_integral(spec), q_integral(HookSpec(n=4, m=1, j=3, k=2))]
+        assert all(q == first for q in again)
+        assert hookbasis._q_integral.cache_info().currsize == entries
+        assert q_integral(HookSpec(n=4, m=1, j=3, k=1)) != first
+
 
 class TestHandValues:
     def test_n2_m1(self):
@@ -73,7 +97,7 @@ class TestHandValues:
 
 
 class TestDualConstruction:
-    @pytest.mark.parametrize("spec", list(grid()), ids=str)
+    @pytest.mark.parametrize("spec", list(grid(n_range=(2, 3, 4, 5))), ids=str)
     def test_closed_form_matches_integral(self, spec):
         assert q_closed_form(spec) == q_integral(spec)
 

@@ -30,7 +30,7 @@ from quasiinv.tableaux import (
     standard_tableaux,
     v_t,
 )
-from reference import divide_exact
+from reference import divide_exact, ref_constraint_rows
 
 FIRST_PRIME = (1 << 61) - 1  # the first prime the elimination core tries
 
@@ -39,16 +39,19 @@ def x(i, n):
     return MultiPoly.variable(n, i)
 
 
+def pair_divides(p, m, i, j):
+    """(x_i - x_j)^(2m+1) divides p - (i,j) p, by the long division."""
+    n = p.nvars
+    moved = p - act(Perm.transposition(n, i, j), p)
+    return divide_exact(moved, (x(i, n) - x(j, n)) ** (2 * m + 1)) is not None
+
+
 def qi_by_division(p, m):
     """Reference for the definition, independent of the constraint rows:
     (x_i - x_j)^(2m+1) divides p - (i,j) p exactly, for every i < j."""
     n = p.nvars
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            moved = p - act(Perm.transposition(n, i, j), p)
-            if divide_exact(moved, (x(i, n) - x(j, n)) ** (2 * m + 1)) is None:
-                return False
-    return True
+    return all(pair_divides(p, m, i, j)
+               for i in range(1, n + 1) for j in range(i + 1, n + 1))
 
 
 @st.composite
@@ -187,6 +190,58 @@ class TestPredicate:
                 for p in w.basis:
                     for lower in range(m + 1):
                         assert is_quasiinvariant(p, lower)
+
+
+class TestStreamingPredicate:
+    """The predicate goes pair by pair and stops at the first failing one."""
+
+    # (m, p): p passes the pairs (1,2) and (1,3) and fails (2,3)
+    LAST_PAIR_ONLY = [
+        (1, MultiPoly(3, {(3, 0, 0): 1, (2, 0, 1): -3, (1, 2, 0): -3,
+                          (0, 3, 0): 2, (0, 2, 1): -3})),
+        (2, MultiPoly(3, {(5, 0, 0): 1, (4, 0, 1): -5, (3, 0, 2): 10,
+                          (2, 3, 0): 10, (1, 4, 0): -5, (0, 5, 0): 2,
+                          (0, 4, 1): -5, (0, 3, 2): 10})),
+    ]
+
+    @pytest.mark.parametrize("m, p", LAST_PAIR_ONLY)
+    def test_fails_only_at_the_last_pair(self, m, p):
+        assert [pair_divides(p, m, i, j) for i, j in ((1, 2), (1, 3), (2, 3))] == [
+            True, True, False]
+        assert not is_quasiinvariant(p, m)
+        assert is_quasiinvariant(p, m - 1) == qi_by_division(p, m - 1)
+
+    def test_stops_at_the_first_failing_pair(self, monkeypatch):
+        pairs = []
+        real = quasi._pair_terms
+
+        def spy(i, j, m, monomials):
+            pairs.append((i, j))
+            return real(i, j, m, monomials)
+
+        monkeypatch.setattr(quasi, "_pair_terms", spy)
+        assert not is_quasiinvariant(x(1, 4) ** 2 * x(3, 4), 1)
+        assert pairs == [(1, 2)]
+        pairs.clear()
+        assert not is_quasiinvariant(self.LAST_PAIR_ONLY[0][1], 1)
+        assert pairs == [(1, 2), (1, 3), (2, 3)]
+        pairs.clear()
+        assert is_quasiinvariant(elementary_symmetric(4, 2), 3)
+        assert len(pairs) == 6
+
+    def test_odd_rows_have_the_kernel_of_the_full_rows(self):
+        """The odd-power rows of x_i = c + u, x_j = c - u and the rows of
+        x_i = x_j + u at every u^0..u^2m give the same nullspace basis,
+        although the odd rows are fewer."""
+        for n in range(1, 5):
+            for m in range(4):
+                for d in range(9):
+                    monos = monomials_of_degree(n, d)
+                    rows = quasi._constraint_rows(n, m, monos)
+                    full = ref_constraint_rows(n, m, monos)
+                    assert len(rows) <= len(full)
+                    assert (integer_nullspace(rows, len(monos))
+                            == integer_nullspace(full, len(monos))), (n, m, d)
 
 
 class TestLinearAlgebra:

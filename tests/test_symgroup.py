@@ -210,6 +210,16 @@ class TestConvolution:
         with pytest.raises(ValueError):
             GroupAlgebraElem(3, {Perm.identity(2): 1})
 
+    def test_non_int_images_are_refused(self):
+        # 2.0 == 2, so a float image would pass a sort-only check and then
+        # break cycle_text()
+        for images in ([2.0, 1], [1, 2.0], [True, 2]):
+            with pytest.raises(ValueError, match="not a permutation"):
+                Perm(images)
+        with pytest.raises(ValueError, match="not inside"):
+            subgroup_perms(3, [1.0, 2])
+        assert Perm([2, 1]).cycle_text() == "(1,2)"
+
 
 def perm_maps(n):
     """{Perm: Fraction} maps over S_n: mixed denominators, negative

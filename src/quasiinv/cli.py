@@ -185,11 +185,7 @@ def cmd_apply(args) -> int:
     elif args.op == "delta2":
         from .quasi import delta_sq_embed
 
-        try:
-            image = delta_sq_embed(p, args.m)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        image = delta_sq_embed(p, args.m)
     else:
         raise ValueError(f"unknown op {args.op!r}")
     if args.format == "json":

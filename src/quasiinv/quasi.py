@@ -254,19 +254,22 @@ def integer_nullspace(rows, ncols):
             return basis
 
 
-def poly_rank(polys) -> int:
-    """Rank over Q of a list of MultiPoly values.
-
-    The kernel of the monomial-by-polynomial coefficient matrix is the space
-    of linear relations among the polynomials; each polynomial's column is
-    its integer numerators, which share one denominator.
+def poly_relations(polys):
+    """The ``integer_nullspace`` basis {k: int} of the kernel of the
+    monomial-by-polynomial coefficient matrix.  Column k holds the integer
+    numerators of polys[k], so a vector c says sum_k c_k den_k polys[k] = 0.
     """
-    polys = [p for p in polys if not p.is_zero()]
     rows = {}
     for k, p in enumerate(polys):
         for e, c in p.num.items():
             rows.setdefault(e, {})[k] = c
-    return len(polys) - len(integer_nullspace(list(rows.values()), len(polys)))
+    return integer_nullspace(list(rows.values()), len(polys))
+
+
+def poly_rank(polys) -> int:
+    """Rank over Q of a list of MultiPoly values."""
+    polys = [p for p in polys if not p.is_zero()]
+    return len(polys) - len(poly_relations(polys))
 
 
 # -- the oracle ------------------------------------------------------------

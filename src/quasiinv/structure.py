@@ -4,16 +4,16 @@ experiment.
 
 The graded dimension generating function of QI_m is assembled per shape
 from the exponents m(C(n,2) - content(shape)) + cocharge(T) and divided by
-prod (1 - q^i).  The characterization checks combine the oracle and the
+prod (1 - q^i).  The characterization checks join the oracle and the
 quasiinvariance predicate of ``quasi`` with the Young projectors of
-``tableaux``; membership in V_T^(2m+1) R is checked one same-column pair
-at a time, by the shift expansion of ``exactalg.shift_coefficients``.
+``tableaux`` and test both inclusions exactly: membership in V_T^(2m+1) R
+one same-column pair at a time, by ``exactalg.shift_coefficients``, and
+the reverse on a basis read off ``quasi.poly_relations``.
 """
 
 from __future__ import annotations
 
 import math
-import random
 
 from .exactalg import (
     MultiPoly,
@@ -29,8 +29,9 @@ from .quasi import (
     delta_sq_embed,
     graded_dimension_oracle,
     is_quasiinvariant,
+    monomials_of_degree,
     poly_rank,
-    random_homogeneous,
+    poly_relations,
 )
 from .tableaux import (
     Tableau,
@@ -141,34 +142,27 @@ def isotypic_dimension(witness: QIWitness, t: Tableau) -> int:
     return poly_rank([gamma_apply(t, b) for b in witness.basis])
 
 
-def theorem_main_checks(n: int, m: int, samples: int = 10, seed: int = 0) -> dict:
-    """Sampled verification of the two directions of the direct-sum
-    characterization of QI_m.
+def theorem_main_checks(n: int, m: int) -> dict:
+    """Exact check of both directions of the direct-sum characterization
+    of QI_m in every degree d <= min(mn + 2, degree cap).
 
-    (a) gamma_T projections of oracle witnesses of degree up to
-        min(mn + 2, degree cap) land in V_T^(2m+1) R and remain
+    (a) gamma_T images of oracle witnesses lie in V_T^(2m+1) R and are
         m-quasiinvariant.
-    (b) random gamma_T-fixed multiples of V_T^(2m+1) (filtered on
-        divisibility, which projection does not preserve automatically)
-        are m-quasiinvariant.
+    (b) V = V_T^(2m+1) has degree delta_T = (2m+1) (same-column pairs),
+        so V R meets R_d in V R_(d - delta_T), and gamma_T is idempotent,
+        so its image is its fixed space: the degree-d piece of gamma_T R
+        intersect V R is {V g : deg g = d - delta_T, gamma_T(V g) = V g}.
+        Each element of its basis, from the linear relations among
+        (gamma_T - 1)(V x^e) over the x^e of degree d - delta_T, must be
+        m-quasiinvariant.  V is built only when delta_T <= max degree.
+
+    So (b) puts gamma_T R_d intersect V R inside QI_m intersect gamma_T R,
+    where it is its own gamma_T image and so lies in gamma_T(QI_m,d); with
+    (a), the two are equal in every degree checked.
     """
-    rng = random.Random(seed)
     max_degree = min(degree_cap(), m * n + 2)
-    all_t = [
-        t
-        for shape in partitions_of(n)
-        for t in standard_tableaux(shape)
-    ]
-    report = {
-        "n": n,
-        "m": m,
-        "seed": seed,
-        "samples": samples,
-        "checked_a": 0,
-        "checked_b": 0,
-        "failures": [],
-    }
-    vt_pow = {}  # V_T^(2m+1), built for the tableaux the samples draw
+    all_t = [t for shape in partitions_of(n) for t in standard_tableaux(shape)]
+    report = {"n": n, "m": m, "checked_a": 0, "checked_b": 0, "failures": []}
     for d in range(max_degree + 1):
         witness = graded_dimension_oracle(n, m, d)
         for q in witness.basis:
@@ -181,21 +175,21 @@ def theorem_main_checks(n: int, m: int, samples: int = 10, seed: int = 0) -> dic
                     report["failures"].append(("a:divisibility", d, t.rows))
                 elif not is_quasiinvariant(image, m):
                     report["failures"].append(("a:quasiinvariance", d, t.rows))
-    produced = 0
-    attempts = 0
-    while produced < samples and attempts < 20 * samples:
-        attempts += 1
-        t = all_t[rng.randrange(len(all_t))]
-        p0 = random_homogeneous(rng, n, rng.randrange(0, 3))
-        if t not in vt_pow:
-            vt_pow[t] = v_t(t) ** (2 * m + 1)
-        w = gamma_apply(t, vt_pow[t] * p0)
-        if w.is_zero() or not _in_vt_ideal(w, t, m):
+    for t in all_t:
+        delta = (2 * m + 1) * len(t.same_column_pairs())
+        if delta > max_degree:
             continue
-        produced += 1
-        report["checked_b"] += 1
-        if not is_quasiinvariant(w, m):
-            report["failures"].append(("b:quasiinvariance", w.degree(), t.rows))
+        vt_pow = v_t(t) ** (2 * m + 1)
+        for d in range(delta, max_degree + 1):
+            monomials = monomials_of_degree(n, d - delta)
+            multiples = [vt_pow * MultiPoly._from_int(n, {e: 1}) for e in monomials]
+            moved = [gamma_apply(t, p) - p for p in multiples]
+            for c in poly_relations(moved):
+                g = MultiPoly._from_int(
+                    n, {monomials[k]: v * moved[k].den for k, v in c.items()})
+                report["checked_b"] += 1
+                if not is_quasiinvariant(vt_pow * g, m):
+                    report["failures"].append(("b:quasiinvariance", d, t.rows))
     report["passed"] = not report["failures"]
     return report
 

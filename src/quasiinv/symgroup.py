@@ -143,8 +143,9 @@ class Perm:
 
 
 def parse_cycles(text: str, n: int) -> Perm:
-    """Parse cycle notation like "(1,2)(3,4)" or "1" (identity)."""
-    text = text.strip().replace(" ", "")
+    """Parse cycle notation like "(1,2)(3,4)" or "1" (identity).  Entries
+    are ASCII digit runs with optional spaces around them; none is empty."""
+    text = text.strip()
     if text in ("1", "e", "id", ""):
         return Perm.identity(n)
     perm = Perm.identity(n)
@@ -160,10 +161,14 @@ def parse_cycles(text: str, n: int) -> Perm:
             if not depth:
                 raise ValueError("unbalanced parenthesis")
             depth = 0
-            cycles.append([int(v) for v in buf.split(",") if v])
+            entries = [v.strip(" ") for v in buf.split(",")]
+            if not all(v.isascii() and v.isdigit() for v in entries):
+                raise ValueError(f"cycle entries must be comma-separated "
+                                 f"integers, got ({buf})")
+            cycles.append([int(v) for v in entries])
         elif depth:
             buf += ch
-        else:
+        elif ch != " ":
             raise ValueError(f"unexpected character {ch!r} in cycle notation")
     if depth:
         raise ValueError("unbalanced parenthesis")

@@ -228,8 +228,11 @@ class TestApply:
         (("--op", "gamma", "--tableau", "[[1.5,2],[3]]"), "tableau rows"),
         (("--op", "gamma", "--shape", "2,1"), "needs --j"),
         (("--op", "gamma", "--shape", "2,1", "--j", "0"), "2 <= j <= n"),
+        (("--op", "perm", "--sigma", "(1 2)"), "comma-separated integers"),
+        (("--op", "perm", "--sigma", "()"), "comma-separated integers"),
     ], ids=["gamma-without-shape", "perm-without-sigma", "tableau-not-rows",
-            "tableau-float-entry", "hook-without-j", "hook-j0"])
+            "tableau-float-entry", "hook-without-j", "hook-j0", "sigma-space-in-entry",
+            "sigma-empty-cycle"])
     def test_missing_or_malformed_option(self, capsys, tmp_path, argv, text):
         path = write_poly(tmp_path, MultiPoly.variable(3, 1))
         assert_one_line_error(*run(capsys, "apply", "--in", path, *argv), text)
@@ -252,6 +255,11 @@ class TestApply:
         path = write_poly(tmp_path, MultiPoly.variable(3, 1))
         assert_one_line_error(*run(capsys, "apply", "--op", "perm", "--in", path,
                                    "--sigma", sigma), "unbalanced parenthesis")
+
+    def test_delta2_on_non_member_exits_2(self, capsys, tmp_path):
+        path = write_poly(tmp_path, MultiPoly.variable(2, 1))
+        code, out, err = run(capsys, "apply", "--op", "delta2", "--m", "1", "--in", path)
+        assert (code, out, err) == (2, "", "error: input is not m-quasiinvariant\n")
 
     @pytest.mark.parametrize("obj", [
         {"nvars": 2.9, "terms": [{"exp": [1.7, 0], "num": 2.5, "den": 1}]},

@@ -388,15 +388,42 @@ class TestDeltaSqEmbed:
 class TestMainCharacterization:
     def test_report_passes(self):
         for n, m in ((2, 1), (2, 2), (3, 1)):
-            report = theorem_main_checks(n, m, samples=4, seed=7)
+            report = theorem_main_checks(n, m)
             assert report["passed"], report["failures"]
             assert report["checked_a"] > 0
             assert report["checked_b"] > 0
 
-    def test_deterministic_given_seed(self):
-        a = theorem_main_checks(2, 1, samples=3, seed=11)
-        b = theorem_main_checks(2, 1, samples=3, seed=11)
+    def test_deterministic(self):
+        a = theorem_main_checks(2, 1)
+        b = theorem_main_checks(2, 1)
         assert a == b
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    def test_member_count_is_projected_oracle_rank(self, n, m):
+        # gamma_T R_d intersect V_T^(2m+1) R = gamma_T(QI_m,d), so part (b)
+        # checks exactly as many members as the projected witnesses span
+        max_degree = min(quasi.degree_cap(), m * n + 2)
+        expected = sum(
+            structure.isotypic_dimension(graded_dimension_oracle(n, m, d), t)
+            for d in range(max_degree + 1)
+            for shape in partitions_of(n)
+            for t in standard_tableaux(shape)
+        )
+        assert theorem_main_checks(n, m)["checked_b"] == expected
+
+    def test_hook_components_without_v_t_fail(self, monkeypatch):
+        # with V_T = 1 on the hook [n-1, 1], part (b) checks gamma_T-fixed
+        # polynomials that are not quasiinvariant, and must say so
+        def v_t_one_on_hooks(t):
+            if t.shape.parts == (t.n - 1, 1):
+                return MultiPoly.constant(t.n, 1)
+            return v_t(t)
+
+        monkeypatch.setattr(structure, "v_t", v_t_one_on_hooks)
+        report = theorem_main_checks(3, 1)
+        assert not report["passed"]
+        assert {kind for kind, _, _ in report["failures"]} == {"b:quasiinvariance"}
 
 
 class TestDegreeCap:

@@ -66,6 +66,25 @@ class TestPerm:
         with pytest.raises(ValueError, match="unbalanced parenthesis"):
             parse_cycles(text, 3)
 
+    @pytest.mark.parametrize("text, n, expected", [
+        ("(1, 2)", 3, [2, 1, 3]),
+        ("(1,2) (3,4)", 4, [2, 1, 4, 3]),
+        (" ( 1 ,2 , 3 ) ", 3, [2, 3, 1]),
+    ], ids=["space-after-comma", "space-between-cycles", "spaces-around-entries"])
+    def test_parse_cycles_spaces(self, text, n, expected):
+        assert parse_cycles(text, n) == Perm(expected)
+
+    @pytest.mark.parametrize("text, n", [
+        ("(1 2)", 12), ("(1 2)", 3), ("(1,,2)", 3), ("(,1,2,)", 3), ("()", 3),
+        ("(1,2)()", 3), ("(1,+2)", 3), ("(1,\u0662)", 3),
+    ], ids=["space-inside-entry-n12", "space-inside-entry-n3", "empty-entry",
+            "leading-trailing-comma", "empty-cycle", "trailing-empty-cycle",
+            "sign", "non-ascii-digit"])
+    def test_parse_cycles_malformed_entries(self, text, n):
+        # "(1 2)" must not read as the cycle (12), the identity at n = 12
+        with pytest.raises(ValueError, match="comma-separated integers"):
+            parse_cycles(text, n)
+
     def test_cycle_text_roundtrip(self):
         s = Perm([3, 1, 2, 5, 4])
         assert parse_cycles(s.cycle_text(), 5) == s

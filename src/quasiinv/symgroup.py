@@ -13,8 +13,16 @@ term and composes each left-hand key with it, and ``apply`` sums the
 images ``act`` gives on the polynomial's numerators.  The Fraction view
 ``terms`` is built only for output and inspection.  ``bracket`` builds
 each [U] and [U]' once per process; a bracket is also the telescoping
-product of ``telescoping_factors``, which is how ``tableaux.gamma_apply``
-applies the Young projector without expanding it.
+product of ``telescoping_factors``, so it can act without being expanded.
+
+One kernel, ``_apply_factors``, runs such factors (1 +- sum of
+transpositions) on a map {tuple: int}, and it serves two products.  The
+left action of (a b) on a polynomial swaps slots a and b of each exponent
+tuple, which is how ``tableaux.gamma_apply`` applies the Young projector.
+The right product by (a b) swaps the same two slots of each image tuple,
+since (x (a b))(a) = x(b) and (x (a b))(b) = x(a); ``times_brackets``
+multiplies a group-algebra element on the right by brackets that way, in
+O(k^2) transpositions per bracket rather than k! permutations.
 """
 
 from __future__ import annotations
@@ -315,6 +323,43 @@ def telescoping_factors(order):
     over an ordering u1..uk of a set U, first factor first.  The product is
     [U] with every sign +, and [U]' with every sign -."""
     return [[(order[s], order[t]) for s in range(t)] for t in range(1, len(order))]
+
+
+def _apply_factors(q: dict, factors) -> dict:
+    """Run each factor (1 + sign * sum of the transpositions ``pairs``) of
+    the ordered list ``factors`` of (pairs, sign) on {tuple: int}, first
+    factor first.  A transposition (a b) swaps slots a and b of every key:
+    on exponent tuples that is its action, on image tuples the right
+    product by it."""
+    for pairs, sign in factors:
+        out = dict(q)
+        get = out.get
+        for a, b in pairs:
+            a, b = a - 1, b - 1
+            for e, c in q.items():
+                if e[a] != e[b]:
+                    swapped = list(e)
+                    swapped[a], swapped[b] = e[b], e[a]
+                    e = tuple(swapped)
+                out[e] = get(e, 0) + sign * c
+        q = {e: c for e, c in out.items() if c}
+    return q
+
+
+def times_brackets(x: GroupAlgebraElem, brackets) -> GroupAlgebraElem:
+    """x [U_1] [U_2] ..., for ``brackets`` a list of (support, signed) and
+    [U]' in place of [U] where signed, without expanding a bracket: each
+    runs on x's numerators as its telescoping product, first factor first,
+    in O(|x| k^2) rather than O(|x| k!)."""
+    factors = []
+    for support, signed in brackets:
+        order = sorted(set(support))
+        if not order or any(type(s) is not int or not 1 <= s <= x.n for s in order):
+            raise ValueError(f"bracket support {order} not a nonempty subset "
+                             f"of 1..{x.n}")
+        sign = -1 if signed else 1
+        factors.extend((pairs, sign) for pairs in telescoping_factors(order))
+    return GroupAlgebraElem._from_int(x.n, _apply_factors(x.num, factors), x.den)
 
 
 def sn_factorization(order, signed: bool) -> GroupAlgebraElem:

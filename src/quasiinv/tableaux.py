@@ -5,8 +5,9 @@ group-algebra elements built from a column plus one cell to its right.
 gamma_T has two forms.  ``gamma`` expands it in Q S_n, for the algebra
 identities.  ``gamma_apply`` applies it to a polynomial in factored form:
 every bracket runs as its telescoping product of transpositions on integer
-coefficients, with the rational scale applied once, which is the path
-every projection of a polynomial in the package takes.
+coefficients (``symgroup``'s one transposition kernel), with the rational
+scale applied once, which is the path every projection of a polynomial in
+the package takes.
 
 Cell convention: (row i, column j), 1-based, with row 1 the longest row.
 Standardness: entries increase left-to-right along rows and top-to-bottom
@@ -26,6 +27,7 @@ from .exactalg import DimensionMismatch, MultiPoly
 from .symgroup import (
     GroupAlgebraElem,
     Perm,
+    _apply_factors,
     _check_group_size,
     bracket,
     telescoping_factors,
@@ -233,20 +235,6 @@ def gamma(t: Tableau) -> GroupAlgebraElem:
     return (col_antisymmetrizer(t) * row_symmetrizer(t)) * scale
 
 
-def _apply_factor(q: dict, pairs, sign: int) -> dict:
-    """(1 + sign * sum of the transpositions ``pairs``) on {exponent: int}."""
-    out = dict(q)
-    for a, b in pairs:
-        a, b = a - 1, b - 1
-        for e, c in q.items():
-            if e[a] != e[b]:
-                swapped = list(e)
-                swapped[a], swapped[b] = e[b], e[a]
-                e = tuple(swapped)
-            out[e] = out.get(e, 0) + sign * c
-    return {e: c for e, c in out.items() if c}
-
-
 @functools.cache
 def _projection_plan(t: Tableau):
     """What ``gamma_apply`` runs for ``t``, derived on the first projection
@@ -271,9 +259,7 @@ def gamma_apply(t: Tableau, p: MultiPoly) -> MultiPoly:
     factors, f, n_factorial = _projection_plan(t)
     if p.nvars != t.n:
         raise DimensionMismatch("polynomial nvars mismatch")
-    q = p.num
-    for pairs, sign in factors:
-        q = _apply_factor(q, pairs, sign)
+    q = _apply_factors(p.num, factors)
     return MultiPoly._from_int(t.n, {e: c * f for e, c in q.items()},
                                n_factorial * p.den)
 

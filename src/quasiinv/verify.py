@@ -7,7 +7,9 @@ one line per check.
 
 from __future__ import annotations
 
+import math
 import random
+from fractions import Fraction
 
 from . import SUITES
 from .calogero import NonPolynomialError, apply_lm, lm_eigen_check
@@ -34,7 +36,7 @@ from .structure import (
     isotypic_dimension,
     theorem_main_checks,
 )
-from .symgroup import GroupAlgebraElem, bracket, sn_factorization
+from .symgroup import GroupAlgebraElem, bracket, sn_factorization, times_brackets
 from .tableaux import (
     alpha,
     col_union_antisym,
@@ -42,13 +44,12 @@ from .tableaux import (
     gamma_apply,
     hook_tableau,
     partitions_of,
-    row_symmetrizer,
     standard_tableaux,
 )
 
-# The idempotence and factorization checks multiply expanded elements of
-# up to n! terms: on a 2-vCPU VM with Python 3.11, n = 6 takes about 2.6 s,
-# and n = 7 (with this cap raised) took 139 s.
+# gamma(t), the factorization line and the alpha products expand elements
+# of up to n! terms: on a 2-vCPU Xeon VM with Python 3.11, n = 6 takes
+# 0.5-0.6 s, and n = 7 (with this cap raised) took 7.8-10.6 s.
 GROUPALGEBRA_MAX_N = 6
 
 
@@ -89,13 +90,16 @@ def suite_groupalgebra(n: int, seed: int = 0, samples: int = 5):
     checked = 0
     ok = True
     for t in tableaux:
-        pt = row_symmetrizer(t)
+        # g g = g N(T) P(T) f_lambda / n! and [C_i + cell]' P(T) are right
+        # products by brackets, run on their telescoping factors unexpanded
+        rows = [(row, False) for row in t.rows]
         g = gamma(t)
-        if not (g * g == g):
+        scale = Fraction(t.shape.hook_length_count(), math.factorial(n))
+        if times_brackets(g, [(col, True) for col in t.columns] + rows) * scale != g:
             ok = False
         for i, cell in _column_cells(t):
             checked += 1
-            if not (col_union_antisym(t, i, cell) * pt).is_zero():
+            if not times_brackets(col_union_antisym(t, i, cell), rows).is_zero():
                 ok = False
             a = alpha(t, i, cell)
             if a * g != g:
@@ -216,16 +220,17 @@ def suite_chain(n: int, m: int):
 
 
 def run_suite(name: str, n: int, m: int, samples: int = 10, seed: int = 0):
-    """Run one suite, or every suite for ``all``.  Below n = 2 or one sample
-    some checks would run on nothing, and m < 0 names no ring, so such
-    requests are refused."""
+    """Run one suite, or every suite for ``all``.  Below n = 2, or below one
+    sample for ``groupalgebra`` (the only suite that draws samples), some
+    checks would run on nothing, and m < 0 names no ring, so such requests
+    are refused."""
     if n < 2:
         raise ValueError(f"verify needs n >= 2, got {n}")
     if m < 0:
         raise ValueError(f"verify needs m >= 0, got {m}")
-    if samples < 1:
-        raise ValueError(f"verify needs samples >= 1, got {samples}")
     if name == "groupalgebra":
+        if samples < 1:
+            raise ValueError(f"verify needs samples >= 1, got {samples}")
         return suite_groupalgebra(n, seed=seed, samples=samples)
     if name == "thm-main":
         return suite_thm_main(n, m)

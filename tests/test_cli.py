@@ -91,6 +91,12 @@ class TestVerify:
     def test_refuses_requests_that_check_nothing(self, capsys, argv, text):
         assert_one_line_error(*run(capsys, "verify", *argv), text)
 
+    def test_samples_ignored_by_suites_that_draw_none(self, capsys):
+        argv = ("verify", "--suite", "thm-main", "--n", "3")
+        plain = run(capsys, *argv)
+        assert plain[0] == 0
+        assert run(capsys, *argv, "--samples", "0") == plain
+
     @pytest.mark.parametrize("suite", ["thm-main", "all"])
     def test_refuses_negative_m(self, capsys, suite):
         assert_one_line_error(*run(capsys, "verify", "--suite", suite, "--n", "3",

@@ -57,6 +57,7 @@ COMMANDS = [
     "verify --suite groupalgebra --n 2 --seed 0",
     "verify --suite groupalgebra --n 3 --seed 2",
     "apply --op perm --sigma 1 --in {inputs}/mixed1.json",
+    "verify --suite groupalgebra --n 6 --seed 1",
 ]
 
 

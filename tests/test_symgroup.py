@@ -20,7 +20,9 @@ from quasiinv.symgroup import (
     parse_cycles,
     sn_factorization,
     subgroup_perms,
+    times_brackets,
 )
+from quasiinv.tableaux import gamma, partitions_of, standard_tableaux
 from reference import convolve, ref_add, ref_convolve, ref_scale
 
 
@@ -388,3 +390,62 @@ class TestFactorization:
             orderings.append(extra)
         for order in orderings:
             assert sn_factorization(order, signed) == target
+
+
+@st.composite
+def bracket_cases(draw):
+    """(x, brackets): x in Q S_n for n <= 5 and one or two (support,
+    signed) pairs, a support being any nonempty subset of 1..n."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    x = draw(elements(n))
+    support = st.sets(st.integers(1, n), min_size=1).map(sorted)
+    brackets = draw(st.lists(st.tuples(support, st.booleans()),
+                             min_size=1, max_size=2))
+    return x, brackets
+
+
+class TestTimesBrackets:
+    """``times_brackets`` multiplies on the right by brackets through their
+    telescoping factors: a transposition on the right swaps two slots of
+    each image tuple."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(bracket_cases())
+    def test_matches_expanded_product_and_reference(self, case):
+        x, brackets = case
+        expanded, terms = x, x.terms
+        for support, signed in brackets:
+            expanded = expanded * bracket(x.n, support, signed)
+            terms = ref_convolve(terms, bracket(x.n, support, signed).terms)
+        got = times_brackets(x, brackets)
+        assert got == expanded == GroupAlgebraElem(x.n, terms)
+
+    @pytest.mark.parametrize("signed", [False, True])
+    def test_non_commuting_right_factor(self, signed):
+        # (1,2,3) [ {1,2} ] differs from [ {1,2} ] (1,2,3): a left product
+        # in place of the right one changes the result
+        x = GroupAlgebraElem.from_perm(Perm([2, 3, 1]), Fraction(2, 3))
+        b = bracket(3, (1, 2), signed)
+        assert x * b != b * x
+        assert times_brackets(x, [((1, 2), signed)]) == x * b
+
+    def test_one_element_support_and_n_1(self):
+        x = GroupAlgebraElem(3, {Perm([3, 1, 2]): Fraction(-5, 4)})
+        assert times_brackets(x, [((2,), True)]) == x
+        one = GroupAlgebraElem.identity(1) * 7
+        assert times_brackets(one, [((1,), False), ((1,), True)]) == one
+
+    @pytest.mark.parametrize("support", [(), (0, 1), (1, 4), (1.0, 2)])
+    def test_refuses_supports_outside_1_to_n(self, support):
+        with pytest.raises(ValueError, match="not a nonempty subset of 1..3"):
+            times_brackets(GroupAlgebraElem.identity(3), [(support, True)])
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_gamma_squared_by_its_brackets(self, n):
+        for shape in partitions_of(n):
+            for t in standard_tableaux(shape):
+                g = gamma(t)
+                brackets = ([(col, True) for col in t.columns]
+                            + [(row, False) for row in t.rows])
+                scale = Fraction(shape.hook_length_count(), math.factorial(n))
+                assert times_brackets(g, brackets) * scale == g * g == g

@@ -18,11 +18,11 @@ product of ``telescoping_factors``, so it can act without being expanded.
 One kernel, ``_apply_factors``, runs such factors (1 +- sum of
 transpositions) on a map {tuple: int}, and it serves two products.  The
 left action of (a b) on a polynomial swaps slots a and b of each exponent
-tuple, which is how ``tableaux.gamma_apply`` applies the Young projector.
-The right product by (a b) swaps the same two slots of each image tuple,
-since (x (a b))(a) = x(b) and (x (a b))(b) = x(a); ``times_brackets``
-multiplies a group-algebra element on the right by brackets that way, in
-O(k^2) transpositions per bracket rather than k! permutations.
+tuple; the right product by (a b) swaps the same two slots of each image
+tuple, since (x (a b))(a) = x(b) and (x (a b))(b) = x(a).  So
+``times_brackets`` multiplies a group-algebra element on the right by
+brackets in O(k^2) transpositions per bracket rather than k! permutations,
+and ``tableaux`` runs the Young projector's factors both ways.
 """
 
 from __future__ import annotations
@@ -100,20 +100,8 @@ class Perm:
     __mul__ = compose
 
     def sign(self) -> int:
-        seen = [False] * self.n
-        sign = 1
-        for i in range(1, self.n + 1):
-            if seen[i - 1]:
-                continue
-            length = 0
-            j = i
-            while not seen[j - 1]:
-                seen[j - 1] = True
-                j = self(j)
-                length += 1
-            if length % 2 == 0:
-                sign = -sign
-        return sign
+        """A k-cycle is k - 1 transpositions."""
+        return (-1) ** sum(len(cycle) - 1 for cycle in self.cycles())
 
     def cycles(self):
         """Nontrivial cycles, each starting at its smallest element."""
@@ -349,35 +337,14 @@ def _apply_factors(q: dict, factors) -> dict:
 def times_brackets(x: GroupAlgebraElem, brackets) -> GroupAlgebraElem:
     """x [U_1] [U_2] ..., for ``brackets`` a list of (support, signed) and
     [U]' in place of [U] where signed, without expanding a bracket: each
-    runs on x's numerators as its telescoping product, first factor first,
-    in O(|x| k^2) rather than O(|x| k!)."""
+    runs on x's numerators as the telescoping product over its support in
+    the order given (repeats dropped), in O(|x| k^2) rather than O(|x| k!)."""
     factors = []
     for support, signed in brackets:
-        order = sorted(set(support))
+        order = list(dict.fromkeys(support))
         if not order or any(type(s) is not int or not 1 <= s <= x.n for s in order):
             raise ValueError(f"bracket support {order} not a nonempty subset "
                              f"of 1..{x.n}")
         sign = -1 if signed else 1
         factors.extend((pairs, sign) for pairs in telescoping_factors(order))
     return GroupAlgebraElem._from_int(x.n, _apply_factors(x.num, factors), x.den)
-
-
-def sn_factorization(order, signed: bool) -> GroupAlgebraElem:
-    """The telescoping product of ``telescoping_factors`` in Q S_n.
-
-    ``order`` must be a permutation of {1..n}; the product equals
-    [S_n] (unsigned) or [S_n]' (signed).
-    """
-    order = list(order)
-    n = len(order)
-    if sorted(order) != list(range(1, n + 1)):
-        raise ValueError(f"{order} is not an ordering of 1..{n}")
-    identity = tuple(range(1, n + 1))
-    sign = -1 if signed else 1
-    result = GroupAlgebraElem.identity(n)
-    for pairs in telescoping_factors(order):
-        factor = {identity: 1}
-        for a, b in pairs:
-            factor[Perm.transposition(n, a, b).images] = sign
-        result = result * GroupAlgebraElem._from_int(n, factor)
-    return result

@@ -1,12 +1,13 @@
-"""Partitions, standard Young tableaux, the row/column symmetrizers, the
-Young projector gamma_T, the column polynomial V_T, and the auxiliary
-group-algebra elements built from a column plus one cell to its right.
+"""Partitions, standard Young tableaux, the Young projector gamma_T, the
+column polynomial V_T, and the auxiliary group-algebra elements built from
+a column plus one cell to its right.
 
-gamma_T has two forms.  ``gamma`` expands it in Q S_n, for the algebra
-identities.  ``gamma_apply`` applies it to a polynomial in factored form:
-every bracket runs as its telescoping product of transpositions on integer
-coefficients (``symgroup``'s one transposition kernel), with the rational
-scale applied once, which is the path every projection of a polynomial in
+gamma_T = f_lambda [C_1]' ... [C_k]' [R_1] ... [R_l] / n! is written once,
+as one ordered list of telescoping factors (``_projection_plan``), and
+``symgroup``'s transposition kernel runs that list on integer
+coefficients with the rational scale applied once: forward on image tuples
+for ``gamma``, the expanded element in Q S_n, and reversed on exponent
+tuples for ``gamma_apply``, the path every projection of a polynomial in
 the package takes.
 
 Cell convention: (row i, column j), 1-based, with row 1 the longest row.
@@ -20,8 +21,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
-from fractions import Fraction
 
 from .exactalg import DimensionMismatch, MultiPoly
 from .symgroup import (
@@ -210,56 +209,43 @@ def cocharge(t: Tableau) -> int:
     return total
 
 
-def row_symmetrizer(t: Tableau) -> GroupAlgebraElem:
-    """P(T): product over rows of the unsigned bracket sums."""
-    return functools.reduce(operator.mul, [bracket(t.n, row, signed=False)
-                                           for row in t.rows])
-
-
-def col_antisymmetrizer(t: Tableau) -> GroupAlgebraElem:
-    """N(T): product over columns of the signed bracket sums."""
-    return functools.reduce(operator.mul, [bracket(t.n, col, signed=True)
-                                           for col in t.columns])
-
-
-def _check_projector(t: Tableau):
+@functools.cache
+def _projection_plan(t: Tableau):
+    """The telescoping factors (transpositions, sign) of gamma_T's brackets,
+    first factor first, with f_lambda and n!; derived on first use by ``t``
+    and then reused."""
     if not t.standard:
         raise ValueError("gamma requires a standard tableau")
     _check_group_size(t.n)
+    brackets = [(col, -1) for col in t.columns] + [(row, 1) for row in t.rows]
+    factors = tuple((tuple(pairs), sign) for support, sign in brackets
+                    for pairs in telescoping_factors(support))
+    return factors, t.shape.hook_length_count(), math.factorial(t.n)
+
+
+def _times_gamma(x: GroupAlgebraElem, t: Tableau) -> GroupAlgebraElem:
+    """x gamma_T: the plan's factors run forward on x's numerators as right
+    products (a transposition swaps two slots of each image tuple), and
+    f_lambda / n! is applied once at the end."""
+    factors, f, n_factorial = _projection_plan(t)
+    q = _apply_factors(x.num, factors)
+    return GroupAlgebraElem._from_int(t.n, {k: c * f for k, c in q.items()},
+                                      n_factorial * x.den)
 
 
 def gamma(t: Tableau) -> GroupAlgebraElem:
-    """The Young projector f_lambda * N(T) P(T) / n! (an idempotent)."""
-    _check_projector(t)
-    scale = Fraction(t.shape.hook_length_count(), math.factorial(t.n))
-    return (col_antisymmetrizer(t) * row_symmetrizer(t)) * scale
-
-
-@functools.cache
-def _projection_plan(t: Tableau):
-    """What ``gamma_apply`` runs for ``t``, derived on the first projection
-    by ``t`` and then reused: the telescoping factors (transpositions,
-    sign) in the order they act, f_lambda and n!."""
-    _check_projector(t)
-    brackets = [(row, 1) for row in t.rows] + [(col, -1) for col in t.columns]
-    factors = tuple((tuple(pairs), sign) for support, sign in brackets
-                    for pairs in reversed(telescoping_factors(support)))
-    return factors, t.shape.hook_length_count(), math.factorial(t.n)
+    """The Young projector f_lambda N(T) P(T) / n! (an idempotent)."""
+    return _times_gamma(GroupAlgebraElem.identity(t.n), t)
 
 
 def gamma_apply(t: Tableau, p: MultiPoly) -> MultiPoly:
     """gamma_T p, equal to gamma(t).apply(p) without expanding gamma_T.
-
-    The action is a left action, so gamma_T p = f_lambda N(T)(P(T) p) / n!:
-    each row bracket [R] and then each column bracket [C]' runs on p's
-    integer numerators as its telescoping product, last factor first
-    (O(k^2) transpositions rather than k! permutations), and
-    f_lambda / (n! den) is applied once at the end.
-    """
+    The action is a left action, so the plan runs reversed on p's integer
+    numerators: each row bracket [R], then each column bracket [C]'."""
     factors, f, n_factorial = _projection_plan(t)
     if p.nvars != t.n:
         raise DimensionMismatch("polynomial nvars mismatch")
-    q = _apply_factors(p.num, factors)
+    q = _apply_factors(p.num, reversed(factors))
     return MultiPoly._from_int(t.n, {e: c * f for e, c in q.items()},
                                n_factorial * p.den)
 

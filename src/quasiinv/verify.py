@@ -7,9 +7,7 @@ one line per check.
 
 from __future__ import annotations
 
-import math
 import random
-from fractions import Fraction
 
 from . import SUITES
 from .calogero import NonPolynomialError, apply_lm, lm_eigen_check
@@ -36,8 +34,9 @@ from .structure import (
     isotypic_dimension,
     theorem_main_checks,
 )
-from .symgroup import GroupAlgebraElem, bracket, sn_factorization, times_brackets
+from .symgroup import GroupAlgebraElem, bracket, times_brackets
 from .tableaux import (
+    _times_gamma,
     alpha,
     col_union_antisym,
     gamma,
@@ -65,7 +64,7 @@ def _column_cells(t):
             for k in range(1, len(col) + 1)]
 
 
-def suite_groupalgebra(n: int, seed: int = 0, samples: int = 5):
+def suite_groupalgebra(n: int, seed: int, samples: int):
     if n > GROUPALGEBRA_MAX_N:
         raise ResourceGuardError(
             f"groupalgebra limited to n <= {GROUPALGEBRA_MAX_N}, got {n}"
@@ -78,8 +77,9 @@ def suite_groupalgebra(n: int, seed: int = 0, samples: int = 5):
         order = list(range(1, n + 1))
         rng.shuffle(order)
         orderings.append(order)
+    one = GroupAlgebraElem.identity(n)
     ok = all(
-        sn_factorization(order, signed) == bracket(n, range(1, n + 1), signed)
+        times_brackets(one, [(order, signed)]) == bracket(n, range(1, n + 1), signed)
         for order in orderings
         for signed in (False, True)
     )
@@ -90,12 +90,11 @@ def suite_groupalgebra(n: int, seed: int = 0, samples: int = 5):
     checked = 0
     ok = True
     for t in tableaux:
-        # g g = g N(T) P(T) f_lambda / n! and [C_i + cell]' P(T) are right
-        # products by brackets, run on their telescoping factors unexpanded
+        # g g and [C_i + cell]' P(T) are right products by brackets, run on
+        # their telescoping factors unexpanded
         rows = [(row, False) for row in t.rows]
         g = gamma(t)
-        scale = Fraction(t.shape.hook_length_count(), math.factorial(n))
-        if times_brackets(g, [(col, True) for col in t.columns] + rows) * scale != g:
+        if _times_gamma(g, t) != g:
             ok = False
         for i, cell in _column_cells(t):
             checked += 1
@@ -106,7 +105,7 @@ def suite_groupalgebra(n: int, seed: int = 0, samples: int = 5):
                 ok = False
             # (1 - alpha) [C_i]' = [C_i union {cell}]'
             ci = bracket(n, t.columns[i - 1], signed=True)
-            lhs = (GroupAlgebraElem.identity(n) - a) * ci
+            lhs = (one - a) * ci
             if lhs != col_union_antisym(t, i, cell):
                 ok = False
     results.append(("Zero-product / alpha-invariance / gamma idempotence", ok,

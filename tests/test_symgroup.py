@@ -18,7 +18,6 @@ from quasiinv.symgroup import (
     act,
     bracket,
     parse_cycles,
-    sn_factorization,
     subgroup_perms,
     times_brackets,
 )
@@ -388,17 +387,19 @@ class TestFactorization:
             extra = list(range(1, n + 1))
             rng.shuffle(extra)
             orderings.append(extra)
+        one = GroupAlgebraElem.identity(n)
         for order in orderings:
-            assert sn_factorization(order, signed) == target
+            assert times_brackets(one, [(order, signed)]) == target
 
 
 @st.composite
 def bracket_cases(draw):
     """(x, brackets): x in Q S_n for n <= 5 and one or two (support,
-    signed) pairs, a support being any nonempty subset of 1..n."""
+    signed) pairs, a support being any nonempty list of entries of 1..n,
+    in any order and with repeats."""
     n = draw(st.integers(min_value=1, max_value=5))
     x = draw(elements(n))
-    support = st.sets(st.integers(1, n), min_size=1).map(sorted)
+    support = st.lists(st.integers(1, n), min_size=1, max_size=2 * n)
     brackets = draw(st.lists(st.tuples(support, st.booleans()),
                              min_size=1, max_size=2))
     return x, brackets
@@ -419,6 +420,8 @@ class TestTimesBrackets:
             terms = ref_convolve(terms, bracket(x.n, support, signed).terms)
         got = times_brackets(x, brackets)
         assert got == expanded == GroupAlgebraElem(x.n, terms)
+        as_sets = [(sorted(set(support)), signed) for support, signed in brackets]
+        assert got == times_brackets(x, as_sets)
 
     @pytest.mark.parametrize("signed", [False, True])
     def test_non_commuting_right_factor(self, signed):

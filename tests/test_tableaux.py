@@ -11,13 +11,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quasiinv.exactalg import DimensionMismatch, MultiPoly
-from quasiinv.symgroup import GroupAlgebraElem, act, bracket, subgroup_perms
+from quasiinv.symgroup import (
+    GroupAlgebraElem,
+    act,
+    bracket,
+    subgroup_perms,
+    times_brackets,
+)
 from quasiinv.tableaux import (
     Partition,
     Tableau,
     alpha,
     cocharge,
-    col_antisymmetrizer,
     col_union_antisym,
     content,
     f_lambda,
@@ -25,7 +30,6 @@ from quasiinv.tableaux import (
     gamma_apply,
     hook_tableau,
     partitions_of,
-    row_symmetrizer,
     standard_tableaux,
     v_t,
 )
@@ -187,12 +191,14 @@ class TestSymmetrizers:
         x1 = MultiPoly.variable(3, 1)
         x2 = MultiPoly.variable(3, 2)
         p = x1 * x2
-        f = row_symmetrizer(t)
+        f = times_brackets(GroupAlgebraElem.identity(3),
+                           [(row, False) for row in t.rows])
         assert f.apply(p) == p * 2  # unnormalized sum over the row group
 
     def test_col_antisymmetrizer_alternates(self):
         t = hook_tableau(3, 2)  # columns {1,2}
-        f = col_antisymmetrizer(t)
+        f = times_brackets(GroupAlgebraElem.identity(3),
+                           [(col, True) for col in t.columns])
         x1 = MultiPoly.variable(3, 1)
         x2 = MultiPoly.variable(3, 2)
         assert f.apply(x1) == x1 - x2
@@ -218,7 +224,9 @@ class TestSymmetrizers:
                 for b in tabs:
                     if a is b:
                         continue
-                    prod = col_antisymmetrizer(a) * row_symmetrizer(b)
+                    brackets = ([(col, True) for col in a.columns]
+                                + [(row, False) for row in b.rows])
+                    prod = times_brackets(GroupAlgebraElem.identity(a.n), brackets)
                     assert prod.is_zero()
 
     def test_alpha_fixes_gamma(self):

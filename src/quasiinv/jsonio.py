@@ -50,17 +50,15 @@ def poly_from_obj(obj: dict) -> MultiPoly:
     return MultiPoly(nvars, terms)
 
 
-def witness_to_obj(w: QIWitness, seed: int | None = None) -> dict:
-    obj = {
+def witness_to_obj(w: QIWitness, seed: int) -> dict:
+    return {
         "n": w.n,
         "m": w.m,
         "degree": w.degree,
         "dimension": w.dimension,
         "basis": [poly_to_obj(p) for p in w.basis],
+        "seed": seed,
     }
-    if seed is not None:
-        obj["seed"] = seed
-    return obj
 
 
 def hilbert_report_to_obj(report: HilbertReport, oracle=None) -> dict:

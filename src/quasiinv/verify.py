@@ -139,7 +139,7 @@ def suite_groupalgebra(n: int, seed: int, samples: int):
 def suite_thm_main(n: int, m: int):
     report = theorem_main_checks(n, m)
     detail = (
-        f"n={n}, m={m}, {report['checked_a']} projected witnesses, "
+        f"n={n}, m={m}, {report['checked_dims']} (tableau, degree) dimensions, "
         f"{report['checked_b']} component members"
     )
     return [("Direct-sum characterization of QI_m", report["passed"], detail)]

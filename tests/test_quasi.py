@@ -390,7 +390,7 @@ class TestMainCharacterization:
         for n, m in ((2, 1), (2, 2), (3, 1)):
             report = theorem_main_checks(n, m)
             assert report["passed"], report["failures"]
-            assert report["checked_a"] > 0
+            assert report["checked_dims"] > 0
             assert report["checked_b"] > 0
 
     def test_deterministic(self):
@@ -401,8 +401,8 @@ class TestMainCharacterization:
     @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize("m", [0, 1, 2])
     def test_member_count_is_projected_oracle_rank(self, n, m):
-        # gamma_T R_d intersect V_T^(2m+1) R = gamma_T(QI_m,d), so part (b)
-        # checks exactly as many members as the projected witnesses span
+        # gamma_T R_d intersect V_T^(2m+1) R = gamma_T(QI_m,d), so the check
+        # tests exactly as many members as the projected witnesses span
         max_degree = min(quasi.degree_cap(), m * n + 2)
         expected = sum(
             structure.isotypic_dimension(graded_dimension_oracle(n, m, d), t)
@@ -413,8 +413,8 @@ class TestMainCharacterization:
         assert theorem_main_checks(n, m)["checked_b"] == expected
 
     def test_hook_components_without_v_t_fail(self, monkeypatch):
-        # with V_T = 1 on the hook [n-1, 1], part (b) checks gamma_T-fixed
-        # polynomials that are not quasiinvariant, and must say so
+        # with V_T = 1 on the hook [n-1, 1], B_d is all of gamma_T R_d: its
+        # members fail quasiinvariance and outnumber those of gamma_T(QI_m,d)
         def v_t_one_on_hooks(t):
             if t.shape.parts == (t.n - 1, 1):
                 return MultiPoly.constant(t.n, 1)
@@ -423,7 +423,38 @@ class TestMainCharacterization:
         monkeypatch.setattr(structure, "v_t", v_t_one_on_hooks)
         report = theorem_main_checks(3, 1)
         assert not report["passed"]
-        assert {kind for kind, _, _ in report["failures"]} == {"b:quasiinvariance"}
+        assert {kind for kind, _, _ in report["failures"]} == {
+            "b:quasiinvariance", "dimension"}
+
+    @pytest.mark.parametrize("n, m", [(3, 1), (3, 2), (4, 1)])
+    def test_hook_components_with_v_t_squared_fail(self, monkeypatch, n, m):
+        # V_T^2 on the hooks doubles delta_T, so B_d stays empty in degrees
+        # where gamma_T(QI_m) is not: only the dimension count sees it
+        def v_t_squared_on_hooks(t):
+            v = v_t(t)
+            return v * v if t.shape.parts == (t.n - 1, 1) else v
+
+        monkeypatch.setattr(structure, "v_t", v_t_squared_on_hooks)
+        report = theorem_main_checks(n, m)
+        assert not report["passed"]
+        assert {kind for kind, _, _ in report["failures"]} == {"dimension"}
+
+    @pytest.mark.parametrize("parts, n, m", [
+        ((2, 2), 4, 1), ((2, 2), 4, 2), ((3, 2), 5, 1)],
+        ids=["2,2-4-1", "2,2-4-2", "3,2-5-1"])
+    def test_non_hook_component_without_v_t_fails(self, monkeypatch, parts, n, m):
+        # gamma_T(QI_m) starts above the window for these shapes, so only a
+        # delta_T read off v_t itself lets the mutation reach a checked degree
+        def v_t_one_on_shape(t):
+            if t.shape.parts == parts:
+                return MultiPoly.constant(t.n, 1)
+            return v_t(t)
+
+        monkeypatch.setattr(structure, "v_t", v_t_one_on_shape)
+        report = theorem_main_checks(n, m)
+        assert not report["passed"]
+        assert {rows for _, _, rows in report["failures"]} <= {
+            t.rows for t in standard_tableaux(Partition(parts))}
 
 
 class TestDegreeCap:

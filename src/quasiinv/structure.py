@@ -7,10 +7,11 @@ from the exponents m(C(n,2) - content(shape)) + cocharge(T) and divided by
 prod (1 - q^i).  The characterization checks join the oracle and the
 quasiinvariance predicate of ``quasi`` with the Young projectors of
 ``tableaux``.  Membership in V_T^(2m+1) R is tested one same-column pair at
-a time, by ``exactalg.shift_coefficients``.  ``theorem_main_checks`` tests
-both inclusions by dimension and containment: a basis of
-gamma_T R_d intersect V_T^(2m+1) R, read off ``quasi.poly_relations``, is
-quasiinvariant and as large as the gamma_T image of the oracle's QI_m,d.
+a time, by ``exactalg.shift_coefficients``.  ``theorem_main_checks`` checks
+the direct sum degree by degree: the bases of
+gamma_T R_d intersect V_T^(2m+1) R over all standard T, read off
+``quasi.poly_relations``, are quasiinvariant, and together they are
+independent and dim QI_m,d in number.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .exactalg import (
     vandermonde,
 )
 from .quasi import (
-    QIWitness,
     ResourceGuardError,
     degree_cap,
     delta_sq_embed,
@@ -47,10 +47,6 @@ from .tableaux import (
 )
 
 HILBERT_MAX_N = 6
-
-
-class NegativeCoefficientError(AssertionError):
-    """A Hilbert series produced a negative coefficient."""
 
 
 class HilbertReport:
@@ -90,17 +86,11 @@ def full_hilbert(n: int, m: int, D: int) -> HilbertReport:
     for shape in partitions_of(n):
         tabs = standard_tableaux(shape)
         exponents = sorted(numerator_exponent(m, t) for t in tabs)
-        if len(exponents) != f_lambda(shape):
-            raise AssertionError("exponent multiset size mismatch")
         # each exponent counts f_lambda times, once per copy of the irreducible
-        series = series_expand(exponents * len(exponents), n, D)
-        if any(c < 0 for c in series):
-            raise NegativeCoefficientError(f"negative coefficient for shape {shape}")
+        series = series_expand(exponents * f_lambda(shape), n, D)
         shape_exponents.append((shape.parts, tuple(exponents)))
         per_shape.append((shape.parts, series))
         total = [a + b for a, b in zip(total, series)]
-    if any(c < 0 for c in total):
-        raise NegativeCoefficientError("negative coefficient in total series")
     return HilbertReport(
         n=n,
         m=m,
@@ -137,58 +127,53 @@ def _in_vt_ideal(p: MultiPoly, t: Tableau, m: int) -> bool:
     )
 
 
-def isotypic_dimension(witness: QIWitness, t: Tableau) -> int:
-    """Rank over Q of the gamma_T images of the witness basis."""
-    if t.n != witness.n:
-        raise ValueError("tableau size mismatch")
-    return poly_rank([gamma_apply(t, b) for b in witness.basis])
-
-
 def theorem_main_checks(n: int, m: int) -> dict:
-    """Exact check of the direct-sum characterization of QI_m in every
-    degree d <= min(mn + 2, degree cap), by dimension and containment.
+    """Exact check of QI_m = (+)_T gamma_T R intersect V_T^(2m+1) R, over
+    the standard tableaux T, in every degree d <= min(mn + 2, degree cap).
 
-    For each standard T put V = V_T^(2m+1), of degree delta_T =
-    (2m+1) deg V_T, read off ``v_t`` itself.  V R meets R_d in
-    V R_(d - delta_T), and gamma_T is idempotent, so its image is its fixed
-    space: the degree-d piece of gamma_T R intersect V R is
-    {V g : deg g = d - delta_T, gamma_T(V g) = V g}.  Its basis B_d is read
-    off the linear relations among (gamma_T - 1)(V x^e) over the x^e of
-    degree d - delta_T, and is empty when d < delta_T; V is built only
-    when delta_T <= the top degree.  Two checks per (T, d):
-
-    - every member of B_d is m-quasiinvariant (``b:quasiinvariance``);
-    - |B_d| equals ``isotypic_dimension`` of the degree-d oracle witness,
-      the dimension of A_d = gamma_T(QI_m,d) (``dimension``).
-
-    B_d is gamma_T-fixed and quasiinvariant, so B_d lies in
-    QI_m intersect gamma_T R = A_d.  Its members are independent, so equal
-    dimensions give A_d = span B_d: both inclusions in degree d.
+    For each T put V = V_T^(2m+1), of degree delta_T = (2m+1) deg V_T,
+    read off ``v_t`` itself and built only when delta_T <= the top degree.
+    V R meets R_d in V R_(d - delta_T), and gamma_T is idempotent, so its
+    image is its fixed space: the degree-d piece of gamma_T R intersect V R
+    has the basis B_d(T) read off the linear relations among
+    (gamma_T - 1)(V x^e) over the x^e of degree d - delta_T (empty when
+    d < delta_T).  Every member is checked m-quasiinvariant
+    (``b:quasiinvariance``), so the union of the B_d(T) lies in QI_m,d.
+    Once per degree the union must have dim QI_m,d members, read off the
+    oracle, and that rank (``dimension``); then
+    QI_m,d = (+)_T span B_d(T), the theorem in degree d.  Each B_d(T) is
+    gamma_T-fixed, so it lies in gamma_T(QI_m,d); those dimensions sum to
+    dim QI_m,d (the ``groupalgebra`` rank-sum line), so
+    span B_d(T) = gamma_T(QI_m,d) for each T as well.
     """
     max_degree = min(degree_cap(), m * n + 2)
-    witnesses = [graded_dimension_oracle(n, m, d) for d in range(max_degree + 1)]
-    all_t = [t for shape in partitions_of(n) for t in standard_tableaux(shape)]
+    components = []
+    for shape in partitions_of(n):
+        for t in standard_tableaux(shape):
+            vt = v_t(t)
+            delta = (2 * m + 1) * vt.degree()
+            vt_pow = vt ** (2 * m + 1) if delta <= max_degree else None
+            components.append((t, vt_pow, delta))
     report = {"n": n, "m": m, "checked_dims": 0, "checked_b": 0, "failures": []}
-    for t in all_t:
-        vt = v_t(t)
-        delta = (2 * m + 1) * vt.degree()
-        vt_pow = vt ** (2 * m + 1) if delta <= max_degree else None
-        for d, witness in enumerate(witnesses):
-            members = 0
-            if d >= delta:
-                monomials = monomials_of_degree(n, d - delta)
-                multiples = [vt_pow * MultiPoly._from_int(n, {e: 1}) for e in monomials]
-                moved = [gamma_apply(t, p) - p for p in multiples]
-                for c in poly_relations(moved):
-                    g = MultiPoly._from_int(
-                        n, {monomials[k]: v * moved[k].den for k, v in c.items()})
-                    members += 1
-                    if not is_quasiinvariant(vt_pow * g, m):
-                        report["failures"].append(("b:quasiinvariance", d, t.rows))
-            report["checked_b"] += members
-            report["checked_dims"] += 1
-            if members != isotypic_dimension(witness, t):
-                report["failures"].append(("dimension", d, t.rows))
+    for d in range(max_degree + 1):
+        members = []
+        for t, vt_pow, delta in components:
+            if d < delta:
+                continue
+            monomials = monomials_of_degree(n, d - delta)
+            multiples = [vt_pow * MultiPoly._from_int(n, {e: 1}) for e in monomials]
+            moved = [gamma_apply(t, p) - p for p in multiples]
+            for c in poly_relations(moved):
+                g = MultiPoly._from_int(
+                    n, {monomials[k]: v * moved[k].den for k, v in c.items()})
+                members.append(vt_pow * g)
+                if not is_quasiinvariant(members[-1], m):
+                    report["failures"].append(("b:quasiinvariance", d, t.rows))
+        report["checked_b"] += len(members)
+        report["checked_dims"] += 1
+        dim = graded_dimension_oracle(n, m, d).dimension
+        if not len(members) == dim == poly_rank(members):
+            report["failures"].append(("dimension", d, None))
     report["passed"] = not report["failures"]
     return report
 
@@ -201,7 +186,8 @@ def hook_quotient_dimension(n: int, m: int, d: int, t: Tableau) -> int:
     (QI_m)_{d-i}); freeness over the symmetric functions makes the second
     span the ideal's degree-d piece.
     """
-    top = isotypic_dimension(graded_dimension_oracle(n, m, d), t)
+    top = poly_rank([gamma_apply(t, b)
+                     for b in graded_dimension_oracle(n, m, d).basis])
     ideal_images = []
     for i in range(1, min(n, d) + 1):
         e_i = elementary_symmetric(n, i)

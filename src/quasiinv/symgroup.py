@@ -180,17 +180,13 @@ def parse_cycles(text: str, n: int) -> Perm:
     return perm
 
 
-def _check_group_size(n: int):
-    if n > MAX_GROUP_N:
-        raise ValueError(f"group enumeration limited to n <= {MAX_GROUP_N}")
-
-
 def subgroup_perms(n: int, support):
     """All permutations of 1..n fixing the complement of ``support``."""
     support = sorted(set(support))
     if any(type(s) is not int or not 1 <= s <= n for s in support):
         raise ValueError(f"support {support} not inside 1..{n}")
-    _check_group_size(n)
+    if n > MAX_GROUP_N:
+        raise ValueError(f"group enumeration limited to n <= {MAX_GROUP_N}")
     out = []
     for arrangement in permutations(support):
         images = list(range(1, n + 1))

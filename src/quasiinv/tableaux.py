@@ -24,10 +24,10 @@ import math
 
 from .exactalg import DimensionMismatch, MultiPoly
 from .symgroup import (
+    MAX_GROUP_N,
     GroupAlgebraElem,
     Perm,
     _apply_factors,
-    _check_group_size,
     bracket,
     telescoping_factors,
 )
@@ -213,10 +213,15 @@ def cocharge(t: Tableau) -> int:
 def _projection_plan(t: Tableau):
     """The telescoping factors (transpositions, sign) of gamma_T's brackets,
     first factor first, with f_lambda and n!; derived on first use by ``t``
-    and then reused."""
+    and then reused.  Its cost per input term grows with
+    |R(T)| |C(T)| = prod lambda_i! prod lambda'_j!, which is refused above
+    MAX_GROUP_N!, the largest it reaches at n <= MAX_GROUP_N."""
     if not t.standard:
         raise ValueError("gamma requires a standard tableau")
-    _check_group_size(t.n)
+    cost = math.prod(math.factorial(len(s)) for s in t.rows + t.columns)
+    bound = math.factorial(MAX_GROUP_N)
+    if cost > bound:
+        raise ValueError(f"gamma limited to |R(T)| |C(T)| <= {bound}, got {cost}")
     brackets = [(col, -1) for col in t.columns] + [(row, 1) for row in t.rows]
     factors = tuple((tuple(pairs), sign) for support, sign in brackets
                     for pairs in telescoping_factors(support))

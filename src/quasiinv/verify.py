@@ -24,6 +24,7 @@ from .quasi import (
     ResourceGuardError,
     graded_dimension_oracle,
     is_quasiinvariant,
+    poly_rank,
     random_homogeneous,
 )
 from .structure import (
@@ -31,7 +32,6 @@ from .structure import (
     delta_sq_chain_check,
     det_degree,
     in_gamma_component,
-    isotypic_dimension,
     theorem_main_checks,
 )
 from .symgroup import GroupAlgebraElem, bracket, times_brackets
@@ -128,7 +128,8 @@ def suite_groupalgebra(n: int, seed: int, samples: int):
         for m in (0, 1):
             for d in range(4):
                 w = graded_dimension_oracle(n, m, d)
-                total = sum(isotypic_dimension(w, t) for t in tableaux)
+                total = sum(poly_rank([gamma_apply(t, b) for b in w.basis])
+                            for t in tableaux)
                 if total != w.dimension:
                     ok = False
         results.append(("Projector rank-sum decomposition", ok,
@@ -139,7 +140,7 @@ def suite_groupalgebra(n: int, seed: int, samples: int):
 def suite_thm_main(n: int, m: int):
     report = theorem_main_checks(n, m)
     detail = (
-        f"n={n}, m={m}, {report['checked_dims']} (tableau, degree) dimensions, "
+        f"n={n}, m={m}, {report['checked_dims']} degrees, "
         f"{report['checked_b']} component members"
     )
     return [("Direct-sum characterization of QI_m", report["passed"], detail)]

@@ -197,7 +197,21 @@ class TestApply:
         path = write_poly(tmp_path, MultiPoly.variable(9, 1))
         assert_one_line_error(*run(capsys, "apply", "--op", "gamma", "--in", path,
                                    "--tableau", "[[1,2,3,4,5,6,7,8],[9]]"),
-                              "group enumeration limited to n <= 8")
+                              "gamma limited to |R(T)| |C(T)| <= 40320, got 80640")
+
+    def test_gamma_nine_variables_within_bound(self, capsys, tmp_path):
+        # shape [4, 3, 2]: |R(T)| |C(T)| = 4! 3! 2! 3! 3! 2! 1! = 20736
+        from quasiinv.tableaux import Tableau, gamma
+
+        p = MultiPoly(9, {(0, 0, 0, 0, 1, 1, 1, 2, 2): 3,
+                          (0, 1, 0, 0, 1, 0, 1, 2, 2): Fraction(-1, 2)})
+        path = write_poly(tmp_path, p)
+        code, out, _ = run(capsys, "apply", "--op", "gamma", "--in", path,
+                           "--tableau", "[[1,2,3,4],[5,6,7],[8,9]]")
+        assert code == 0
+        image = jsonio.poly_from_obj(json.loads(out))
+        assert not image.is_zero()
+        assert image == gamma(Tableau([[1, 2, 3, 4], [5, 6, 7], [8, 9]])).apply(p)
 
     def test_lm_non_polynomial_diagnostic(self, capsys, tmp_path):
         p = MultiPoly.variable(2, 1)

@@ -25,6 +25,8 @@ from quasiinv.structure import in_gamma_component, theorem_main_checks
 from quasiinv.symgroup import Perm, act
 from quasiinv.tableaux import (
     Partition,
+    f_lambda,
+    gamma_apply,
     hook_tableau,
     partitions_of,
     standard_tableaux,
@@ -405,7 +407,8 @@ class TestMainCharacterization:
         # tests exactly as many members as the projected witnesses span
         max_degree = min(quasi.degree_cap(), m * n + 2)
         expected = sum(
-            structure.isotypic_dimension(graded_dimension_oracle(n, m, d), t)
+            poly_rank([gamma_apply(t, b)
+                       for b in graded_dimension_oracle(n, m, d).basis])
             for d in range(max_degree + 1)
             for shape in partitions_of(n)
             for t in standard_tableaux(shape)
@@ -453,8 +456,23 @@ class TestMainCharacterization:
         monkeypatch.setattr(structure, "v_t", v_t_one_on_shape)
         report = theorem_main_checks(n, m)
         assert not report["passed"]
-        assert {rows for _, _, rows in report["failures"]} <= {
+        named = {kind: {rows for k, _, rows in report["failures"] if k == kind}
+                 for kind in ("b:quasiinvariance", "dimension")}
+        assert named["b:quasiinvariance"] <= {
             t.rows for t in standard_tableaux(Partition(parts))}
+        assert named["dimension"] <= {None}
+
+    @pytest.mark.parametrize("n, m", [(3, 1), (4, 1), (5, 1)])
+    def test_repeated_tableau_fails(self, monkeypatch, n, m):
+        # f_lambda copies of one tableau per shape give components of the
+        # right total size that overlap: only the rank of their union sees it
+        def first_tableau_repeated(shape):
+            return [standard_tableaux(shape)[0]] * f_lambda(shape)
+
+        monkeypatch.setattr(structure, "standard_tableaux", first_tableau_repeated)
+        report = theorem_main_checks(n, m)
+        assert not report["passed"]
+        assert {kind for kind, _, _ in report["failures"]} == {"dimension"}
 
 
 class TestDegreeCap:

@@ -278,7 +278,8 @@ class TestGammaApply:
     def test_refusals(self):
         with pytest.raises(ValueError, match="^gamma requires a standard tableau$"):
             gamma_apply(Tableau([(2, 1), (3,)]), MultiPoly.variable(3, 1))
-        with pytest.raises(ValueError, match="^group enumeration limited to n <= 8$"):
+        with pytest.raises(ValueError, match=r"^gamma limited to \|R\(T\)\| \|C\(T\)\| "
+                                             r"<= 40320, got 80640$"):
             gamma_apply(Tableau([tuple(range(1, 9)), (9,)]), MultiPoly.variable(9, 1))
         with pytest.raises(DimensionMismatch):
             gamma_apply(hook_tableau(3, 2), MultiPoly.variable(4, 1))

@@ -15,9 +15,11 @@ projectors, are in ``structure``.
 
 The one linear-algebra core behind the oracle and ``poly_rank`` finds the
 pivot pattern by sparse elimination modulo a 61-bit prime, lifts the
-reduced kernel basis to Q by rational reconstruction, and returns it only
-after checking every vector exactly against the integer rows; a failed lift
-or check brings in further primes, never a guess.
+reduced kernel basis to Q by rational reconstruction, on int pairs
+(numerator, denominator) scaled to a primitive integer vector by the lcm of
+the denominators, and returns it only after checking every vector exactly
+against the integer rows; a failed lift or check brings in further primes,
+never a guess.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from __future__ import annotations
 import functools
 import math
 import os
-from fractions import Fraction
 
 from .exactalg import MultiPoly, vandermonde
 
@@ -166,7 +167,10 @@ def _kernel_mod(reduced, ncols, p):
 
 def _rational(a: int, modulus: int):
     """The fraction n/d with |n|, d <= sqrt(modulus / 2) and n = a d mod
-    modulus, or None when there is none (Wang's reconstruction)."""
+    modulus, as the int pair (n, d) with d > 0, or None when there is none
+    (Wang's reconstruction).  The pair is in lowest terms: the remainder
+    and cofactor of the extended Euclidean step share only divisors of the
+    modulus, and the cofactor is checked coprime to it."""
     bound = math.isqrt(modulus // 2)
     r0, r1 = modulus, a % modulus
     s0, s1 = 0, 1
@@ -176,23 +180,25 @@ def _rational(a: int, modulus: int):
         s0, s1 = s1, s0 - q * s1
     if s1 == 0 or abs(s1) > bound or math.gcd(s1, modulus) != 1:
         return None
-    return Fraction(r1, s1)
+    return (-r1, -s1) if s1 < 0 else (r1, s1)
 
 
 def _lift(kernel, modulus):
     """Primitive integer vectors with a positive lead entry, one per kernel
-    residue vector, or None when a rational reconstruction fails."""
+    residue vector, or None when a rational reconstruction fails.  Each
+    vector is scaled by the lcm of its denominators on ints."""
     basis = []
     for residues in kernel.values():
-        vec = {c: _rational(residues[c], modulus) for c in sorted(residues)}
-        if any(x is None for x in vec.values()):
+        cols = sorted(residues)
+        pairs = [_rational(residues[c], modulus) for c in cols]
+        if None in pairs:
             return None
-        scale = math.lcm(*(x.denominator for x in vec.values()))
-        ints = {c: int(x * scale) for c, x in vec.items()}
-        g = math.gcd(*ints.values())
-        if ints[min(ints)] < 0:
+        scale = math.lcm(*(d for _, d in pairs))
+        ints = [num * (scale // d) for num, d in pairs]
+        g = math.gcd(*ints)
+        if ints[0] < 0:
             g = -g
-        basis.append({c: x // g for c, x in ints.items()})
+        basis.append({c: x // g for c, x in zip(cols, ints)})
     return basis
 
 

@@ -41,6 +41,7 @@ from .tableaux import (
     content,
     f_lambda,
     gamma_apply,
+    gamma_images,
     partitions_of,
     standard_tableaux,
     v_t,
@@ -162,7 +163,7 @@ def theorem_main_checks(n: int, m: int) -> dict:
                 continue
             monomials = monomials_of_degree(n, d - delta)
             multiples = [vt_pow * MultiPoly._from_int(n, {e: 1}) for e in monomials]
-            moved = [gamma_apply(t, p) - p for p in multiples]
+            moved = [g - p for g, p in zip(gamma_images(t, multiples), multiples)]
             for c in poly_relations(moved):
                 g = MultiPoly._from_int(
                     n, {monomials[k]: v * moved[k].den for k, v in c.items()})
@@ -186,14 +187,12 @@ def hook_quotient_dimension(n: int, m: int, d: int, t: Tableau) -> int:
     (QI_m)_{d-i}); freeness over the symmetric functions makes the second
     span the ideal's degree-d piece.
     """
-    top = poly_rank([gamma_apply(t, b)
-                     for b in graded_dimension_oracle(n, m, d).basis])
-    ideal_images = []
+    top = poly_rank(gamma_images(t, graded_dimension_oracle(n, m, d).basis))
+    ideal = []
     for i in range(1, min(n, d) + 1):
         e_i = elementary_symmetric(n, i)
-        for b in graded_dimension_oracle(n, m, d - i).basis:
-            ideal_images.append(gamma_apply(t, e_i * b))
-    return top - poly_rank(ideal_images)
+        ideal.extend(e_i * b for b in graded_dimension_oracle(n, m, d - i).basis)
+    return top - poly_rank(gamma_images(t, ideal))
 
 
 def det_degree(n: int) -> int:

@@ -7,8 +7,10 @@ as one ordered list of telescoping factors (``_projection_plan``), and
 ``symgroup``'s transposition kernel runs that list on integer
 coefficients with the rational scale applied once: forward on image tuples
 for ``gamma``, the expanded element in Q S_n, and reversed on exponent
-tuples for ``gamma_apply``, the path every projection of a polynomial in
-the package takes.
+tuples for ``gamma_images``, the path every projection of a polynomial in
+the package takes.  It projects a whole list of polynomials in one kernel
+run, their numerators stacked in one map with each polynomial's index as
+an extra slot of its exponent tuples; ``gamma_apply`` is its one-item case.
 
 Cell convention: (row i, column j), 1-based, with row 1 the longest row.
 Standardness: entries increase left-to-right along rows and top-to-bottom
@@ -243,16 +245,33 @@ def gamma(t: Tableau) -> GroupAlgebraElem:
     return _times_gamma(GroupAlgebraElem.identity(t.n), t)
 
 
-def gamma_apply(t: Tableau, p: MultiPoly) -> MultiPoly:
-    """gamma_T p, equal to gamma(t).apply(p) without expanding gamma_T.
-    The action is a left action, so the plan runs reversed on p's integer
-    numerators: each row bracket [R], then each column bracket [C]'."""
+def gamma_images(t: Tableau, polys) -> list:
+    """[gamma_T p for p in polys], in one run of the plan.  The action is a
+    left action, so the plan runs reversed on integer numerators: each row
+    bracket [R], then each column bracket [C]'.  The numerators of the
+    whole list are stacked in one map, each exponent tuple carrying its
+    polynomial's index as one more slot; no transposition touches that
+    slot, so one kernel run projects every polynomial, and the result
+    splits back by it, each over its own denominator."""
     factors, f, n_factorial = _projection_plan(t)
-    if p.nvars != t.n:
-        raise DimensionMismatch("polynomial nvars mismatch")
-    q = _apply_factors(p.num, reversed(factors))
-    return MultiPoly._from_int(t.n, {e: c * f for e, c in q.items()},
-                               n_factorial * p.den)
+    polys = list(polys)
+    stacked = {}
+    for k, p in enumerate(polys):
+        if p.nvars != t.n:
+            raise DimensionMismatch("polynomial nvars mismatch")
+        tag = (k,)
+        for e, c in p.num.items():
+            stacked[e + tag] = c
+    split = [{} for _ in polys]
+    for e, c in _apply_factors(stacked, reversed(factors)).items():
+        split[e[-1]][e[:-1]] = c * f
+    return [MultiPoly._from_int(t.n, num, n_factorial * p.den)
+            for num, p in zip(split, polys)]
+
+
+def gamma_apply(t: Tableau, p: MultiPoly) -> MultiPoly:
+    """gamma_T p, equal to gamma(t).apply(p) without expanding gamma_T."""
+    return gamma_images(t, [p])[0]
 
 
 def v_t(t: Tableau) -> MultiPoly:

@@ -2,49 +2,13 @@
 
 Each suite returns a list of (name, passed, detail) triples with
 deterministic content for a fixed (flags, seed) pair; the CLI renders them
-one line per check.
+one line per check.  Each suite imports the layers it checks when it runs,
+so a ``verify`` command loads only the modules of its suite.
 """
 
 from __future__ import annotations
 
-import random
-
 from . import SUITES
-from .calogero import NonPolynomialError, apply_lm, lm_eigen_check
-from .exactalg import MultiPoly, elementary_symmetric
-from .hookbasis import (
-    HookSpec,
-    lowest_quotient,
-    lowest_quotient_rhs,
-    q_closed_form,
-    q_integral,
-    recursion_residual,
-)
-from .quasi import (
-    ResourceGuardError,
-    graded_dimension_oracle,
-    is_quasiinvariant,
-    poly_rank,
-    random_homogeneous,
-)
-from .structure import (
-    change_of_basis_n2,
-    delta_sq_chain_check,
-    det_degree,
-    in_gamma_component,
-    theorem_main_checks,
-)
-from .symgroup import GroupAlgebraElem, bracket, times_brackets
-from .tableaux import (
-    _times_gamma,
-    alpha,
-    col_union_antisym,
-    gamma,
-    gamma_apply,
-    hook_tableau,
-    partitions_of,
-    standard_tableaux,
-)
 
 # gamma(t), the factorization line and the alpha products expand elements
 # of up to n! terms: on a 2-vCPU Xeon VM with Python 3.11, n = 6 takes
@@ -53,6 +17,8 @@ GROUPALGEBRA_MAX_N = 6
 
 
 def _all_standard(n):
+    from .tableaux import partitions_of, standard_tableaux
+
     return [t for shape in partitions_of(n) for t in standard_tableaux(shape)]
 
 
@@ -65,6 +31,25 @@ def _column_cells(t):
 
 
 def suite_groupalgebra(n: int, seed: int, samples: int):
+    import random
+
+    from .exactalg import elementary_symmetric
+    from .quasi import (
+        ResourceGuardError,
+        graded_dimension_oracle,
+        poly_rank,
+        random_homogeneous,
+    )
+    from .symgroup import GroupAlgebraElem, bracket, times_brackets
+    from .tableaux import (
+        _times_gamma,
+        alpha,
+        col_union_antisym,
+        gamma,
+        gamma_apply,
+        gamma_images,
+    )
+
     if n > GROUPALGEBRA_MAX_N:
         raise ResourceGuardError(
             f"groupalgebra limited to n <= {GROUPALGEBRA_MAX_N}, got {n}"
@@ -128,8 +113,7 @@ def suite_groupalgebra(n: int, seed: int, samples: int):
         for m in (0, 1):
             for d in range(4):
                 w = graded_dimension_oracle(n, m, d)
-                total = sum(poly_rank([gamma_apply(t, b) for b in w.basis])
-                            for t in tableaux)
+                total = sum(poly_rank(gamma_images(t, w.basis)) for t in tableaux)
                 if total != w.dimension:
                     ok = False
         results.append(("Projector rank-sum decomposition", ok,
@@ -138,6 +122,8 @@ def suite_groupalgebra(n: int, seed: int, samples: int):
 
 
 def suite_thm_main(n: int, m: int):
+    from .structure import theorem_main_checks
+
     report = theorem_main_checks(n, m)
     detail = (
         f"n={n}, m={m}, {report['checked_dims']} degrees, "
@@ -148,10 +134,23 @@ def suite_thm_main(n: int, m: int):
 
 def _hook_grid(n: int, m: int):
     """Every basis element spec of the hook shape [n-1, 1]: all j and k."""
+    from .hookbasis import HookSpec
+
     return [HookSpec(n=n, m=m, j=j, k=k) for j in range(2, n + 1) for k in range(n - 1)]
 
 
 def suite_hook(n: int, m: int):
+    from .hookbasis import (
+        lowest_quotient,
+        lowest_quotient_rhs,
+        q_closed_form,
+        q_integral,
+        recursion_residual,
+    )
+    from .quasi import is_quasiinvariant
+    from .structure import in_gamma_component
+    from .tableaux import hook_tableau
+
     results = []
     grid = _hook_grid(n, m)
     ok = all(q_integral(s) == q_closed_form(s) for s in grid)
@@ -181,6 +180,9 @@ def suite_hook(n: int, m: int):
 
 
 def suite_lm(n: int, m: int):
+    from .calogero import NonPolynomialError, apply_lm, lm_eigen_check
+    from .exactalg import MultiPoly, elementary_symmetric
+
     results = []
     grid = _hook_grid(n, m)
     try:
@@ -198,6 +200,8 @@ def suite_lm(n: int, m: int):
 
 
 def suite_chain(n: int, m: int):
+    from .structure import change_of_basis_n2, delta_sq_chain_check, det_degree
+
     results = []
     report = delta_sq_chain_check(n, m, max_degree=min(4, m * n + 1))
     results.append(("Delta^2 embedding and containment chain", report["passed"],

@@ -19,6 +19,11 @@ Q S_n, composing pointwise, (p1 p2)(i) = p1(p2(i)), into validated
 ``ref_constraint_rows`` writes the quasiinvariance condition in the
 asymmetric form x_i = x_j + u, with every power u^0..u^2m, as a second
 row set with the same kernel as the package's odd-power rows.
+
+``ref_rational`` and ``ref_lift`` are the kernel lift of the elimination
+core on ``Fraction`` values: Wang's rational reconstruction returns a
+Fraction, and each vector is scaled to integers through Fractions.  The
+package runs the same lift on int pairs.
 """
 
 import math
@@ -153,3 +158,35 @@ def ref_constraint_rows(n: int, m: int, monomials) -> list:
                     row = rows.setdefault((i, j, t, tuple(residual)), {})
                     row[col_index[exp]] = row.get(col_index[exp], 0) + coeff
     return [rows[key] for key in sorted(rows)]
+
+
+def ref_rational(a: int, modulus: int):
+    """The Fraction n/d with |n|, d <= sqrt(modulus / 2) and n = a d mod
+    modulus, or None when there is none (Wang's reconstruction)."""
+    bound = math.isqrt(modulus // 2)
+    r0, r1 = modulus, a % modulus
+    s0, s1 = 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        s0, s1 = s1, s0 - q * s1
+    if s1 == 0 or abs(s1) > bound or math.gcd(s1, modulus) != 1:
+        return None
+    return Fraction(r1, s1)
+
+
+def ref_lift(kernel, modulus):
+    """Primitive integer vectors with a positive lead entry, one per kernel
+    residue vector {column: residue}, or None when a reconstruction fails."""
+    basis = []
+    for residues in kernel.values():
+        vec = {c: ref_rational(residues[c], modulus) for c in sorted(residues)}
+        if any(x is None for x in vec.values()):
+            return None
+        scale = math.lcm(*(x.denominator for x in vec.values()))
+        ints = {c: int(x * scale) for c, x in vec.items()}
+        g = math.gcd(*ints.values())
+        if ints[min(ints)] < 0:
+            g = -g
+        basis.append({c: x // g for c, x in ints.items()})
+    return basis

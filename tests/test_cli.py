@@ -110,13 +110,15 @@ class TestVerify:
                               "groupalgebra limited to n <= 6, got 7")
 
     def test_identity_failure_exits_1(self, capsys, monkeypatch):
-        from quasiinv import verify
+        # the hook suite imports its layers when it runs, so it reads the
+        # patched function from hookbasis itself
+        from quasiinv import hookbasis
         from quasiinv.hookbasis import TheoremViolationError
 
         def fail(spec):
             raise TheoremViolationError(f"forced for {spec}")
 
-        monkeypatch.setattr(verify, "lowest_quotient", fail)
+        monkeypatch.setattr(hookbasis, "lowest_quotient", fail)
         code, out, err = run(capsys, "verify", "--suite", "hook", "--n", "2",
                              "--m", "0")
         assert code == 1

@@ -1,8 +1,9 @@
 """Module layering and start-up cost.
 
 Each module imports at its top level only the layers below it, and each
-CLI command loads only the modules it calls: the package's exports and
-the CLI's subcommands import their modules on first use.
+CLI command loads only the modules it calls: the package's exports, the
+CLI's subcommands and the verify suites import their modules on first
+use.
 """
 
 import ast
@@ -30,8 +31,7 @@ ALLOWED = {
     "hookbasis": {"exactalg", "symgroup"},
     "calogero": {"exactalg", "hookbasis"},
     "structure": {"exactalg", "quasi", "tableaux"},
-    "verify": {"__init__", "calogero", "exactalg", "hookbasis", "quasi",
-               "structure", "symgroup", "tableaux"},
+    "verify": {"__init__"},
     "cli": {"__init__", "jsonio"},
 }
 
@@ -110,6 +110,24 @@ def test_detcheck_loads_no_construction():
     for name in ("hookbasis", "calogero", "verify"):
         assert f"quasiinv.{name}" not in loaded
     assert "dataclasses" not in loaded
+
+
+def test_verify_lm_loads_no_projector():
+    loaded = modules_after("verify", "--suite", "lm", "--n", "3", "--m", "1")
+    assert {"quasiinv.verify", "quasiinv.calogero", "quasiinv.hookbasis",
+            "quasiinv.exactalg"} <= loaded
+    for name in ("quasi", "structure", "tableaux", "symgroup"):
+        assert f"quasiinv.{name}" not in loaded
+    assert "random" not in loaded
+
+
+def test_verify_groupalgebra_loads_only_its_layers():
+    loaded = modules_after("verify", "--suite", "groupalgebra", "--n", "3",
+                           "--seed", "1")
+    assert {"quasiinv.verify", "quasiinv.quasi", "quasiinv.tableaux",
+            "quasiinv.symgroup", "random"} <= loaded
+    for name in ("structure", "calogero"):
+        assert f"quasiinv.{name}" not in loaded
 
 
 @pytest.mark.parametrize("name", quasiinv.__all__)

@@ -32,7 +32,7 @@ from quasiinv.tableaux import (
     standard_tableaux,
     v_t,
 )
-from reference import divide_exact, ref_constraint_rows
+from reference import divide_exact, ref_constraint_rows, ref_lift, ref_rational
 
 FIRST_PRIME = (1 << 61) - 1  # the first prime the elimination core tries
 
@@ -147,6 +147,78 @@ def matrices(draw):
     rows = draw(st.lists(st.lists(ENTRIES, min_size=ncols, max_size=ncols),
                          min_size=nrows, max_size=nrows))
     return rows, ncols
+
+
+# a small prime, where reconstructions often fail, the first prime, and a
+# product of two primes as after a CRT step
+MODULI = (101, FIRST_PRIME, FIRST_PRIME * ((1 << 61) - 31))
+
+
+@st.composite
+def residues(draw, modulus):
+    """A residue mod ``modulus``: n/d for a small fraction, which usually
+    reconstructs, or an arbitrary (possibly negative) integer, which at the
+    large moduli usually does not."""
+    if draw(st.booleans()):
+        num = draw(st.integers(-10 ** 6, 10 ** 6))
+        den = draw(st.integers(1, 10 ** 6))
+        if math.gcd(den, modulus) != 1:
+            den = 1
+        return num * pow(den, -1, modulus) % modulus
+    return draw(st.integers(-2 * modulus, 2 * modulus))
+
+
+@st.composite
+def kernels(draw):
+    """(kernel, modulus) shaped like ``_kernel_mod``'s output: per free
+    column f a residue vector that is 1 at f."""
+    modulus = draw(st.sampled_from(MODULI))
+    kernel = {}
+    for f in draw(st.lists(st.integers(0, 7), max_size=3, unique=True)):
+        cols = draw(st.lists(st.integers(0, 7), max_size=4, unique=True))
+        kernel[f] = {c: draw(residues(modulus)) for c in cols if c != f}
+        kernel[f][f] = 1
+    return kernel, modulus
+
+
+class TestLiftOnInts:
+    """The int-pair reconstruction and lift against their Fraction
+    versions in ``reference``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), modulus=st.sampled_from(MODULI))
+    def test_rational_matches_fraction_reference(self, data, modulus):
+        a = data.draw(residues(modulus))
+        pair = quasi._rational(a, modulus)
+        expected = ref_rational(a, modulus)
+        if expected is None:
+            assert pair is None
+        else:
+            assert pair == (expected.numerator, expected.denominator)
+
+    def test_rational_cases(self):
+        p = FIRST_PRIME
+        assert quasi._rational(-3 * pow(7, -1, p), p) == (-3, 7)
+        assert quasi._rational(-3, p) == (-3, 1)
+        assert quasi._rational(0, p) == (0, 1)
+        assert quasi._rational(p // 2, p) == (-1, 2)
+        assert quasi._rational(10 ** 17 + 3, p) is None
+        assert ref_rational(10 ** 17 + 3, p) is None
+        assert quasi._rational(8, 101) is None
+
+    @settings(max_examples=200, deadline=None)
+    @given(kernels())
+    def test_lift_matches_fraction_reference(self, case):
+        kernel, modulus = case
+        assert quasi._lift(kernel, modulus) == ref_lift(kernel, modulus)
+
+    def test_lift_scales_to_primitive_vectors(self):
+        p = FIRST_PRIME
+        half, third = pow(2, -1, p), pow(3, -1, p)
+        kernel = {1: {0: -half % p, 1: 1, 2: third}, 3: {3: 1, 4: p - 2}}
+        assert quasi._lift(kernel, p) == [{0: 3, 1: -6, 2: -2}, {3: 1, 4: -2}]
+        assert quasi._lift({0: {0: 1, 1: p // 2}}, p) == [{0: 2, 1: -1}]
+        assert quasi._lift({0: {0: 1}, 2: {1: 10 ** 17 + 3, 2: 1}}, p) is None
 
 
 class TestPredicate:

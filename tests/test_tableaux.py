@@ -28,6 +28,7 @@ from quasiinv.tableaux import (
     f_lambda,
     gamma,
     gamma_apply,
+    gamma_images,
     hook_tableau,
     partitions_of,
     standard_tableaux,
@@ -283,6 +284,63 @@ class TestGammaApply:
             gamma_apply(Tableau([tuple(range(1, 9)), (9,)]), MultiPoly.variable(9, 1))
         with pytest.raises(DimensionMismatch):
             gamma_apply(hook_tableau(3, 2), MultiPoly.variable(4, 1))
+
+
+@st.composite
+def projection_lists(draw):
+    """(t, polys): a standard tableau with n <= 5 and 0-6 polynomials in n
+    variables, with zeros, constants over other denominators and repeats
+    mixed in among rational polynomials."""
+    t = draw(st.sampled_from(TABLEAUX_UP_TO_5))
+    n = t.n
+    pool = st.one_of(
+        rational_polys(n),
+        st.just(MultiPoly.zero(n)),
+        st.fractions(-9, 9, max_denominator=12).map(
+            lambda c: MultiPoly.constant(n, c)),
+    )
+    polys = draw(st.lists(pool, max_size=6))
+    if polys and draw(st.booleans()):
+        polys.append(polys[draw(st.integers(0, len(polys) - 1))])
+    return t, polys[:6]
+
+
+class TestGammaImages:
+    @settings(max_examples=150, deadline=None)
+    @given(projection_lists())
+    def test_matches_one_projection_per_polynomial(self, case):
+        t, polys = case
+        assert gamma_images(t, polys) == [gamma_apply(t, p) for p in polys]
+
+    def test_projects_a_list_in_one_kernel_run(self, monkeypatch):
+        from quasiinv import tableaux
+
+        calls = []
+        real = tableaux._apply_factors
+
+        def spy(q, factors):
+            calls.append(len(q))
+            return real(q, factors)
+
+        monkeypatch.setattr(tableaux, "_apply_factors", spy)
+        t = hook_tableau(3, 2)
+        polys = [MultiPoly.variable(3, i) for i in (1, 2, 3)] + [MultiPoly.zero(3)]
+        images = gamma_images(t, polys)
+        assert calls == [3]
+        assert images[3].is_zero()
+
+    def test_refusals(self):
+        x = MultiPoly.variable(3, 1)
+        with pytest.raises(ValueError, match="^gamma requires a standard tableau$"):
+            gamma_images(Tableau([(2, 1), (3,)]), [])
+        with pytest.raises(ValueError, match=r"^gamma limited to \|R\(T\)\| \|C\(T\)\| "
+                                             r"<= 40320, got 80640$"):
+            gamma_images(Tableau([tuple(range(1, 9)), (9,)]), [])
+        for k in range(3):
+            polys = [x, x, x]
+            polys[k] = MultiPoly.variable(4, 1)
+            with pytest.raises(DimensionMismatch):
+                gamma_images(hook_tableau(3, 2), polys)
 
 
 class TestVT:

@@ -15,21 +15,20 @@ the layers it uses.
 import importlib
 
 _HOMES = {
-    "exactalg": ("DimensionMismatch", "MultiPoly", "elementary_symmetric",
-                 "partial_derivative", "series_expand", "t_integrate_definite",
-                 "vandermonde"),
+    "exactalg": ("DimensionMismatch", "MultiPoly", "TheoremViolationError",
+                 "elementary_symmetric", "partial_derivative", "series_expand",
+                 "t_integrate_definite", "vandermonde"),
     "symgroup": ("GroupAlgebraElem", "Perm", "act", "bracket", "parse_cycles"),
     "tableaux": ("Partition", "Tableau", "cocharge", "content", "f_lambda",
                  "gamma", "gamma_apply", "hook_tableau", "standard_tableaux",
                  "v_t"),
-    "quasi": ("QIWitness", "ResourceGuardError", "graded_dimension_oracle",
-              "is_quasiinvariant"),
-    "hookbasis": ("HookSpec", "TheoremViolationError", "hook_basis",
-                  "q_closed_form", "q_integral"),
+    "quasi": ("QIWitness", "ResourceGuardError", "change_of_basis_n2",
+              "graded_dimension_oracle", "is_quasiinvariant"),
+    "hookbasis": ("HookSpec", "hook_basis", "q_closed_form", "q_integral"),
     "calogero": ("NonPolynomialError", "apply_lm"),
-    "structure": ("HilbertReport", "change_of_basis_n2", "det_degree",
-                  "full_hilbert", "hook_quotient_dimension",
-                  "in_gamma_component", "theorem_main_checks"),
+    "structure": ("HilbertReport", "det_degree", "full_hilbert",
+                  "hook_quotient_dimension", "in_gamma_component",
+                  "theorem_main_checks"),
 }
 _HOME_OF = {name: module for module, names in _HOMES.items() for name in names}
 

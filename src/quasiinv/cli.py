@@ -33,7 +33,8 @@ def _identity_failure(exc) -> int:
 
 
 def cmd_basis(args) -> int:
-    from .hookbasis import TheoremViolationError, hook_basis
+    from .exactalg import TheoremViolationError
+    from .hookbasis import hook_basis
 
     if args.n < 2:
         print("error: basis requires n >= 2", file=sys.stderr)
@@ -69,7 +70,7 @@ def cmd_basis(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from .hookbasis import TheoremViolationError
+    from .exactalg import TheoremViolationError
     from .verify import run_suite
 
     try:
@@ -204,7 +205,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_detcheck(args) -> int:
-    from .structure import change_of_basis_n2
+    from .quasi import change_of_basis_n2
 
     matrix, determinant = change_of_basis_n2(args.m)
     obj = {

@@ -33,6 +33,12 @@ class DimensionMismatch(ValueError):
     variable counts, or group algebras of different S_n."""
 
 
+class TheoremViolationError(AssertionError):
+    """An exact identity the construction relies on failed to hold.  It
+    lives in the bottom layer so that the CLI can catch it without loading
+    the construction that raises it."""
+
+
 def _scalar(c):
     """``c`` if it is an int or a Fraction; anything else is refused."""
     if isinstance(c, (int, Fraction)):

@@ -17,14 +17,11 @@ from itertools import product
 
 from .exactalg import (
     MultiPoly,
+    TheoremViolationError,
     elementary_symmetric,
     shift_coefficients,
     t_integrate_definite,
 )
-
-
-class TheoremViolationError(AssertionError):
-    """An exact identity the construction relies on failed to hold."""
 
 
 class HookSpec:

@@ -9,8 +9,11 @@ u-power, residual monomial) over a list of monomials.  The predicate sums
 a polynomial's integer numerators into those rows one pair at a time and
 stops at the first pair with a nonzero residual; the oracle takes the rows
 over all monomials of degree d (``_constraint_rows``) and computes their
-exact integer nullspace.  The module depends on ``exactalg`` alone; the
-checks of the projection characterization, which also need the Young
+exact integer nullspace.  The checks built on the predicate and the oracle
+alone are here too: the Delta^2 embedding of QI_m into QI_(m+1), the
+containment chain, and the n = 2 change of basis between QI_(m+1) and
+QI_m with determinant Delta^2.  The module depends on ``exactalg`` alone;
+the checks of the projection characterization, which also need the Young
 projectors, are in ``structure``.
 
 The one linear-algebra core behind the oracle and ``poly_rank`` finds the
@@ -28,7 +31,7 @@ import functools
 import math
 import os
 
-from .exactalg import MultiPoly, vandermonde
+from .exactalg import MultiPoly, elementary_symmetric, series_expand, vandermonde
 
 ORACLE_MAX_N = 5
 DEFAULT_DEGREE_CAP = 12
@@ -74,6 +77,68 @@ def delta_sq_embed(p: MultiPoly, m: int) -> MultiPoly:
     if not is_quasiinvariant(result, m + 1):
         raise AssertionError("Delta^2 embedding failed quasiinvariance")
     return result
+
+
+def change_of_basis_n2(m: int):
+    """The 2x2 change-of-basis experiment between QI_(m+1) and QI_m.
+
+    Free bases: {1, (x_1 - x_2)^(2m+1)} for QI_m and the analogous pair
+    for QI_(m+1).  The graded dimensions of QI_m are checked against the
+    oracle through degree 2m+4.  Returns (matrix, determinant); the
+    determinant equals the squared Vandermonde in two variables.
+    """
+    if m < 0:
+        raise ValueError("m must be non-negative")
+    n = 2
+    x1 = MultiPoly.variable(n, 1)
+    x2 = MultiPoly.variable(n, 2)
+    one = MultiPoly.constant(n, 1)
+    b1 = (x1 - x2) ** (2 * m + 1)
+    a1 = (x1 - x2) ** (2 * m + 3)
+    for p, order in ((one, m), (b1, m), (a1, m + 1)):
+        if not is_quasiinvariant(p, order):
+            raise AssertionError("claimed basis element fails quasiinvariance")
+    # free rank-2 module series (1 + q^(2m+1)) / ((1-q)(1-q^2))
+    D = 2 * m + 4
+    series = series_expand([0, 2 * m + 1], n, D)
+    for d in range(D + 1):
+        dim = graded_dimension_oracle(n, m, d).dimension
+        if dim != series[d]:
+            raise AssertionError(
+                f"oracle dimension {dim} != series coefficient "
+                f"{series[d]} at degree {d}"
+            )
+    e1 = elementary_symmetric(n, 1)
+    e2 = elementary_symmetric(n, 2)
+    growth = e1 * e1 - e2 * 4
+    if a1 != growth * b1:
+        raise AssertionError("expansion (x1-x2)^(2m+3) = (e1^2-4e2)(x1-x2)^(2m+1) failed")
+    zero = MultiPoly.zero(n)
+    matrix = ((one, zero), (zero, growth))
+    determinant = matrix[0][0] * matrix[1][1] - matrix[0][1] * matrix[1][0]
+    if determinant != vandermonde(n) ** 2:
+        raise AssertionError("determinant is not the squared Vandermonde")
+    return matrix, determinant
+
+
+def delta_sq_chain_check(n: int, m: int, max_degree: int) -> dict:
+    """Sampled verification that Delta^2 QI_m sits inside QI_(m+1) and
+    QI_(m+1) inside QI_m, over oracle witnesses."""
+    report = {"n": n, "m": m, "max_degree": max_degree, "embedded": 0,
+              "chained": 0, "failures": []}
+    for d in range(max_degree + 1):
+        for p in graded_dimension_oracle(n, m, d).basis:
+            try:
+                delta_sq_embed(p, m)
+                report["embedded"] += 1
+            except AssertionError:
+                report["failures"].append(("embed", d))
+        for p in graded_dimension_oracle(n, m + 1, d).basis:
+            report["chained"] += 1
+            if not is_quasiinvariant(p, m):
+                report["failures"].append(("chain", d))
+    report["passed"] = not report["failures"]
+    return report
 
 
 # -- exact linear algebra -------------------------------------------------

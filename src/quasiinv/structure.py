@@ -1,6 +1,6 @@
 """Hilbert-series assembly, the projection characterization of QI_m, the
-hook quotient dimension, and the n = 2 change-of-basis determinant
-experiment.
+hook quotient dimension, and the degree of the change-of-basis
+determinant.
 
 The graded dimension generating function of QI_m is assembled per shape
 from the exponents m(C(n,2) - content(shape)) + cocharge(T) and divided by
@@ -11,7 +11,8 @@ a time, by ``exactalg.shift_coefficients``.  ``theorem_main_checks`` checks
 the direct sum degree by degree: the bases of
 gamma_T R_d intersect V_T^(2m+1) R over all standard T, read off
 ``quasi.poly_relations``, are quasiinvariant, and together they are
-independent and dim QI_m,d in number.
+independent and dim QI_m,d in number.  The n = 2 change of basis itself
+and the Delta^2 chain, which need no projector, are in ``quasi``.
 """
 
 from __future__ import annotations
@@ -23,12 +24,10 @@ from .exactalg import (
     elementary_symmetric,
     series_expand,
     shift_coefficients,
-    vandermonde,
 )
 from .quasi import (
     ResourceGuardError,
     degree_cap,
-    delta_sq_embed,
     graded_dimension_oracle,
     is_quasiinvariant,
     monomials_of_degree,
@@ -209,65 +208,3 @@ def det_degree(n: int) -> int:
     if by_shapes != closed:
         raise AssertionError(f"degree formulas disagree: {by_shapes} != {closed}")
     return closed
-
-
-def change_of_basis_n2(m: int):
-    """The 2x2 change-of-basis experiment between QI_(m+1) and QI_m.
-
-    Free bases: {1, (x_1 - x_2)^(2m+1)} for QI_m and the analogous pair
-    for QI_(m+1).  The graded dimensions of QI_m are checked against the
-    oracle through degree 2m+4.  Returns (matrix, determinant); the
-    determinant equals the squared Vandermonde in two variables.
-    """
-    if m < 0:
-        raise ValueError("m must be non-negative")
-    n = 2
-    x1 = MultiPoly.variable(n, 1)
-    x2 = MultiPoly.variable(n, 2)
-    one = MultiPoly.constant(n, 1)
-    b1 = (x1 - x2) ** (2 * m + 1)
-    a1 = (x1 - x2) ** (2 * m + 3)
-    for p, order in ((one, m), (b1, m), (a1, m + 1)):
-        if not is_quasiinvariant(p, order):
-            raise AssertionError("claimed basis element fails quasiinvariance")
-    # free rank-2 module series (1 + q^(2m+1)) / ((1-q)(1-q^2))
-    D = 2 * m + 4
-    series = series_expand([0, 2 * m + 1], n, D)
-    for d in range(D + 1):
-        dim = graded_dimension_oracle(n, m, d).dimension
-        if dim != series[d]:
-            raise AssertionError(
-                f"oracle dimension {dim} != series coefficient "
-                f"{series[d]} at degree {d}"
-            )
-    e1 = elementary_symmetric(n, 1)
-    e2 = elementary_symmetric(n, 2)
-    growth = e1 * e1 - e2 * 4
-    if a1 != growth * b1:
-        raise AssertionError("expansion (x1-x2)^(2m+3) = (e1^2-4e2)(x1-x2)^(2m+1) failed")
-    zero = MultiPoly.zero(n)
-    matrix = ((one, zero), (zero, growth))
-    determinant = matrix[0][0] * matrix[1][1] - matrix[0][1] * matrix[1][0]
-    if determinant != vandermonde(n) ** 2:
-        raise AssertionError("determinant is not the squared Vandermonde")
-    return matrix, determinant
-
-
-def delta_sq_chain_check(n: int, m: int, max_degree: int) -> dict:
-    """Sampled verification that Delta^2 QI_m sits inside QI_(m+1) and
-    QI_(m+1) inside QI_m, over oracle witnesses."""
-    report = {"n": n, "m": m, "max_degree": max_degree, "embedded": 0,
-              "chained": 0, "failures": []}
-    for d in range(max_degree + 1):
-        for p in graded_dimension_oracle(n, m, d).basis:
-            try:
-                delta_sq_embed(p, m)
-                report["embedded"] += 1
-            except AssertionError:
-                report["failures"].append(("embed", d))
-        for p in graded_dimension_oracle(n, m + 1, d).basis:
-            report["chained"] += 1
-            if not is_quasiinvariant(p, m):
-                report["failures"].append(("chain", d))
-    report["passed"] = not report["failures"]
-    return report

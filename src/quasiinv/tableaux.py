@@ -12,6 +12,10 @@ the package takes.  It projects a whole list of polynomials in one kernel
 run, their numerators stacked in one map with each polynomial's index as
 an extra slot of its exponent tuples; ``gamma_apply`` is its one-item case.
 
+The partitions, tableaux, cocharge, content and f_lambda need no group
+algebra: only the projector functions import ``symgroup``, when they run,
+so a command that reads shapes and tableaux alone does not load it.
+
 Cell convention: (row i, column j), 1-based, with row 1 the longest row.
 Standardness: entries increase left-to-right along rows and top-to-bottom
 down columns.  Content is sum of (j - i) over cells, so a single column of
@@ -25,14 +29,6 @@ import itertools
 import math
 
 from .exactalg import DimensionMismatch, MultiPoly
-from .symgroup import (
-    MAX_GROUP_N,
-    GroupAlgebraElem,
-    Perm,
-    _apply_factors,
-    bracket,
-    telescoping_factors,
-)
 
 
 class Partition:
@@ -218,6 +214,8 @@ def _projection_plan(t: Tableau):
     and then reused.  Its cost per input term grows with
     |R(T)| |C(T)| = prod lambda_i! prod lambda'_j!, which is refused above
     MAX_GROUP_N!, the largest it reaches at n <= MAX_GROUP_N."""
+    from .symgroup import MAX_GROUP_N, telescoping_factors
+
     if not t.standard:
         raise ValueError("gamma requires a standard tableau")
     cost = math.prod(math.factorial(len(s)) for s in t.rows + t.columns)
@@ -234,6 +232,8 @@ def _times_gamma(x: GroupAlgebraElem, t: Tableau) -> GroupAlgebraElem:
     """x gamma_T: the plan's factors run forward on x's numerators as right
     products (a transposition swaps two slots of each image tuple), and
     f_lambda / n! is applied once at the end."""
+    from .symgroup import GroupAlgebraElem, _apply_factors
+
     factors, f, n_factorial = _projection_plan(t)
     q = _apply_factors(x.num, factors)
     return GroupAlgebraElem._from_int(t.n, {k: c * f for k, c in q.items()},
@@ -242,6 +242,8 @@ def _times_gamma(x: GroupAlgebraElem, t: Tableau) -> GroupAlgebraElem:
 
 def gamma(t: Tableau) -> GroupAlgebraElem:
     """The Young projector f_lambda N(T) P(T) / n! (an idempotent)."""
+    from .symgroup import GroupAlgebraElem
+
     return _times_gamma(GroupAlgebraElem.identity(t.n), t)
 
 
@@ -253,6 +255,8 @@ def gamma_images(t: Tableau, polys) -> list:
     polynomial's index as one more slot; no transposition touches that
     slot, so one kernel run projects every polynomial, and the result
     splits back by it, each over its own denominator."""
+    from .symgroup import _apply_factors
+
     factors, f, n_factorial = _projection_plan(t)
     polys = list(polys)
     stacked = {}
@@ -298,6 +302,8 @@ def _check_column_cell(t: Tableau, i: int, cell):
 
 def alpha(t: Tableau, i: int, cell) -> GroupAlgebraElem:
     """Sum of transpositions (entry of column i, entry at ``cell``)."""
+    from .symgroup import GroupAlgebraElem, Perm
+
     target = _check_column_cell(t, i, cell)
     terms = {Perm.transposition(t.n, source, target).images: 1
              for source in t.columns[i - 1]}
@@ -306,6 +312,8 @@ def alpha(t: Tableau, i: int, cell) -> GroupAlgebraElem:
 
 def col_union_antisym(t: Tableau, i: int, cell) -> GroupAlgebraElem:
     """[C_i union {entry at cell}]', the signed bracket over the enlarged set."""
+    from .symgroup import bracket
+
     target = _check_column_cell(t, i, cell)
     return bracket(t.n, t.columns[i - 1] + (target,), signed=True)
 

@@ -200,7 +200,8 @@ def suite_lm(n: int, m: int):
 
 
 def suite_chain(n: int, m: int):
-    from .structure import change_of_basis_n2, delta_sq_chain_check, det_degree
+    from .quasi import change_of_basis_n2, delta_sq_chain_check
+    from .structure import det_degree
 
     results = []
     report = delta_sq_chain_check(n, m, max_degree=min(4, m * n + 1))

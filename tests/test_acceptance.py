@@ -20,14 +20,13 @@ from quasiinv.hookbasis import (
     q_integral,
     recursion_residual,
 )
-from quasiinv.quasi import graded_dimension_oracle, is_quasiinvariant
-from quasiinv.structure import (
+from quasiinv.quasi import (
     change_of_basis_n2,
-    det_degree,
     delta_sq_chain_check,
-    full_hilbert,
-    hook_quotient_dimension,
+    graded_dimension_oracle,
+    is_quasiinvariant,
 )
+from quasiinv.structure import det_degree, full_hilbert, hook_quotient_dimension
 from quasiinv.tableaux import gamma, hook_tableau, v_t
 from quasiinv.verify import run_suite
 from reference import divide_exact

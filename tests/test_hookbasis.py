@@ -189,3 +189,12 @@ class TestBasisBuilder:
 
     def test_violation_error_is_assertion(self):
         assert issubclass(TheoremViolationError, AssertionError)
+
+    def test_violation_error_is_exactalgs(self):
+        # cli catches it from exactalg, so a command that never builds the
+        # hook basis does not load hookbasis for it
+        import quasiinv.exactalg
+        import quasiinv.hookbasis
+
+        assert quasiinv.hookbasis.TheoremViolationError \
+            is quasiinv.exactalg.TheoremViolationError

@@ -2,8 +2,10 @@
 
 Each module imports at its top level only the layers below it, and each
 CLI command loads only the modules it calls: the package's exports, the
-CLI's subcommands and the verify suites import their modules on first
-use.
+CLI's subcommands, the verify suites and the projector functions of
+``tableaux`` import their modules on first use.  ``COMMANDS`` pins the
+exact module set of every subcommand, ``apply`` operation and ``verify``
+suite.
 """
 
 import ast
@@ -15,6 +17,8 @@ from pathlib import Path
 import pytest
 
 import quasiinv
+from quasiinv import cli, jsonio
+from quasiinv.exactalg import elementary_symmetric
 
 PACKAGE = Path(quasiinv.__file__).parent
 
@@ -25,10 +29,10 @@ ALLOWED = {
     "__main__": {"cli"},
     "exactalg": set(),
     "symgroup": {"exactalg"},
-    "tableaux": {"symgroup", "exactalg"},
+    "tableaux": {"exactalg"},
     "quasi": {"exactalg"},
     "jsonio": {"exactalg"},
-    "hookbasis": {"exactalg", "symgroup"},
+    "hookbasis": {"exactalg"},
     "calogero": {"exactalg", "hookbasis"},
     "structure": {"exactalg", "quasi", "tableaux"},
     "verify": {"__init__"},
@@ -93,41 +97,61 @@ def modules_after(*argv):
     return set(names.split())
 
 
-def test_oracle_loads_only_its_layers():
-    loaded = modules_after("oracle", "--n", "3", "--m", "1", "--d", "2")
-    assert {"quasiinv.cli", "quasiinv.jsonio", "quasiinv.exactalg",
-            "quasiinv.quasi"} <= loaded
-    for name in ("tableaux", "symgroup", "structure", "hookbasis", "calogero",
-                 "verify"):
-        assert f"quasiinv.{name}" not in loaded
+# command -> the package modules it loads besides cli, jsonio and exactalg,
+# which every command loads; "{poly}" stands for a JSON polynomial file
+COMMANDS = [
+    (("oracle", "--n", "3", "--m", "1", "--d", "2"), {"quasi"}),
+    (("detcheck", "--m", "0"), {"quasi"}),
+    (("hilbert", "--n", "3", "--m", "1", "--D", "4", "--oracle"),
+     {"quasi", "structure", "tableaux"}),
+    (("basis", "--n", "3", "--m", "1", "--j", "2", "--verify"), {"hookbasis"}),
+    (("apply", "--op", "gamma", "--in", "{poly}", "--shape", "2,1", "--j", "2"),
+     {"tableaux", "symgroup"}),
+    (("apply", "--op", "lm", "--in", "{poly}", "--m", "1"),
+     {"calogero", "hookbasis"}),
+    (("apply", "--op", "perm", "--in", "{poly}", "--sigma", "(1,2)"),
+     {"symgroup"}),
+    (("apply", "--op", "delta2", "--in", "{poly}", "--m", "0"), {"quasi"}),
+    (("verify", "--suite", "groupalgebra", "--n", "3", "--seed", "1"),
+     {"verify", "quasi", "tableaux", "symgroup"}),
+    (("verify", "--suite", "thm-main", "--n", "3", "--m", "1"),
+     {"verify", "quasi", "structure", "tableaux", "symgroup"}),
+    (("verify", "--suite", "hook", "--n", "3", "--m", "1"),
+     {"verify", "hookbasis", "quasi", "structure", "tableaux", "symgroup"}),
+    (("verify", "--suite", "lm", "--n", "3", "--m", "1"),
+     {"verify", "calogero", "hookbasis"}),
+    (("verify", "--suite", "chain", "--n", "3", "--m", "1"),
+     {"verify", "quasi", "structure", "tableaux"}),
+    (("verify", "--suite", "all", "--n", "3", "--m", "1", "--seed", "1"),
+     {"verify", "calogero", "hookbasis", "quasi", "structure", "tableaux",
+      "symgroup"}),
+]
+
+
+@pytest.mark.parametrize("argv, modules", COMMANDS,
+                         ids=[" ".join(argv[:3]) for argv, _ in COMMANDS])
+def test_command_loads_exactly_its_modules(tmp_path, argv, modules):
+    poly = tmp_path / "p.json"
+    poly.write_text(jsonio.dumps(jsonio.poly_to_obj(elementary_symmetric(3, 1))))
+    loaded = modules_after(*(str(poly) if a == "{poly}" else a for a in argv))
+    package = {name.removeprefix("quasiinv.") for name in loaded
+               if name.startswith("quasiinv.")}
+    assert package == modules | {"cli", "jsonio", "exactalg"}
     assert "dataclasses" not in loaded
+    # only the groupalgebra suite draws samples
+    assert ("random" in loaded) == ("groupalgebra" in argv or "all" in argv)
 
 
-def test_detcheck_loads_no_construction():
-    loaded = modules_after("detcheck", "--m", "0")
-    assert {"quasiinv.structure", "quasiinv.tableaux",
-            "quasiinv.symgroup"} <= loaded
-    for name in ("hookbasis", "calogero", "verify"):
-        assert f"quasiinv.{name}" not in loaded
-    assert "dataclasses" not in loaded
+def _choices(parser, dest):
+    return next(a.choices for a in parser._actions if a.dest == dest)
 
 
-def test_verify_lm_loads_no_projector():
-    loaded = modules_after("verify", "--suite", "lm", "--n", "3", "--m", "1")
-    assert {"quasiinv.verify", "quasiinv.calogero", "quasiinv.hookbasis",
-            "quasiinv.exactalg"} <= loaded
-    for name in ("quasi", "structure", "tableaux", "symgroup"):
-        assert f"quasiinv.{name}" not in loaded
-    assert "random" not in loaded
-
-
-def test_verify_groupalgebra_loads_only_its_layers():
-    loaded = modules_after("verify", "--suite", "groupalgebra", "--n", "3",
-                           "--seed", "1")
-    assert {"quasiinv.verify", "quasiinv.quasi", "quasiinv.tableaux",
-            "quasiinv.symgroup", "random"} <= loaded
-    for name in ("structure", "calogero"):
-        assert f"quasiinv.{name}" not in loaded
+def test_table_covers_every_command_op_and_suite():
+    commands = _choices(cli.build_parser(), "command")
+    assert {argv[0] for argv, _ in COMMANDS} == set(commands)
+    for command, dest in (("apply", "op"), ("verify", "suite")):
+        assert ({argv[2] for argv, _ in COMMANDS if argv[0] == command}
+                == set(_choices(commands[command], dest)))
 
 
 @pytest.mark.parametrize("name", quasiinv.__all__)

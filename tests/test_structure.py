@@ -6,11 +6,13 @@ import math
 import pytest
 
 from quasiinv.exactalg import series_expand, vandermonde
-from quasiinv.quasi import graded_dimension_oracle
-from quasiinv.structure import (
-    HILBERT_MAX_N,
+from quasiinv.quasi import (
     change_of_basis_n2,
     delta_sq_chain_check,
+    graded_dimension_oracle,
+)
+from quasiinv.structure import (
+    HILBERT_MAX_N,
     det_degree,
     full_hilbert,
     hook_quotient_dimension,

@@ -15,15 +15,16 @@ the layers it uses.
 import importlib
 
 _HOMES = {
-    "exactalg": ("DimensionMismatch", "MultiPoly", "TheoremViolationError",
-                 "elementary_symmetric", "partial_derivative", "series_expand",
-                 "t_integrate_definite", "vandermonde"),
+    "exactalg": ("DimensionMismatch", "MultiPoly", "ResourceGuardError",
+                 "TheoremViolationError", "elementary_symmetric",
+                 "partial_derivative", "series_expand", "t_integrate_definite",
+                 "vandermonde"),
     "symgroup": ("GroupAlgebraElem", "Perm", "act", "bracket", "parse_cycles"),
     "tableaux": ("Partition", "Tableau", "cocharge", "content", "f_lambda",
                  "gamma", "gamma_apply", "hook_tableau", "standard_tableaux",
                  "v_t"),
-    "quasi": ("QIWitness", "ResourceGuardError", "change_of_basis_n2",
-              "graded_dimension_oracle", "is_quasiinvariant"),
+    "quasi": ("QIWitness", "change_of_basis_n2", "graded_dimension_oracle",
+              "is_quasiinvariant"),
     "hookbasis": ("HookSpec", "hook_basis", "q_closed_form", "q_integral"),
     "calogero": ("NonPolynomialError", "apply_lm"),
     "structure": ("HilbertReport", "det_degree", "full_hilbert",

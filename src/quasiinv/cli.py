@@ -2,8 +2,8 @@
 
 All numeric work is exact; output is canonical JSON or plain text, written
 to stdout or to --out, and byte-identical across repeated invocations with
-the same flags and seed.  Each subcommand imports the layers it calls
-when it runs, so a command loads only those modules.
+the same flags.  Each subcommand imports the layers it calls when it runs,
+so a command loads only those modules.
 """
 
 from __future__ import annotations
@@ -74,8 +74,7 @@ def cmd_verify(args) -> int:
     from .verify import run_suite
 
     try:
-        results = run_suite(args.suite, args.n, args.m, samples=args.samples,
-                            seed=args.seed)
+        results = run_suite(args.suite, args.n, args.m)
     except TheoremViolationError as exc:
         return _identity_failure(exc)
     lines = [f"suite={args.suite} n={args.n} m={args.m} seed={args.seed}"]
@@ -88,12 +87,13 @@ def cmd_verify(args) -> int:
 
 
 def cmd_hilbert(args) -> int:
-    from .quasi import graded_dimension_oracle
     from .structure import full_hilbert
 
     report = full_hilbert(args.n, args.m, args.D)
     oracle = None
     if args.oracle:
+        from .quasi import graded_dimension_oracle
+
         oracle = []
         for d in range(args.D + 1):
             dim = graded_dimension_oracle(args.n, args.m, d).dimension
@@ -254,8 +254,8 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=SUITES + ("all",))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, default=1)
-    p.add_argument("--samples", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="only recorded in the header; no suite draws random input")
     common(p, fmt=False)
     p.set_defaults(func=cmd_verify)
 
@@ -284,7 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="only recorded in the output; the oracle draws nothing")
     common(p, fmt=False)
     p.set_defaults(func=cmd_oracle)
 

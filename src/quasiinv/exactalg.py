@@ -39,6 +39,11 @@ class TheoremViolationError(AssertionError):
     the construction that raises it."""
 
 
+class ResourceGuardError(ValueError):
+    """A request exceeded the desk-scale guardrails.  It lives in the
+    bottom layer so that a guard needs no module above the one it guards."""
+
+
 def _scalar(c):
     """``c`` if it is an int or a Fraction; anything else is refused."""
     if isinstance(c, (int, Fraction)):

@@ -31,14 +31,16 @@ import functools
 import math
 import os
 
-from .exactalg import MultiPoly, elementary_symmetric, series_expand, vandermonde
+from .exactalg import (
+    MultiPoly,
+    ResourceGuardError,
+    elementary_symmetric,
+    series_expand,
+    vandermonde,
+)
 
 ORACLE_MAX_N = 5
 DEFAULT_DEGREE_CAP = 12
-
-
-class ResourceGuardError(ValueError):
-    """A request exceeded the desk-scale guardrails."""
 
 
 def degree_cap() -> int:
@@ -122,8 +124,8 @@ def change_of_basis_n2(m: int):
 
 
 def delta_sq_chain_check(n: int, m: int, max_degree: int) -> dict:
-    """Sampled verification that Delta^2 QI_m sits inside QI_(m+1) and
-    QI_(m+1) inside QI_m, over oracle witnesses."""
+    """Check that Delta^2 QI_m sits inside QI_(m+1) and QI_(m+1) inside
+    QI_m, on every oracle basis element of degree 0..max_degree."""
     report = {"n": n, "m": m, "max_degree": max_degree, "embedded": 0,
               "chained": 0, "failures": []}
     for d in range(max_degree + 1):
@@ -456,14 +458,3 @@ def graded_dimension_oracle(n: int, m: int, d: int) -> QIWitness:
         for vec in basis_vectors
     )
     return QIWitness(n=n, m=m, degree=d, basis=basis)
-
-
-def random_homogeneous(rng, n: int, degree: int) -> MultiPoly:
-    """Deterministic pseudo-random homogeneous polynomial of at most four
-    terms, drawn from the seeded ``random.Random`` rng."""
-    monomials = monomials_of_degree(n, degree)
-    terms = {}
-    for _ in range(min(4, len(monomials))):
-        exp = monomials[rng.randrange(len(monomials))]
-        terms[exp] = terms.get(exp, 0) + rng.randint(-5, 5)
-    return MultiPoly(n, terms)

@@ -6,10 +6,11 @@ The graded dimension generating function of QI_m is assembled per shape
 from the exponents m(C(n,2) - content(shape)) + cocharge(T) and divided by
 prod (1 - q^i).  The characterization checks join the oracle and the
 quasiinvariance predicate of ``quasi`` with the Young projectors of
-``tableaux``.  Membership in V_T^(2m+1) R is tested one same-column pair at
-a time, by ``exactalg.shift_coefficients``.  ``theorem_main_checks`` checks
-the direct sum degree by degree: the bases of
-gamma_T R_d intersect V_T^(2m+1) R over all standard T, read off
+``tableaux``; they import ``quasi`` when they run, so the series alone
+does not load it.  Membership in V_T^(2m+1) R is tested one same-column
+pair at a time, by ``exactalg.shift_coefficients``.
+``theorem_main_checks`` checks the direct sum degree by degree: the bases
+of gamma_T R_d intersect V_T^(2m+1) R over all standard T, read off
 ``quasi.poly_relations``, are quasiinvariant, and together they are
 independent and dim QI_m,d in number.  The n = 2 change of basis itself
 and the Delta^2 chain, which need no projector, are in ``quasi``.
@@ -21,18 +22,10 @@ import math
 
 from .exactalg import (
     MultiPoly,
+    ResourceGuardError,
     elementary_symmetric,
     series_expand,
     shift_coefficients,
-)
-from .quasi import (
-    ResourceGuardError,
-    degree_cap,
-    graded_dimension_oracle,
-    is_quasiinvariant,
-    monomials_of_degree,
-    poly_rank,
-    poly_relations,
 )
 from .tableaux import (
     Tableau,
@@ -146,6 +139,15 @@ def theorem_main_checks(n: int, m: int) -> dict:
     dim QI_m,d (the ``groupalgebra`` rank-sum line), so
     span B_d(T) = gamma_T(QI_m,d) for each T as well.
     """
+    from .quasi import (
+        degree_cap,
+        graded_dimension_oracle,
+        is_quasiinvariant,
+        monomials_of_degree,
+        poly_rank,
+        poly_relations,
+    )
+
     max_degree = min(degree_cap(), m * n + 2)
     components = []
     for shape in partitions_of(n):
@@ -186,6 +188,8 @@ def hook_quotient_dimension(n: int, m: int, d: int, t: Tableau) -> int:
     (QI_m)_{d-i}); freeness over the symmetric functions makes the second
     span the ideal's degree-d piece.
     """
+    from .quasi import graded_dimension_oracle, poly_rank
+
     top = poly_rank(gamma_images(t, graded_dimension_oracle(n, m, d).basis))
     ideal = []
     for i in range(1, min(n, d) + 1):

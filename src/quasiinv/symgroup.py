@@ -9,11 +9,12 @@ int numerators over one denominator, with the additive structure, equality
 and the trusted constructor shared with ``MultiPoly``.  Every composition
 of image tuples, and every permutation of an exponent tuple, is one call
 of an index getter (``_getter``): convolution builds one per right-hand
-term and composes each left-hand key with it, and ``apply`` sums the
-images ``act`` gives on the polynomial's numerators.  The Fraction view
-``terms`` is built only for output and inspection.  ``bracket`` builds
-each [U] and [U]' once per process; a bracket is also the telescoping
-product of ``telescoping_factors``, so it can act without being expanded.
+term and composes each left-hand key with it, and ``act`` and ``apply``
+build one per permutation (``_acting``) and read each exponent tuple
+through it.  The Fraction view ``terms`` is built only for output and
+inspection.  ``bracket`` builds each [U] and [U]' once per process; a
+bracket is also the telescoping product of ``telescoping_factors``, so it
+can act without being expanded.
 
 One kernel, ``_apply_factors``, runs such factors (1 +- sum of
 transpositions) on a map {tuple: int}, and it serves two products.  The
@@ -196,6 +197,15 @@ def subgroup_perms(n: int, support):
     return out
 
 
+def _acting(images):
+    """The action of the permutation with these images on exponent tuples
+    (see ``act``), as one index getter over the inverse permutation."""
+    source = [0] * len(images)
+    for i, image in enumerate(images):
+        source[image - 1] = i
+    return _getter(source)
+
+
 def act(s: Perm, p: MultiPoly) -> MultiPoly:
     """sigma P = P(x_{sigma(1)}, ..., x_{sigma(n)}).
 
@@ -204,10 +214,7 @@ def act(s: Perm, p: MultiPoly) -> MultiPoly:
     """
     if s.n != p.nvars:
         raise DimensionMismatch("permutation and polynomial sizes differ")
-    source = [0] * s.n
-    for i, image in enumerate(s.images):
-        source[image - 1] = i
-    permute = _getter(source)
+    permute = _acting(s.images)
     num = {permute(exp): c for exp, c in p.num.items()}
     return MultiPoly._from_int(p.nvars, num, p.den)
 
@@ -265,8 +272,11 @@ class GroupAlgebraElem(_Combination):
             raise DimensionMismatch("polynomial nvars mismatch")
         num = {}
         get = num.get
+        terms = p.num.items()
         for images, c in self.num.items():
-            for e, a in act(Perm._trusted(images), p).num.items():
+            permute = _acting(images)
+            for e, a in terms:
+                e = permute(e)
                 num[e] = get(e, 0) + a * c
         return MultiPoly._from_int(self.n, num, self.den * p.den)
 

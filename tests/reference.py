@@ -24,12 +24,16 @@ row set with the same kernel as the package's odd-power rows.
 core on ``Fraction`` values: Wang's rational reconstruction returns a
 Fraction, and each vector is scaled to integers through Fractions.  The
 package runs the same lift on int pairs.
+
+``random_homogeneous`` draws small test polynomials from a seeded
+``random.Random``; the package itself draws no random input.
 """
 
 import math
 from fractions import Fraction
 
 from quasiinv.exactalg import MultiPoly, grlex_key
+from quasiinv.quasi import monomials_of_degree
 from quasiinv.symgroup import GroupAlgebraElem, Perm
 
 
@@ -190,3 +194,14 @@ def ref_lift(kernel, modulus):
             g = -g
         basis.append({c: x // g for c, x in ints.items()})
     return basis
+
+
+def random_homogeneous(rng, n: int, degree: int) -> MultiPoly:
+    """Deterministic pseudo-random homogeneous polynomial of at most four
+    terms, drawn from the seeded ``random.Random`` rng."""
+    monomials = monomials_of_degree(n, degree)
+    terms = {}
+    for _ in range(min(4, len(monomials))):
+        exp = monomials[rng.randrange(len(monomials))]
+        terms[exp] = terms.get(exp, 0) + rng.randint(-5, 5)
+    return MultiPoly(n, terms)

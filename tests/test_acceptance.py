@@ -119,7 +119,7 @@ def test_a6_hilbert_oracle_agreement():
 def test_a7_group_algebra_suite():
     results = []
     for n in (2, 3, 4, 5):
-        for name, ok, detail in run_suite("groupalgebra", n, 0, seed=0):
+        for name, ok, detail in run_suite("groupalgebra", n, 0):
             results.append((n, name, ok, detail))
     failures = [(n, name) for n, name, ok, _ in results if not ok]
     # every line runs at n = 5, the projector rank-sum included

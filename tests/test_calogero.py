@@ -14,7 +14,8 @@ from quasiinv.exactalg import (
     vandermonde,
 )
 from quasiinv.hookbasis import HookSpec, q_integral
-from quasiinv.quasi import graded_dimension_oracle, random_homogeneous
+from quasiinv.quasi import graded_dimension_oracle
+from reference import random_homogeneous
 
 
 def x(i, n):

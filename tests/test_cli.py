@@ -86,16 +86,56 @@ class TestVerify:
     @pytest.mark.parametrize("argv, text", [
         (("--suite", "all", "--n", "1"), "n >= 2"),
         (("--suite", "hook", "--n", "0"), "n >= 2"),
-        (("--suite", "groupalgebra", "--n", "3", "--samples", "0"), "samples >= 1"),
-    ], ids=["all-n1", "hook-n0", "groupalgebra-samples0"])
+    ], ids=["all-n1", "hook-n0"])
     def test_refuses_requests_that_check_nothing(self, capsys, argv, text):
         assert_one_line_error(*run(capsys, "verify", *argv), text)
 
-    def test_samples_ignored_by_suites_that_draw_none(self, capsys):
-        argv = ("verify", "--suite", "thm-main", "--n", "3")
-        plain = run(capsys, *argv)
-        assert plain[0] == 0
-        assert run(capsys, *argv, "--samples", "0") == plain
+    def test_samples_is_a_usage_error(self, capsys):
+        # no suite draws random input, so there is no sample count to give
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--suite", "groupalgebra", "--n", "3", "--samples", "3"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            "quasiinv: error: unrecognized arguments: --samples 3\n")
+
+    # n -> the number of standard tableaux of size n
+    @pytest.mark.parametrize("n, count", [(3, 4), (4, 10), (5, 26)])
+    def test_agreement_line_catches_the_other_symmetrizer(self, capsys,
+                                                          monkeypatch, n, count):
+        # the plan run forward on polynomials applies f_lambda P(T) N(T) / n!,
+        # an idempotent of the same rank as gamma_T, so only the line that
+        # compares the factored and expanded forms can tell them apart
+        from quasiinv import symgroup, tableaux
+
+        def forward(t, p):
+            factors, f, n_factorial = tableaux._projection_plan(t)
+            num = symgroup._apply_factors(p.num, factors)
+            return MultiPoly._from_int(t.n, {e: c * f for e, c in num.items()},
+                                       n_factorial * p.den)
+
+        monkeypatch.setattr(tableaux, "gamma_apply", forward)
+        code, out, _ = run(capsys, "verify", "--suite", "groupalgebra", "--n", str(n))
+        assert code == 1
+        assert [line for line in out.splitlines() if "FAIL" in line] == [
+            f"Factored and expanded gamma_T agree: FAIL (n={n}, {count} tableaux)"]
+
+    def test_dropped_plan_factor_fails_the_suite(self, capsys, monkeypatch):
+        # gamma and gamma_images read one plan, so the agreement line cannot
+        # see a factor missing from it; idempotence and the rank sum do
+        from quasiinv import tableaux
+
+        plan = tableaux._projection_plan
+
+        def short(t):
+            factors, f, n_factorial = plan(t)
+            return factors[1:], f, n_factorial
+
+        monkeypatch.setattr(tableaux, "_projection_plan", short)
+        code, out, _ = run(capsys, "verify", "--suite", "groupalgebra", "--n", "4")
+        assert code == 1
+        assert [line.split(":")[0] for line in out.splitlines() if "FAIL" in line] == [
+            "Zero-product / alpha-invariance / gamma idempotence",
+            "Projector rank-sum decomposition"]
 
     @pytest.mark.parametrize("suite", ["thm-main", "all"])
     def test_refuses_negative_m(self, capsys, suite):

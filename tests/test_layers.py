@@ -34,7 +34,7 @@ ALLOWED = {
     "jsonio": {"exactalg"},
     "hookbasis": {"exactalg"},
     "calogero": {"exactalg", "hookbasis"},
-    "structure": {"exactalg", "quasi", "tableaux"},
+    "structure": {"exactalg", "tableaux"},
     "verify": {"__init__"},
     "cli": {"__init__", "jsonio"},
 }
@@ -68,13 +68,24 @@ def test_top_level_imports_follow_the_layers(module):
     assert top_level_imports(module) <= ALLOWED[module]
 
 
-@pytest.mark.parametrize("module", sorted(ALLOWED))
-def test_no_dataclasses(module):
+def imported_modules(module):
+    """Every module ``module`` names in an import statement, at any depth."""
     imported = {alias.name for node in ast.walk(_tree(module))
                 if isinstance(node, ast.Import) for alias in node.names}
     imported |= {node.module for node in ast.walk(_tree(module))
                  if isinstance(node, ast.ImportFrom)}
-    assert "dataclasses" not in imported
+    return imported
+
+
+@pytest.mark.parametrize("module", sorted(ALLOWED))
+def test_no_dataclasses(module):
+    assert "dataclasses" not in imported_modules(module)
+
+
+@pytest.mark.parametrize("module", sorted(ALLOWED))
+def test_no_random(module):
+    # every check is exact; no module draws random input
+    assert "random" not in imported_modules(module)
 
 
 LOADED = """
@@ -104,6 +115,7 @@ COMMANDS = [
     (("detcheck", "--m", "0"), {"quasi"}),
     (("hilbert", "--n", "3", "--m", "1", "--D", "4", "--oracle"),
      {"quasi", "structure", "tableaux"}),
+    (("hilbert", "--n", "3", "--m", "1", "--D", "4"), {"structure", "tableaux"}),
     (("basis", "--n", "3", "--m", "1", "--j", "2", "--verify"), {"hookbasis"}),
     (("apply", "--op", "gamma", "--in", "{poly}", "--shape", "2,1", "--j", "2"),
      {"tableaux", "symgroup"}),
@@ -129,7 +141,7 @@ COMMANDS = [
 
 
 @pytest.mark.parametrize("argv, modules", COMMANDS,
-                         ids=[" ".join(argv[:3]) for argv, _ in COMMANDS])
+                         ids=[" ".join(argv) for argv, _ in COMMANDS])
 def test_command_loads_exactly_its_modules(tmp_path, argv, modules):
     poly = tmp_path / "p.json"
     poly.write_text(jsonio.dumps(jsonio.poly_to_obj(elementary_symmetric(3, 1))))
@@ -138,8 +150,7 @@ def test_command_loads_exactly_its_modules(tmp_path, argv, modules):
                if name.startswith("quasiinv.")}
     assert package == modules | {"cli", "jsonio", "exactalg"}
     assert "dataclasses" not in loaded
-    # only the groupalgebra suite draws samples
-    assert ("random" in loaded) == ("groupalgebra" in argv or "all" in argv)
+    assert "random" not in loaded
 
 
 def _choices(parser, dest):

@@ -19,7 +19,6 @@ from quasiinv.quasi import (
     is_quasiinvariant,
     monomials_of_degree,
     poly_rank,
-    random_homogeneous,
 )
 from quasiinv.structure import in_gamma_component, theorem_main_checks
 from quasiinv.symgroup import Perm, act
@@ -32,7 +31,13 @@ from quasiinv.tableaux import (
     standard_tableaux,
     v_t,
 )
-from reference import divide_exact, ref_constraint_rows, ref_lift, ref_rational
+from reference import (
+    divide_exact,
+    random_homogeneous,
+    ref_constraint_rows,
+    ref_lift,
+    ref_rational,
+)
 
 FIRST_PRIME = (1 << 61) - 1  # the first prime the elimination core tries
 

@@ -3,7 +3,9 @@
 All numeric work is exact; output is canonical JSON or plain text, written
 to stdout or to --out, and byte-identical across repeated invocations with
 the same flags.  Each subcommand imports the layers it calls when it runs,
-so a command loads only those modules.
+so a command loads only those modules.  A refused request raises
+ValueError and a failed identity TheoremViolationError; ``main`` alone
+turns them into one stderr line and exit 2 or exit 1.
 """
 
 from __future__ import annotations
@@ -27,25 +29,10 @@ def _poly_text(p: MultiPoly) -> str:
     return p.to_text() + "\n"
 
 
-def _identity_failure(exc) -> int:
-    print(f"identity failure: {exc}", file=sys.stderr)
-    return 1
-
-
 def cmd_basis(args) -> int:
-    from .exactalg import TheoremViolationError
     from .hookbasis import hook_basis
 
-    if args.n < 2:
-        print("error: basis requires n >= 2", file=sys.stderr)
-        return 2
-    if not 2 <= args.j <= args.n:
-        print(f"error: j must lie in 2..{args.n}", file=sys.stderr)
-        return 2
-    try:
-        basis = hook_basis(args.n, args.m, args.j, verify=args.verify)
-    except TheoremViolationError as exc:
-        return _identity_failure(exc)
+    basis = hook_basis(args.n, args.m, args.j, verify=args.verify)
     if args.format == "json":
         obj = {
             "n": args.n,
@@ -70,13 +57,9 @@ def cmd_basis(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from .exactalg import TheoremViolationError
     from .verify import run_suite
 
-    try:
-        results = run_suite(args.suite, args.n, args.m)
-    except TheoremViolationError as exc:
-        return _identity_failure(exc)
+    results = run_suite(args.suite, args.n, args.m)
     lines = [f"suite={args.suite} n={args.n} m={args.m} seed={args.seed}"]
     for name, passed, detail in results:
         lines.append(f"{name}: {'PASS' if passed else 'FAIL'} ({detail})")
@@ -152,20 +135,16 @@ def cmd_apply(args) -> int:
         if args.tableau:
             t = Tableau(_parse_json(args.tableau, "--tableau"))
         elif not args.shape:
-            print("error: gamma needs --shape or --tableau", file=sys.stderr)
-            return 2
+            raise ValueError("gamma needs --shape or --tableau")
         else:
             shape = Partition(int(v) for v in args.shape.split(","))
             if len(shape.parts) != 2 or shape.parts[1] != 1:
-                print("error: give --tableau for non-hook shapes", file=sys.stderr)
-                return 2
+                raise ValueError("give --tableau for non-hook shapes")
             if args.j is None:
-                print("error: gamma on a hook shape needs --j", file=sys.stderr)
-                return 2
+                raise ValueError("gamma on a hook shape needs --j")
             t = hook_tableau(shape.size, args.j)
         if t.n != p.nvars:
-            print("error: tableau size does not match nvars", file=sys.stderr)
-            return 2
+            raise ValueError("tableau size does not match nvars")
         image = gamma_apply(t, p)
     elif args.op == "lm":
         from .calogero import NonPolynomialError, apply_lm
@@ -180,8 +159,7 @@ def cmd_apply(args) -> int:
         from .symgroup import act, parse_cycles
 
         if args.sigma is None:
-            print("error: perm needs --sigma", file=sys.stderr)
-            return 2
+            raise ValueError("perm needs --sigma")
         image = act(parse_cycles(args.sigma, p.nvars), p)
     elif args.op == "delta2":
         from .quasi import delta_sq_embed
@@ -298,6 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    from .exactalg import TheoremViolationError
+
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -305,6 +285,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except TheoremViolationError as exc:
+        print(f"identity failure: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

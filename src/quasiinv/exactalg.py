@@ -34,9 +34,9 @@ class DimensionMismatch(ValueError):
 
 
 class TheoremViolationError(AssertionError):
-    """An exact identity the construction relies on failed to hold.  It
-    lives in the bottom layer so that the CLI can catch it without loading
-    the construction that raises it."""
+    """An exact identity failed to hold; every exact identity the package
+    asserts raises it.  It lives in the bottom layer so that the CLI can
+    catch it without loading the construction that raises it."""
 
 
 class ResourceGuardError(ValueError):

@@ -23,6 +23,7 @@ import math
 from .exactalg import (
     MultiPoly,
     ResourceGuardError,
+    TheoremViolationError,
     elementary_symmetric,
     series_expand,
     shift_coefficients,
@@ -210,5 +211,5 @@ def det_degree(n: int) -> int:
     )
     closed = c * math.factorial(n)
     if by_shapes != closed:
-        raise AssertionError(f"degree formulas disagree: {by_shapes} != {closed}")
+        raise TheoremViolationError(f"degree formulas disagree: {by_shapes} != {closed}")
     return closed

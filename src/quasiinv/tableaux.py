@@ -28,7 +28,7 @@ import functools
 import itertools
 import math
 
-from .exactalg import DimensionMismatch, MultiPoly
+from .exactalg import DimensionMismatch, MultiPoly, TheoremViolationError
 
 
 class Partition:
@@ -186,7 +186,8 @@ def f_lambda(shape: Partition) -> int:
     count = len(standard_tableaux(shape))
     hook = shape.hook_length_count()
     if count != hook:
-        raise AssertionError(f"enumeration {count} != hook formula {hook} for {shape}")
+        raise TheoremViolationError(
+            f"enumeration {count} != hook formula {hook} for {shape}")
     return count
 
 

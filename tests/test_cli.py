@@ -1,10 +1,16 @@
 """Command-line behavior: every subcommand, exit codes, guard errors,
 JSON round-trips, and byte-identical deterministic output."""
 
+import contextlib
+import io
 import json
+import os
+import tempfile
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quasiinv import SUITES, jsonio
 from quasiinv.cli import main
@@ -50,7 +56,7 @@ class TestBasis:
     def test_bad_j(self, capsys):
         code, _, err = run(capsys, "basis", "--n", "3", "--m", "1", "--j", "5")
         assert code == 2
-        assert "j must lie" in err
+        assert "outside 2..3" in err
 
     def test_identity_failure_exits_1(self, capsys, monkeypatch):
         from quasiinv import hookbasis
@@ -151,7 +157,8 @@ class TestVerify:
 
     def test_identity_failure_exits_1(self, capsys, monkeypatch):
         # the hook suite imports its layers when it runs, so it reads the
-        # patched function from hookbasis itself
+        # patched function from hookbasis itself; the failed identity fails
+        # its own line and the rest of the report is still printed
         from quasiinv import hookbasis
         from quasiinv.hookbasis import TheoremViolationError
 
@@ -162,8 +169,39 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "--suite", "hook", "--n", "2",
                              "--m", "0")
         assert code == 1
-        assert out == ""
-        assert err == "identity failure: forced for HookSpec(n=2, m=0, j=2, k=0)\n"
+        assert err == ""
+        assert out == (
+            "suite=hook n=2 m=0 seed=0\n"
+            "Dual construction equality (integral vs closed form): PASS (grid 1 specs)\n"
+            "Membership and degree of hook basis elements: PASS (grid 1 specs)\n"
+            "Limit formula at x_1 = x_j: FAIL (grid 1 specs)\n"
+            "result: 2/3 passed\n")
+
+    def test_chain_reports_a_failed_identity_as_a_line(self, capsys, monkeypatch):
+        from quasiinv import quasi
+
+        vandermonde = quasi.vandermonde
+        monkeypatch.setattr(quasi, "vandermonde", lambda n: vandermonde(n) * 2)
+        code, out, err = run(capsys, "verify", "--suite", "chain", "--n", "2",
+                             "--m", "0")
+        assert (code, err) == (1, "")
+        lines = out.splitlines()
+        assert len(lines) == 5
+        assert [line.split(": ")[1][:4] for line in lines[1:4]] == ["PASS", "FAIL", "PASS"]
+        assert lines[2].startswith("n=2 change-of-basis determinant: FAIL")
+        assert lines[4] == "result: 2/3 passed"
+
+    def test_all_checks_every_limit_before_running(self, capsys, monkeypatch):
+        # n = 6 is within the groupalgebra limit but above the oracle's, so
+        # all refuses before the first suite runs
+        from quasiinv import verify
+
+        def ran(n):
+            raise AssertionError("groupalgebra ran")
+
+        monkeypatch.setattr(verify, "suite_groupalgebra", ran)
+        assert_one_line_error(*run(capsys, "verify", "--suite", "all", "--n", "6"),
+                              "oracle limited to n <= 5, got 6")
 
     def test_unknown_suite_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -386,6 +424,41 @@ class TestDetcheck:
         assert obj["equals_vandermonde_squared"] is True
 
 
+def assert_one_line_identity_failure(code, out, err, text):
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and err.startswith(f"identity failure: {text}")
+
+
+class TestIdentityFailure:
+    """A broken identity leaves any command as exit 1 and one stderr line,
+    never as an escaping exception."""
+
+    def test_detcheck(self, capsys, monkeypatch):
+        from quasiinv import quasi
+
+        vandermonde = quasi.vandermonde
+        monkeypatch.setattr(quasi, "vandermonde", lambda n: vandermonde(n) * 2)
+        assert_one_line_identity_failure(*run(capsys, "detcheck", "--m", "1"),
+                                         "determinant is not the squared Vandermonde")
+
+    def test_hilbert(self, capsys, monkeypatch):
+        from quasiinv.tableaux import Partition
+
+        monkeypatch.setattr(Partition, "hook_length_count", lambda self: 0)
+        assert_one_line_identity_failure(
+            *run(capsys, "hilbert", "--n", "3", "--m", "1", "--D", "3"),
+            "enumeration 1 != hook formula 0 for ")
+
+    def test_delta2(self, capsys, monkeypatch, tmp_path):
+        from quasiinv import quasi
+
+        monkeypatch.setattr(quasi, "is_quasiinvariant", lambda p, m: m == 0)
+        path = write_poly(tmp_path, MultiPoly.constant(2, 1))
+        assert_one_line_identity_failure(
+            *run(capsys, "apply", "--op", "delta2", "--m", "0", "--in", path),
+            "Delta^2 embedding failed quasiinvariance")
+
+
 class TestEntryPoints:
     def test_module_invocation(self):
         import subprocess
@@ -404,3 +477,107 @@ class TestEntryPoints:
     def test_missing_subcommand_errors(self):
         with pytest.raises(SystemExit):
             main([])
+
+
+# -- fuzzing main ----------------------------------------------------------
+#
+# Every value is small (n <= 4, n <= 3 for verify, m <= 2, degrees <= 6,
+# negatives down to -2), so no request asks for a large group or degree.
+
+OPS = ("gamma", "lm", "perm", "delta2")
+
+
+@st.composite
+def requests(draw):
+    """argv for one subcommand; "{poly}" stands for the --in file."""
+    def number(lo, hi):
+        return str(draw(st.integers(lo, hi)))
+
+    def maybe(*option):
+        return list(option) if draw(st.booleans()) else []
+
+    command = draw(st.sampled_from(["basis", "verify", "hilbert", "oracle", "detcheck",
+                                    *OPS]))
+    if command == "basis":
+        return ["basis", "--n", number(-2, 4), "--m", number(-2, 2), "--j", number(-2, 4),
+                *maybe("--verify"), *maybe("--format", "text")]
+    if command == "verify":
+        return ["verify", "--suite", draw(st.sampled_from(SUITES + ("all",))),
+                "--n", number(-2, 3), *maybe("--m", number(-2, 2))]
+    if command == "hilbert":
+        return ["hilbert", "--n", number(-2, 4), "--m", number(-2, 2),
+                "--D", number(-2, 6), *maybe("--oracle"), *maybe("--format", "text")]
+    if command == "oracle":
+        return ["oracle", "--n", number(-2, 4), "--m", number(-2, 2), "--d", number(-2, 6)]
+    if command == "detcheck":
+        return ["detcheck", "--m", number(-2, 2), *maybe("--format", "text")]
+    return ["apply", "--op", command, "--in", "{poly}",
+            *maybe("--m", number(-2, 2)), *maybe("--j", number(-2, 4)),
+            *maybe("--shape", draw(st.sampled_from(["2,1", "3,1", "1,1", "2,2", "2", "0",
+                                                    "x"]))),
+            *maybe("--tableau", draw(st.sampled_from(["[[1,2],[3]]", "[[1,3],[2,4]]",
+                                                      "[[1,2,3],[4]]", "[[1,1],[2]]",
+                                                      "[]", "3", "null"]))),
+            *maybe("--sigma", draw(st.sampled_from(["(1,2)", "(1,3,2)", "(1,4)", "(0,1)",
+                                                    "()", "1"]))),
+            *maybe("--format", "text")]
+
+
+POLYS = st.builds(
+    lambda nvars, terms: jsonio.poly_to_obj(
+        MultiPoly(nvars, {exp[:nvars]: c for exp, c in terms})),
+    st.integers(1, 4),
+    st.lists(st.tuples(st.tuples(*[st.integers(0, 2)] * 4), st.integers(-3, 3)),
+             max_size=3),
+)
+
+POLY_KEYS = ("nvars", "terms", "exp", "num", "den")
+
+# nested lists, and dicts over the keys a JSON polynomial uses
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 4) | st.text(max_size=3)
+    | st.sampled_from(["1", "-2", "0"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.sampled_from(POLY_KEYS), inner, max_size=5),
+    max_leaves=12,
+)
+
+
+def _spoiled(obj, key, value):
+    """A valid JSON polynomial with one field, or its first term's, replaced."""
+    if key in ("nvars", "terms") or not obj["terms"]:
+        return {**obj, key: value}
+    return {**obj, "terms": [{**obj["terms"][0], key: value}] + obj["terms"][1:]}
+
+
+def exit_code(argv, poly):
+    """main's exit code on ``argv``, with ``poly`` as the "{poly}" file;
+    whatever it writes to stderr is one line naming an error."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "p.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(poly, fh)
+        argv = [path if a == "{poly}" else a for a in argv]
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main(argv + ["--out", os.devnull])
+    text = err.getvalue()
+    assert text == "" or (text.count("\n") == 1 and text.startswith(
+        ("error: ", "identity failure: ")))
+    return code
+
+
+class TestFuzzMain:
+    """Every small request gets an answer or a one-line message, and no
+    exception escapes main."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(requests(), POLYS)
+    def test_every_subcommand(self, argv, poly):
+        assert exit_code(argv, poly) in (0, 1, 2)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from([["gamma", "--shape", "2,1", "--j", "2"], ["lm", "--m", "1"],
+                            ["perm", "--sigma", "(1,2)"], ["delta2", "--m", "0"]]),
+           JSON | st.builds(_spoiled, POLYS, st.sampled_from(POLY_KEYS), JSON))
+    def test_apply_on_any_json(self, op, obj):
+        assert exit_code(["apply", "--in", "{poly}", "--op", *op], obj) in (0, 1, 2)

@@ -88,6 +88,26 @@ def test_no_random(module):
     assert "random" not in imported_modules(module)
 
 
+def _names_assertion_error(node):
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Tuple):
+        return any(_names_assertion_error(e) for e in node.elts)
+    return isinstance(node, ast.Name) and node.id == "AssertionError"
+
+
+@pytest.mark.parametrize("module", sorted(ALLOWED))
+def test_no_assertion_error(module):
+    # a failed identity raises TheoremViolationError, which cli.main reports;
+    # a bare assert or AssertionError would escape it as a traceback
+    for node in ast.walk(_tree(module)):
+        assert not isinstance(node, ast.Assert), node.lineno
+        if isinstance(node, ast.Raise):
+            assert not _names_assertion_error(node.exc), node.lineno
+        if isinstance(node, ast.ExceptHandler):
+            assert not _names_assertion_error(node.type), node.lineno
+
+
 LOADED = """
 import os, sys
 sys.path.insert(0, {src!r})

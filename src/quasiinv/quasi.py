@@ -43,6 +43,14 @@ from .exactalg import (
 ORACLE_MAX_N = 5
 DEFAULT_DEGREE_CAP = 12
 
+# The terms of Delta_n^2 for n = 1..6.  At n = 7 squaring the Vandermonde
+# alone (1,392,385 terms) took 32 s, so delta2 stops at 6 variables, and
+# below that it refuses |Delta_n^2| |p| above DELTA2_MAX_TERM_PAIRS: on a
+# 2-vCPU Xeon VM with Python 3.11 one 6-variable monomial (56,183 pairs)
+# takes 1.2 s, and a 6-variable, 40-term input (2.2 M) took 25.6 s.
+_DELTA_SQ_TERMS = {1: 1, 2: 3, 3: 19, 4: 201, 5: 2961, 6: 56183}
+DELTA2_MAX_TERM_PAIRS = 100_000
+
 
 def degree_cap() -> int:
     value = os.environ.get("QI_MAX_DEGREE")
@@ -73,7 +81,16 @@ def is_quasiinvariant(p: MultiPoly, m: int) -> bool:
 
 def delta_sq_embed(p: MultiPoly, m: int) -> MultiPoly:
     """Multiply an m-quasiinvariant by Delta_n^2; the result is checked to
-    be (m+1)-quasiinvariant."""
+    be (m+1)-quasiinvariant.  Inputs past the size guard are refused
+    before any work."""
+    if p.nvars > max(_DELTA_SQ_TERMS):
+        raise ResourceGuardError(
+            f"delta2 limited to nvars <= {max(_DELTA_SQ_TERMS)}, got {p.nvars}")
+    pairs = _DELTA_SQ_TERMS.get(p.nvars, 1) * len(p.num)
+    if pairs > DELTA2_MAX_TERM_PAIRS:
+        raise ResourceGuardError(
+            f"delta2 limited to |Delta^2| |p| <= {DELTA2_MAX_TERM_PAIRS} term "
+            f"pairs, got {pairs}")
     if not is_quasiinvariant(p, m):
         raise ValueError("input is not m-quasiinvariant")
     result = vandermonde(p.nvars) ** 2 * p

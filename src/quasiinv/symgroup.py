@@ -6,21 +6,22 @@ is a left action: act(a * b, p) = act(a, act(b, p)).
 
 An element of Q S_n is an ``exactalg._Combination`` keyed by image tuples:
 int numerators over one denominator, with the additive structure, equality
-and the trusted constructor shared with ``MultiPoly``.  Every composition
-of image tuples, and every permutation of an exponent tuple, is one call
-of an index getter (``_getter``): convolution builds one per right-hand
-term and composes each left-hand key with it, and ``act`` and ``apply``
-build one per permutation (``_acting``) and read each exponent tuple
-through it.  The Fraction view ``terms`` is built only for output and
-inspection.  ``bracket`` builds each [U] and [U]' once per process; a
-bracket is also the telescoping product of ``telescoping_factors``, so it
-can act without being expanded.
+and the trusted constructor shared with ``MultiPoly``.  Composing two
+permutations, and permuting an exponent tuple, is one call of an index
+getter (``_getter``): ``Perm.compose`` builds one over its right factor,
+and ``act`` and ``apply`` build one per permutation (``_acting``) and read
+each exponent tuple through it.  The Fraction view
+``terms`` is built only for output and inspection.  ``bracket`` builds
+each [U] and [U]' once per process; a bracket is also the telescoping
+product of ``telescoping_factors``, so it can act without being expanded.
 
 One kernel, ``_apply_factors``, runs such factors (1 +- sum of
 transpositions) on a map {tuple: int}, and it serves two products.  The
 left action of (a b) on a polynomial swaps slots a and b of each exponent
 tuple; the right product by (a b) swaps the same two slots of each image
-tuple, since (x (a b))(a) = x(b) and (x (a b))(b) = x(a).  So
+tuple, since (x (a b))(a) = x(b) and (x (a b))(b) = x(a).  Elements are
+multiplied only this way, on the right by brackets: ``*`` scales by an
+int or a Fraction, and ``x * y`` of two elements raises TypeError.  So
 ``times_brackets`` multiplies a group-algebra element on the right by
 brackets in O(k^2) transpositions per bracket rather than k! permutations,
 and ``tableaux`` runs the Young projector's factors both ways.
@@ -250,19 +251,11 @@ class GroupAlgebraElem(_Combination):
         return cls._term(perm.n, perm.images, c)
 
     def __mul__(self, other):
+        """Scaling by an int or a Fraction; see ``times_brackets`` for the
+        right product by brackets."""
         if isinstance(other, (int, Fraction)):
             return self._scale(other)
-        self._check(other)
-        # (a * b)(i) = a(b(i)): the key of a * b reads a's images at b's
-        right = [(_getter([i - 1 for i in images2]), c2)
-                 for images2, c2 in other.num.items()]
-        acc = {}
-        get = acc.get
-        for images, c1 in self.num.items():
-            for compose, c2 in right:
-                key = compose(images)
-                acc[key] = get(key, 0) + c1 * c2
-        return GroupAlgebraElem._from_int(self.n, acc, self.den * other.den)
+        return NotImplemented
 
     __rmul__ = __mul__
 

@@ -13,8 +13,11 @@ term on plain ``{exponent: Fraction}`` or ``{Perm: Fraction}`` maps, with
 no common denominator and no reduction, by the textbook definitions:
 ``ref_add`` and ``ref_scale`` serve both, ``ref_convolve`` multiplies in
 Q S_n, composing pointwise, (p1 p2)(i) = p1(p2(i)), into validated
-``Perm`` values rather than through the kernel's index getters, and
-``convolve`` is the same product on ``GroupAlgebraElem`` values.
+``Perm`` values, and ``convolve`` is the same product on
+``GroupAlgebraElem`` values.  The package has no such product: it
+multiplies only on the right by brackets, through their telescoping
+factors, so ``convolve`` is the independent reference for those
+products.
 
 ``ref_constraint_rows`` writes the quasiinvariance condition in the
 asymmetric form x_i = x_j + u, with every power u^0..u^2m, as a second

@@ -58,6 +58,11 @@ class TestBasis:
         assert code == 2
         assert "outside 2..3" in err
 
+    def test_guard_exits_2(self, capsys):
+        # this request used to run 21 s and print 64 MB of JSON
+        assert_one_line_error(*run(capsys, "basis", "--n", "16", "--m", "1", "--j", "2"),
+                              "basis limited to 500000 bounded terms, got 6144000")
+
     def test_identity_failure_exits_1(self, capsys, monkeypatch):
         from quasiinv import hookbasis
 
@@ -143,6 +148,29 @@ class TestVerify:
             "Zero-product / alpha-invariance / gamma idempotence",
             "Projector rank-sum decomposition"]
 
+    # n -> the standard tableaux of size n and their (column, cell) pairs
+    @pytest.mark.parametrize("n, count, pairs", [(3, 4, 5), (4, 10, 22), (5, 26, 86)])
+    def test_dropped_alpha_transposition_fails_the_suite(self, capsys, monkeypatch,
+                                                         n, count, pairs):
+        # alpha gamma_T = gamma_T and (1 - alpha) [C_i]' = [C_i + cell]' both
+        # need every transposition of alpha; nothing else reads alpha
+        from quasiinv import tableaux
+        from quasiinv.symgroup import GroupAlgebraElem
+
+        full = tableaux.alpha
+
+        def short(t, i, cell):
+            a = full(t, i, cell)
+            kept = dict(sorted(a.num.items())[1:])
+            return GroupAlgebraElem._from_int(a.n, kept, a.den)
+
+        monkeypatch.setattr(tableaux, "alpha", short)
+        code, out, _ = run(capsys, "verify", "--suite", "groupalgebra", "--n", str(n))
+        assert code == 1
+        assert [line for line in out.splitlines() if "FAIL" in line] == [
+            "Zero-product / alpha-invariance / gamma idempotence: FAIL "
+            f"(n={n}, {count} tableaux, {pairs} (column, cell) pairs)"]
+
     @pytest.mark.parametrize("suite", ["thm-main", "all"])
     def test_refuses_negative_m(self, capsys, suite):
         assert_one_line_error(*run(capsys, "verify", "--suite", suite, "--n", "3",
@@ -207,10 +235,10 @@ class TestVerify:
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--suite", "bogus", "--n", "2"])
         assert exc.value.code == 2
-        assert capsys.readouterr().err.endswith(
-            "quasiinv verify: error: argument --suite: invalid choice: 'bogus' "
-            "(choose from 'groupalgebra', 'thm-main', 'hook', 'lm', 'chain', "
-            "'all')\n")
+        # later 3.12 and 3.13 releases print the choices without quotes
+        assert capsys.readouterr().err.replace("'", "").endswith(
+            "quasiinv verify: error: argument --suite: invalid choice: bogus "
+            "(choose from groupalgebra, thm-main, hook, lm, chain, all)\n")
 
     @pytest.mark.parametrize("suite", SUITES + ("all",))
     def test_every_offered_suite_runs(self, capsys, suite):
@@ -312,6 +340,18 @@ class TestApply:
         assert code == 0
         assert jsonio.poly_from_obj(json.loads(out)) == vandermonde(2) ** 2
 
+    @pytest.mark.parametrize("p, text", [
+        (MultiPoly.variable(7, 3), "delta2 limited to nvars <= 6, got 7"),
+        (MultiPoly(6, {(k, 4 - k, 0, 0, 0, i): 1 for k in range(5) for i in range(8)}),
+         "delta2 limited to |Delta^2| |p| <= 100000 term pairs, got 2247320"),
+    ], ids=["seven-variables", "six-variables-40-terms"])
+    def test_delta2_guard_exits_2(self, capsys, tmp_path, p, text):
+        # the 40-term input used to run 25.6 s; at 7 variables squaring the
+        # Vandermonde alone took 32 s
+        path = write_poly(tmp_path, p)
+        assert_one_line_error(*run(capsys, "apply", "--op", "delta2", "--m", "0",
+                                   "--in", path), text)
+
     def test_zero_denominator_exits_2(self, capsys, tmp_path):
         path = tmp_path / "p.json"
         path.write_text(json.dumps({"nvars": 2, "terms": [
@@ -346,7 +386,7 @@ class TestApply:
     def test_deeply_nested_tableau_exits_2(self, capsys, tmp_path):
         path = write_poly(tmp_path, MultiPoly.variable(3, 1))
         assert_one_line_error(*run(capsys, "apply", "--op", "gamma", "--in", path,
-                                   "--tableau", "[" * 5000),
+                                   "--tableau", "[" * 100000),
                               "--tableau JSON is nested too deeply")
 
     @pytest.mark.parametrize("sigma", ["(1,2))", ")", ")(1,2)"])

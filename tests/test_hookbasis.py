@@ -187,6 +187,29 @@ class TestBasisBuilder:
         basis = hook_basis(3, 1, 2)
         assert poly_rank(list(basis)) == 2
 
+    @pytest.mark.parametrize("n, m, bound", [
+        (5, 2, 1458), (12, 1, 214016), (9, 2, 411156), (14, 1, 1171456),
+        (10, 2, 1535274), (16, 1, 6144000)])
+    def test_term_bound_values(self, n, m, bound):
+        assert hookbasis.basis_term_bound(n, m) == bound
+
+    def test_term_bound_holds(self):
+        for n in range(2, 7):
+            for m in range(3):
+                bound = hookbasis.basis_term_bound(n, m)
+                for j in range(2, n + 1):
+                    assert sum(len(q.num) for q in hook_basis(n, m, j)) <= bound
+
+    def test_guard_refuses_before_building(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("an element was built past the guard")
+
+        monkeypatch.setattr(hookbasis, "_q_integral", refuse)
+        with pytest.raises(hookbasis.ResourceGuardError,
+                           match="limited to 500000 bounded terms, got 1171456"):
+            hook_basis(14, 1, 2)
+        assert hookbasis.basis_term_bound(12, 1) <= hookbasis.BASIS_MAX_TERMS
+
     def test_violation_error_is_assertion(self):
         assert issubclass(TheoremViolationError, AssertionError)
 

@@ -3,6 +3,7 @@ membership, and the degree-cap/resource guards."""
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -462,6 +463,34 @@ class TestDeltaSqEmbed:
     def test_rejects_non_member(self):
         with pytest.raises(ValueError):
             delta_sq_embed(x(1, 2), 1)
+
+    def test_term_table_counts_delta_squared(self):
+        assert quasi._DELTA_SQ_TERMS == {
+            n: len((vandermonde(n) ** 2).num) for n in range(1, 7)}
+
+    @pytest.mark.parametrize("p, text", [
+        (MultiPoly.variable(7, 1), "delta2 limited to nvars <= 6, got 7"),
+        # 40 of the 126 degree-4 monomials in 6 variables: 40 * 56183 pairs
+        (MultiPoly(6, dict.fromkeys(monomials_of_degree(6, 4)[:40], 1)),
+         "delta2 limited to |Delta^2| |p| <= 100000 term pairs, got 2247320"),
+        (MultiPoly(5, dict.fromkeys(monomials_of_degree(5, 3)[:34], 1)),
+         "got 100674"),
+    ], ids=["seven-variables", "six-variables-40-terms", "five-variables-34-terms"])
+    def test_guard_refuses_before_any_work(self, monkeypatch, p, text):
+        def refuse(*args):
+            raise AssertionError("the guard ran after the work began")
+
+        monkeypatch.setattr(quasi, "is_quasiinvariant", refuse)
+        monkeypatch.setattr(quasi, "vandermonde", refuse)
+        with pytest.raises(ResourceGuardError, match=re.escape(text)):
+            delta_sq_embed(p, 0)
+
+    def test_guard_admits_the_largest_inputs_in_use(self):
+        # e_1^6 in 4 variables has 84 terms: 84 * 201 = 16884 pairs
+        p = elementary_symmetric(4, 1) ** 6
+        assert delta_sq_embed(p, 0) == vandermonde(4) ** 2 * p
+        p = MultiPoly(5, dict.fromkeys(monomials_of_degree(5, 3)[:33], 1))
+        assert delta_sq_embed(p, 0) == vandermonde(5) ** 2 * p
 
 
 class TestMainCharacterization:

@@ -21,6 +21,7 @@ from quasiinv.symgroup import (
 from quasiinv.tableaux import (
     Partition,
     Tableau,
+    _times_gamma,
     alpha,
     cocharge,
     col_union_antisym,
@@ -172,7 +173,7 @@ class TestSymmetrizers:
             for shape in partitions_of(n):
                 for t in standard_tableaux(shape):
                     g = gamma(t)
-                    assert g * g == g
+                    assert _times_gamma(g, t) == convolve(g, g) == g
 
     @pytest.mark.parametrize("t", TABLEAUX_UP_TO_5, ids=tableau_id)
     def test_gamma_matches_reference_convolution(self, t):
@@ -240,7 +241,7 @@ class TestSymmetrizers:
                         for j in range(i + 1, len(t.columns) + 1):
                             for k in range(1, len(t.columns[j - 1]) + 1):
                                 a = alpha(t, i, (k, j))
-                                assert a * g == g
+                                assert _times_gamma(a, t) == convolve(a, g) == g
 
     def test_merged_bracket_factorization(self):
         # (1 - alpha) [C_i]' equals the bracket over C_i with the cell merged
@@ -253,9 +254,11 @@ class TestSymmetrizers:
                         for j in range(i + 1, len(t.columns) + 1):
                             for k in range(1, len(t.columns[j - 1]) + 1):
                                 a = alpha(t, i, (k, j))
-                                ci = bracket(n, t.columns[i - 1], signed=True)
-                                lhs = (GroupAlgebraElem.identity(n) - a) * ci
-                                assert lhs == col_union_antisym(t, i, (k, j))
+                                one_minus_a = GroupAlgebraElem.identity(n) - a
+                                ci = t.columns[i - 1]
+                                want = col_union_antisym(t, i, (k, j))
+                                assert times_brackets(one_minus_a, [(ci, True)]) == want
+                                assert convolve(one_minus_a, bracket(n, ci, signed=True)) == want
 
     def test_col_union_factorization(self):
         # B(i, cell) = N(T) * alpha-sum structure: applying the merged

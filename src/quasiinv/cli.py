@@ -3,7 +3,9 @@
 All numeric work is exact; output is canonical JSON or plain text, written
 to stdout or to --out, and byte-identical across repeated invocations with
 the same flags.  Each subcommand imports the layers it calls when it runs,
-so a command loads only those modules.  A refused request raises
+so a command loads only those modules; ``json`` and ``jsonio`` are loaded
+only by a command that reads or writes JSON, and ``verify``, which prints
+plain text, loads neither.  A refused request raises
 ValueError and a failed identity TheoremViolationError; ``main`` alone
 turns them into one stderr line and exit 2 or exit 1.
 """
@@ -11,10 +13,10 @@ turns them into one stderr line and exit 2 or exit 1.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
-from . import SUITES, jsonio
+from . import SUITES
+from .exactalg import TheoremViolationError
 
 
 def _emit(text: str, out_path: str | None):
@@ -34,6 +36,8 @@ def cmd_basis(args) -> int:
 
     basis = hook_basis(args.n, args.m, args.j, verify=args.verify)
     if args.format == "json":
+        from . import jsonio
+
         obj = {
             "n": args.n,
             "m": args.m,
@@ -89,6 +93,8 @@ def cmd_hilbert(args) -> int:
                 }
             )
     if args.format == "json":
+        from . import jsonio
+
         text = jsonio.dumps(jsonio.hilbert_report_to_obj(report, oracle))
     else:
         lines = [f"Hilbert series of QI_{args.m} for n={args.n} through q^{args.D}"]
@@ -116,19 +122,19 @@ def cmd_hilbert(args) -> int:
 def _parse_json(text: str, option: str):
     """The JSON value given to ``option``; nesting too deep for the decoder
     is refused like any other malformed input."""
+    import json
+
     try:
         return json.loads(text)
     except RecursionError:
         raise ValueError(f"{option} JSON is nested too deeply") from None
 
 
-def _load_poly(path: str) -> MultiPoly:
-    with open(path, "r", encoding="utf-8") as fh:
-        return jsonio.poly_from_obj(_parse_json(fh.read(), "--in"))
-
-
 def cmd_apply(args) -> int:
-    p = _load_poly(args.infile)
+    from . import jsonio
+
+    with open(args.infile, "r", encoding="utf-8") as fh:
+        p = jsonio.poly_from_obj(_parse_json(fh.read(), "--in"))
     if args.op == "gamma":
         from .tableaux import Partition, Tableau, gamma_apply, hook_tableau
 
@@ -175,6 +181,7 @@ def cmd_apply(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from . import jsonio
     from .quasi import graded_dimension_oracle
 
     witness = graded_dimension_oracle(args.n, args.m, args.d)
@@ -186,13 +193,15 @@ def cmd_detcheck(args) -> int:
     from .quasi import change_of_basis_n2
 
     matrix, determinant = change_of_basis_n2(args.m)
-    obj = {
-        "m": args.m,
-        "matrix": [[jsonio.poly_to_obj(entry) for entry in row] for row in matrix],
-        "determinant": jsonio.poly_to_obj(determinant),
-        "equals_vandermonde_squared": True,
-    }
     if args.format == "json":
+        from . import jsonio
+
+        obj = {
+            "m": args.m,
+            "matrix": [[jsonio.poly_to_obj(entry) for entry in row] for row in matrix],
+            "determinant": jsonio.poly_to_obj(determinant),
+            "equals_vandermonde_squared": True,
+        }
         _emit(jsonio.dumps(obj), args.out)
     else:
         lines = [
@@ -276,8 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    from .exactalg import TheoremViolationError
-
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

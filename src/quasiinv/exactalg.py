@@ -13,9 +13,18 @@ one place that scales Fraction coefficients to integers; every operation
 builds its result on ints through the one trusted constructor
 ``_from_int``, which drops zeros and divides out one gcd.  The kernel
 (ring operations, shift expansion, division by a difference,
-differentiation, integration) runs on ints alone; ``fractions.Fraction``
-appears only at the boundary: the public constructors, the ``terms`` views
-and text output.
+differentiation, integration) runs on ints alone.  ``fractions`` is
+imported only where a Fraction is built or tested: the non-int branch of
+``_scalar`` and the ``terms`` views, so a command that reads no JSON input
+does not load it.
+
+The transposition kernel ``_apply_factors`` runs factors
+(1 +- sum of transpositions) on the numerator map of either subclass: a
+transposition (a b) swaps slots a and b of every key, which is its left
+action on exponent tuples and the right product by it on image tuples.
+``telescoping_factors`` writes a bracket [U] or [U]' as such factors.  The
+kernel sits here, below the group algebra, so that ``tableaux`` projects
+polynomials by gamma_T without loading ``symgroup``.
 
 All values are immutable after construction and all operations are pure.
 """
@@ -23,7 +32,6 @@ All values are immutable after construction and all operations are pure.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from itertools import combinations
 from operator import add
 
@@ -46,7 +54,11 @@ class ResourceGuardError(ValueError):
 
 def _scalar(c):
     """``c`` if it is an int or a Fraction; anything else is refused."""
-    if isinstance(c, (int, Fraction)):
+    if isinstance(c, int):
+        return c
+    from fractions import Fraction
+
+    if isinstance(c, Fraction):
         return c
     raise TypeError(f"expected int or Fraction, got {type(c).__name__}")
 
@@ -164,18 +176,24 @@ class _Combination:
     def __hash__(self):
         return hash((getattr(self, self._SIZE), self.den, frozenset(self.num.items())))
 
+    def _coefficient(self, key):
+        """The coefficient of ``key`` in lowest terms, as (numerator,
+        denominator) with a positive denominator: a Fraction's normal form."""
+        c, den = self.num[key], self.den
+        g = math.gcd(c, den)
+        return c // g, den // g
+
     def _signed_sum(self, words) -> str:
         """The text of sum c * word over ``words``, (key, word) pairs in
         print order: each term is |c|*word, with a unit coefficient left
-        out, and an empty word stands for 1."""
-        den = self.den
+        out, and an empty word stands for 1; |c| is a/d, or a when d = 1."""
         parts = []
         for key, word in words:
-            c = Fraction(self.num[key], den)
-            a = abs(c)
+            c, d = self._coefficient(key)
+            a = f"{abs(c)}" if d == 1 else f"{abs(c)}/{d}"
             if not word:
-                body = f"{a}"
-            elif a == 1:
+                body = a
+            elif a == "1":
                 body = word
             else:
                 body = f"{a}*{word}"
@@ -184,6 +202,41 @@ class _Combination:
         if not text:
             return "0"
         return text[2:] if text.startswith("+ ") else "-" + text[2:]
+
+
+# The largest n whose subgroups S_U are enumerated, and n! the largest
+# |R(T)| |C(T)| a Young projector may cost; both are factorial, so keep
+# them at desk scale.
+MAX_GROUP_N = 8
+
+
+def telescoping_factors(order):
+    """The transpositions of each factor of the telescoping product
+    (1 +- (u1,u2))(1 +- (u1,u3) +- (u2,u3))...(1 +- (u1,uk) +- ... +- (u(k-1),uk))
+    over an ordering u1..uk of a set U, first factor first.  The product is
+    [U] with every sign +, and [U]' with every sign -."""
+    return [[(order[s], order[t]) for s in range(t)] for t in range(1, len(order))]
+
+
+def _apply_factors(q: dict, factors) -> dict:
+    """Run each factor (1 + sign * sum of the transpositions ``pairs``) of
+    the ordered list ``factors`` of (pairs, sign) on {tuple: int}, first
+    factor first.  A transposition (a b) swaps slots a and b of every key:
+    on exponent tuples that is its action, on image tuples the right
+    product by it."""
+    for pairs, sign in factors:
+        out = dict(q)
+        get = out.get
+        for a, b in pairs:
+            a, b = a - 1, b - 1
+            for e, c in q.items():
+                if e[a] != e[b]:
+                    swapped = list(e)
+                    swapped[a], swapped[b] = e[b], e[a]
+                    e = tuple(swapped)
+                out[e] = get(e, 0) + sign * c
+        q = {e: c for e, c in out.items() if c}
+    return q
 
 
 class MultiPoly(_Combination):
@@ -215,6 +268,8 @@ class MultiPoly(_Combination):
     @property
     def terms(self) -> dict:
         """{exponent: Fraction coefficient}, for output and inspection."""
+        from fractions import Fraction
+
         den = self.den
         return {e: Fraction(c, den) for e, c in self.num.items()}
 
@@ -250,23 +305,18 @@ class MultiPoly(_Combination):
         degs = {sum(e) for e in self.num}
         return len(degs) <= 1
 
-    def sorted_terms(self):
-        """Terms in graded-lex descending order of exponent vector, with
-        Fraction coefficients."""
-        return sorted(self.terms.items(), key=lambda t: grlex_key(t[0]), reverse=True)
-
     # -- ring operations ----------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, _Combination):
             other = MultiPoly.constant(self.nvars, other)
         return _Combination.__add__(self, other)
 
     __radd__ = __add__
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self._scale(other)
+        if not isinstance(other, _Combination):
+            return self._scale(_scalar(other))
         self._check(other)
         acc = {}
         get = acc.get

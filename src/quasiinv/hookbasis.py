@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 import math
-from fractions import Fraction
 from itertools import product
 
 from .exactalg import (
@@ -153,7 +152,8 @@ def lowest_quotient(spec: HookSpec) -> MultiPoly:
 def lowest_quotient_rhs(spec: HookSpec) -> MultiPoly:
     """(-1)^m m!^2 / (2m+1)! * x_j^k * prod_{i != 1, j} (x_j - x_i)^m."""
     n, m, j, k = spec.n, spec.m, spec.j, spec.k
-    scale = Fraction((-1) ** m * math.factorial(m) ** 2, math.factorial(2 * m + 1))
+    scale = MultiPoly._from_int(n, {(0,) * n: (-1) ** m * math.factorial(m) ** 2},
+                                math.factorial(2 * m + 1))
     xj = MultiPoly.variable(n, j)
     result = xj ** k * scale
     for i in range(2, n + 1):

@@ -8,19 +8,16 @@ identical values always serialize to identical bytes.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 
-from .exactalg import MultiPoly
+from .exactalg import MultiPoly, grlex_key
 
 
 def poly_to_obj(p: MultiPoly) -> dict:
-    return {
-        "nvars": p.nvars,
-        "terms": [
-            {"exp": list(exp), "num": str(c.numerator), "den": str(c.denominator)}
-            for exp, c in p.sorted_terms()
-        ],
-    }
+    terms = []
+    for exp in sorted(p.num, key=grlex_key, reverse=True):
+        num, den = p._coefficient(exp)
+        terms.append({"exp": list(exp), "num": str(num), "den": str(den)})
+    return {"nvars": p.nvars, "terms": terms}
 
 
 def _integer(value, key: str, text: bool = False) -> int:
@@ -32,6 +29,9 @@ def _integer(value, key: str, text: bool = False) -> int:
 
 
 def poly_from_obj(obj: dict) -> MultiPoly:
+    """The polynomial of a JSON object, its coefficients read as Fractions."""
+    from fractions import Fraction
+
     try:
         nvars = _integer(obj["nvars"], "nvars")
         terms = {}

@@ -15,7 +15,7 @@ each exponent tuple through it.  The Fraction view
 each [U] and [U]' once per process; a bracket is also the telescoping
 product of ``telescoping_factors``, so it can act without being expanded.
 
-One kernel, ``_apply_factors``, runs such factors (1 +- sum of
+One kernel, ``exactalg._apply_factors``, runs such factors (1 +- sum of
 transpositions) on a map {tuple: int}, and it serves two products.  The
 left action of (a b) on a polynomial swaps slots a and b of each exponent
 tuple; the right product by (a b) swaps the same two slots of each image
@@ -30,14 +30,18 @@ and ``tableaux`` runs the Young projector's factors both ways.
 from __future__ import annotations
 
 import functools
-from fractions import Fraction
 from itertools import permutations
 from operator import itemgetter
 
-from .exactalg import DimensionMismatch, MultiPoly, _Combination
-
-# Enumerating S_U is factorial in |U|; keep it at desk scale.
-MAX_GROUP_N = 8
+from .exactalg import (
+    MAX_GROUP_N,
+    DimensionMismatch,
+    MultiPoly,
+    _apply_factors,
+    _Combination,
+    _scalar,
+    telescoping_factors,
+)
 
 
 def _getter(indices):
@@ -238,6 +242,8 @@ class GroupAlgebraElem(_Combination):
     @property
     def terms(self) -> dict:
         """{Perm: Fraction coefficient}, for output and inspection."""
+        from fractions import Fraction
+
         den = self.den
         return {Perm._trusted(k): Fraction(c, den) for k, c in self.num.items()}
 
@@ -253,9 +259,9 @@ class GroupAlgebraElem(_Combination):
     def __mul__(self, other):
         """Scaling by an int or a Fraction; see ``times_brackets`` for the
         right product by brackets."""
-        if isinstance(other, (int, Fraction)):
-            return self._scale(other)
-        return NotImplemented
+        if isinstance(other, _Combination):
+            return NotImplemented
+        return self._scale(_scalar(other))
 
     __rmul__ = __mul__
 
@@ -302,35 +308,6 @@ def _bracket(n: int, support: tuple, signed: bool) -> GroupAlgebraElem:
     terms = {perm.images: perm.sign() if signed else 1
              for perm in subgroup_perms(n, support)}
     return GroupAlgebraElem._from_int(n, terms)
-
-
-def telescoping_factors(order):
-    """The transpositions of each factor of the telescoping product
-    (1 +- (u1,u2))(1 +- (u1,u3) +- (u2,u3))...(1 +- (u1,uk) +- ... +- (u(k-1),uk))
-    over an ordering u1..uk of a set U, first factor first.  The product is
-    [U] with every sign +, and [U]' with every sign -."""
-    return [[(order[s], order[t]) for s in range(t)] for t in range(1, len(order))]
-
-
-def _apply_factors(q: dict, factors) -> dict:
-    """Run each factor (1 + sign * sum of the transpositions ``pairs``) of
-    the ordered list ``factors`` of (pairs, sign) on {tuple: int}, first
-    factor first.  A transposition (a b) swaps slots a and b of every key:
-    on exponent tuples that is its action, on image tuples the right
-    product by it."""
-    for pairs, sign in factors:
-        out = dict(q)
-        get = out.get
-        for a, b in pairs:
-            a, b = a - 1, b - 1
-            for e, c in q.items():
-                if e[a] != e[b]:
-                    swapped = list(e)
-                    swapped[a], swapped[b] = e[b], e[a]
-                    e = tuple(swapped)
-                out[e] = get(e, 0) + sign * c
-        q = {e: c for e, c in out.items() if c}
-    return q
 
 
 def times_brackets(x: GroupAlgebraElem, brackets) -> GroupAlgebraElem:

@@ -4,7 +4,7 @@ a column plus one cell to its right.
 
 gamma_T = f_lambda [C_1]' ... [C_k]' [R_1] ... [R_l] / n! is written once,
 as one ordered list of telescoping factors (``_projection_plan``), and
-``symgroup``'s transposition kernel runs that list on integer
+the transposition kernel of ``exactalg`` runs that list on integer
 coefficients with the rational scale applied once: forward on image tuples
 for ``gamma``, the expanded element in Q S_n, and reversed on exponent
 tuples for ``gamma_images``, the path every projection of a polynomial in
@@ -12,9 +12,12 @@ the package takes.  It projects a whole list of polynomials in one kernel
 run, their numerators stacked in one map with each polynomial's index as
 an extra slot of its exponent tuples; ``gamma_apply`` is its one-item case.
 
-The partitions, tableaux, cocharge, content and f_lambda need no group
-algebra: only the projector functions import ``symgroup``, when they run,
-so a command that reads shapes and tableaux alone does not load it.
+Projecting polynomials needs no group algebra: the plan and
+``gamma_images`` run on ``exactalg`` alone.  Only the functions that build
+elements of Q S_n (``gamma``, ``_times_gamma``, ``alpha`` and
+``col_union_antisym``) import ``symgroup``, when they run, so
+``apply --op gamma`` and the ``thm-main`` and ``hook`` suites do not load
+it.
 
 Cell convention: (row i, column j), 1-based, with row 1 the longest row.
 Standardness: entries increase left-to-right along rows and top-to-bottom
@@ -28,7 +31,14 @@ import functools
 import itertools
 import math
 
-from .exactalg import DimensionMismatch, MultiPoly, TheoremViolationError
+from .exactalg import (
+    MAX_GROUP_N,
+    DimensionMismatch,
+    MultiPoly,
+    TheoremViolationError,
+    _apply_factors,
+    telescoping_factors,
+)
 
 
 class Partition:
@@ -215,8 +225,6 @@ def _projection_plan(t: Tableau):
     and then reused.  Its cost per input term grows with
     |R(T)| |C(T)| = prod lambda_i! prod lambda'_j!, which is refused above
     MAX_GROUP_N!, the largest it reaches at n <= MAX_GROUP_N."""
-    from .symgroup import MAX_GROUP_N, telescoping_factors
-
     if not t.standard:
         raise ValueError("gamma requires a standard tableau")
     cost = math.prod(math.factorial(len(s)) for s in t.rows + t.columns)
@@ -233,7 +241,7 @@ def _times_gamma(x: GroupAlgebraElem, t: Tableau) -> GroupAlgebraElem:
     """x gamma_T: the plan's factors run forward on x's numerators as right
     products (a transposition swaps two slots of each image tuple), and
     f_lambda / n! is applied once at the end."""
-    from .symgroup import GroupAlgebraElem, _apply_factors
+    from .symgroup import GroupAlgebraElem
 
     factors, f, n_factorial = _projection_plan(t)
     q = _apply_factors(x.num, factors)
@@ -256,8 +264,6 @@ def gamma_images(t: Tableau, polys) -> list:
     polynomial's index as one more slot; no transposition touches that
     slot, so one kernel run projects every polynomial, and the result
     splits back by it, each over its own denominator."""
-    from .symgroup import _apply_factors
-
     factors, f, n_factorial = _projection_plan(t)
     polys = list(polys)
     stacked = {}

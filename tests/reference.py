@@ -28,6 +28,10 @@ core on ``Fraction`` values: Wang's rational reconstruction returns a
 Fraction, and each vector is scaled to integers through Fractions.  The
 package runs the same lift on int pairs.
 
+``poly_to_obj`` writes the JSON form of a polynomial from its Fraction
+view, each term's ``num`` and ``den`` read off its Fraction; the package
+writes them from the int numerators with one gcd per term.
+
 ``random_homogeneous`` draws small test polynomials from a seeded
 ``random.Random``; the package itself draws no random input.
 """
@@ -65,6 +69,15 @@ def divide_exact(p: MultiPoly, d: MultiPoly):
         quotient[q_exp] = quotient.get(q_exp, Fraction(0)) + c
         r = r - d * MultiPoly(n, {q_exp: c})
     return MultiPoly(n, quotient)
+
+
+def poly_to_obj(p: MultiPoly) -> dict:
+    """{"nvars": n, "terms": [...]}, the terms in graded-lex descending
+    order of exponent, each with its Fraction's numerator and denominator."""
+    order = sorted(p.terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True)
+    return {"nvars": p.nvars,
+            "terms": [{"exp": list(exp), "num": str(c.numerator),
+                       "den": str(c.denominator)} for exp, c in order]}
 
 
 def ref_convolve(f: dict, g: dict) -> dict:

@@ -9,13 +9,15 @@ import tempfile
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quasiinv import SUITES, jsonio
 from quasiinv.cli import main
 from quasiinv.exactalg import MultiPoly
 from quasiinv.hookbasis import HookSpec, q_closed_form
+
+import reference
 
 
 def run(capsys, *argv):
@@ -116,11 +118,11 @@ class TestVerify:
         # the plan run forward on polynomials applies f_lambda P(T) N(T) / n!,
         # an idempotent of the same rank as gamma_T, so only the line that
         # compares the factored and expanded forms can tell them apart
-        from quasiinv import symgroup, tableaux
+        from quasiinv import tableaux
 
         def forward(t, p):
             factors, f, n_factorial = tableaux._projection_plan(t)
-            num = symgroup._apply_factors(p.num, factors)
+            num = tableaux._apply_factors(p.num, factors)
             return MultiPoly._from_int(t.n, {e: c * f for e, c in num.items()},
                                        n_factorial * p.den)
 
@@ -434,6 +436,30 @@ class TestApply:
         path.write_text(json.dumps({"terms": [{"exp": [1], "num": "1", "den": "1"}]}))
         assert_one_line_error(*run(capsys, "apply", "--op", "delta2", "--in", str(path)),
                               "nvars")
+
+
+@st.composite
+def rational_polys(draw):
+    """A polynomial in 1 to 4 variables with rational coefficients:
+    negative numerators, denominators above 1, or no terms at all."""
+    nvars = draw(st.integers(1, 4))
+    terms = draw(st.dictionaries(st.tuples(*[st.integers(0, 3)] * nvars),
+                                 st.fractions(-50, 50, max_denominator=12),
+                                 max_size=6))
+    return MultiPoly(nvars, terms)
+
+
+class TestPolyToObj:
+    @settings(max_examples=200, deadline=None)
+    @given(rational_polys())
+    @example(MultiPoly.zero(1))
+    @example(MultiPoly.zero(4))
+    @example(MultiPoly(3, {(1, 0, 0): Fraction(-3, 4), (0, 2, 0): Fraction(5, 6),
+                           (0, 0, 0): -2}))
+    def test_matches_the_fraction_reference(self, p):
+        obj = jsonio.poly_to_obj(p)
+        assert obj == reference.poly_to_obj(p)
+        assert jsonio.poly_from_obj(obj) == p
 
 
 class TestOracle:

@@ -260,6 +260,22 @@ class TestBasics:
         p = x(1) + x(2)
         assert p * Fraction(1, 2) + p * Fraction(1, 2) == p
 
+    @pytest.mark.parametrize("op", [
+        lambda p: p * "x", lambda p: "x" * p, lambda p: p * 2.0, lambda p: p * None,
+        lambda p: p + 1.5, lambda p: 1.5 + p, lambda p: p - 1.5, lambda p: p + "x",
+    ], ids=["mul-str", "rmul-str", "mul-float", "mul-none", "add-float",
+            "radd-float", "sub-float", "add-str"])
+    def test_non_scalars_are_refused(self, op):
+        # an operand that is not a polynomial must be an int or a Fraction
+        with pytest.raises(TypeError):
+            op(x(1) - x(2) * Fraction(1, 3))
+
+    def test_bool_is_an_int_scalar(self):
+        p = x(1) - x(2) * Fraction(1, 3)
+        assert p * True == True * p == p
+        assert (p * False).is_zero()
+        assert p + True == p + 1
+
 
 class TestDivideExact:
     """The test-only long division that the package's verdicts are checked

@@ -2,10 +2,11 @@
 
 Each module imports at its top level only the layers below it, and each
 CLI command loads only the modules it calls: the package's exports, the
-CLI's subcommands, the verify suites and the projector functions of
-``tableaux`` import their modules on first use.  ``COMMANDS`` pins the
+CLI's subcommands, the verify suites and the functions of ``tableaux``
+that build group-algebra elements import their modules on first use.  ``COMMANDS`` pins the
 exact module set of every subcommand, ``apply`` operation and ``verify``
-suite.
+suite, and three invariants pin which of them load ``fractions``, ``json``
+and ``symgroup``.
 """
 
 import ast
@@ -36,7 +37,7 @@ ALLOWED = {
     "calogero": {"exactalg", "hookbasis"},
     "structure": {"exactalg", "tableaux"},
     "verify": {"__init__"},
-    "cli": {"__init__", "jsonio"},
+    "cli": {"__init__", "exactalg"},
 }
 
 
@@ -128,28 +129,30 @@ def modules_after(*argv):
     return set(names.split())
 
 
-# command -> the package modules it loads besides cli, jsonio and exactalg,
-# which every command loads; "{poly}" stands for a JSON polynomial file
+# command -> the package modules it loads besides cli and exactalg, which
+# every command loads; "{poly}" stands for a JSON polynomial file
 COMMANDS = [
-    (("oracle", "--n", "3", "--m", "1", "--d", "2"), {"quasi"}),
-    (("detcheck", "--m", "0"), {"quasi"}),
+    (("oracle", "--n", "3", "--m", "1", "--d", "2"), {"jsonio", "quasi"}),
+    (("detcheck", "--m", "0"), {"jsonio", "quasi"}),
     (("hilbert", "--n", "3", "--m", "1", "--D", "4", "--oracle"),
-     {"quasi", "structure", "tableaux"}),
-    (("hilbert", "--n", "3", "--m", "1", "--D", "4"), {"structure", "tableaux"}),
-    (("basis", "--n", "3", "--m", "1", "--j", "2", "--verify"), {"hookbasis"}),
+     {"jsonio", "quasi", "structure", "tableaux"}),
+    (("hilbert", "--n", "3", "--m", "1", "--D", "4"),
+     {"jsonio", "structure", "tableaux"}),
+    (("basis", "--n", "3", "--m", "1", "--j", "2", "--verify"),
+     {"jsonio", "hookbasis"}),
     (("apply", "--op", "gamma", "--in", "{poly}", "--shape", "2,1", "--j", "2"),
-     {"tableaux", "symgroup"}),
+     {"jsonio", "tableaux"}),
     (("apply", "--op", "lm", "--in", "{poly}", "--m", "1"),
-     {"calogero", "hookbasis"}),
+     {"jsonio", "calogero", "hookbasis"}),
     (("apply", "--op", "perm", "--in", "{poly}", "--sigma", "(1,2)"),
-     {"symgroup"}),
-    (("apply", "--op", "delta2", "--in", "{poly}", "--m", "0"), {"quasi"}),
+     {"jsonio", "symgroup"}),
+    (("apply", "--op", "delta2", "--in", "{poly}", "--m", "0"), {"jsonio", "quasi"}),
     (("verify", "--suite", "groupalgebra", "--n", "3", "--seed", "1"),
      {"verify", "quasi", "tableaux", "symgroup"}),
     (("verify", "--suite", "thm-main", "--n", "3", "--m", "1"),
-     {"verify", "quasi", "structure", "tableaux", "symgroup"}),
+     {"verify", "quasi", "structure", "tableaux"}),
     (("verify", "--suite", "hook", "--n", "3", "--m", "1"),
-     {"verify", "hookbasis", "quasi", "structure", "tableaux", "symgroup"}),
+     {"verify", "hookbasis", "quasi", "structure", "tableaux"}),
     (("verify", "--suite", "lm", "--n", "3", "--m", "1"),
      {"verify", "calogero", "hookbasis"}),
     (("verify", "--suite", "chain", "--n", "3", "--m", "1"),
@@ -160,17 +163,56 @@ COMMANDS = [
 ]
 
 
+@pytest.fixture(scope="module")
+def loaded(tmp_path_factory):
+    """argv -> sys.modules after the command, each command run once."""
+    poly = tmp_path_factory.mktemp("apply") / "p.json"
+    poly.write_text(jsonio.dumps(jsonio.poly_to_obj(elementary_symmetric(3, 1))))
+    runs = {}
+
+    def modules(argv):
+        if argv not in runs:
+            runs[argv] = modules_after(*(str(poly) if a == "{poly}" else a
+                                         for a in argv))
+        return runs[argv]
+
+    return modules
+
+
 @pytest.mark.parametrize("argv, modules", COMMANDS,
                          ids=[" ".join(argv) for argv, _ in COMMANDS])
-def test_command_loads_exactly_its_modules(tmp_path, argv, modules):
-    poly = tmp_path / "p.json"
-    poly.write_text(jsonio.dumps(jsonio.poly_to_obj(elementary_symmetric(3, 1))))
-    loaded = modules_after(*(str(poly) if a == "{poly}" else a for a in argv))
-    package = {name.removeprefix("quasiinv.") for name in loaded
+def test_command_loads_exactly_its_modules(loaded, argv, modules):
+    names = loaded(argv)
+    package = {name.removeprefix("quasiinv.") for name in names
                if name.startswith("quasiinv.")}
-    assert package == modules | {"cli", "jsonio", "exactalg"}
-    assert "dataclasses" not in loaded
-    assert "random" not in loaded
+    assert package == modules | {"cli", "exactalg"}
+    assert "dataclasses" not in names
+    assert "random" not in names
+
+
+def rows_loading(loaded, module):
+    """The COMMANDS rows whose run loads ``module``, each as its command,
+    option and operation or suite, such as ("apply", "--op", "perm")."""
+    return {argv[:3] for argv, _ in COMMANDS if module in loaded(argv)}
+
+
+def test_only_apply_loads_fractions(loaded):
+    # only JSON input is read into Fractions; the kernel runs on ints
+    assert rows_loading(loaded, "fractions") == {
+        argv[:3] for argv, _ in COMMANDS if argv[0] == "apply"}
+
+
+def test_verify_loads_no_json(loaded):
+    # verify prints plain text
+    assert not {row for row in rows_loading(loaded, "json") if row[0] == "verify"}
+
+
+def test_only_permutations_and_group_algebra_load_symgroup(loaded):
+    # the projector's transposition kernel lives in exactalg, so gamma_T
+    # acts on polynomials without the group algebra
+    assert rows_loading(loaded, "quasiinv.symgroup") == {
+        ("apply", "--op", "perm"), ("verify", "--suite", "groupalgebra"),
+        ("verify", "--suite", "all")}
 
 
 def _choices(parser, dest):

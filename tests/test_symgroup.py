@@ -183,7 +183,23 @@ class TestConvolution:
             f * g
         with pytest.raises(TypeError):
             f *= g
+        with pytest.raises(TypeError):
+            g * g
         assert f * 3 == 3 * f == f * Fraction(3) == f + f + f
+
+    @pytest.mark.parametrize("other", [2.0, "x", None, MultiPoly.variable(3, 1)],
+                             ids=["float", "str", "none", "polynomial"])
+    def test_non_scalars_are_refused(self, other):
+        g = bracket(3, (1, 2), signed=True)
+        with pytest.raises(TypeError):
+            g * other
+        with pytest.raises(TypeError):
+            other * g
+
+    def test_bool_is_an_int_scalar(self):
+        g = bracket(3, (1, 2), signed=True)
+        assert g * True == True * g == g
+        assert (g * False).is_zero()
 
     def test_public_constructors_still_validate(self):
         with pytest.raises(ValueError):

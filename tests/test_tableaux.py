@@ -316,16 +316,16 @@ class TestGammaImages:
         assert gamma_images(t, polys) == [gamma_apply(t, p) for p in polys]
 
     def test_projects_a_list_in_one_kernel_run(self, monkeypatch):
-        from quasiinv import symgroup
+        from quasiinv import tableaux
 
         calls = []
-        real = symgroup._apply_factors
+        real = tableaux._apply_factors
 
         def spy(q, factors):
             calls.append(len(q))
             return real(q, factors)
 
-        monkeypatch.setattr(symgroup, "_apply_factors", spy)
+        monkeypatch.setattr(tableaux, "_apply_factors", spy)
         t = hook_tableau(3, 2)
         polys = [MultiPoly.variable(3, i) for i in (1, 2, 3)] + [MultiPoly.zero(3)]
         images = gamma_images(t, polys)

@@ -1,3 +1,6 @@
-from .cli import main
+"""``python -m quasiinv``: the CLI through ``cli.console_entry``, which
+ends the process with ``os._exit`` once the output is flushed."""
 
-raise SystemExit(main())
+from .cli import console_entry
+
+console_entry()

@@ -8,11 +8,19 @@ only by a command that reads or writes JSON, and ``verify``, which prints
 plain text, loads neither.  A refused request raises
 ValueError and a failed identity TheoremViolationError; ``main`` alone
 turns them into one stderr line and exit 2 or exit 1.
+
+``main`` returns the exit code and is what the tests call.  A process
+(``python -m quasiinv`` and the ``quasiinv`` console script) enters
+through ``console_entry``, which flushes stdout and stderr after ``main``
+and ends the process with ``os._exit``: nothing is left for interpreter
+teardown, which would otherwise clear every module and collect and free
+each cached plan, bracket and polynomial one by one, writing nothing.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import SUITES
@@ -297,5 +305,31 @@ def main(argv=None) -> int:
         return 1
 
 
+def console_entry(argv=None) -> None:
+    """Run ``main``, flush its output and end the process at once.
+
+    A flush that fails, such as stdout a pipe whose reader has closed, is
+    reported like a failed write inside ``main``: one ``error:`` line and
+    exit 2.  A stream is None when its file descriptor was closed before
+    the process started.  A SystemExit from argparse (a usage error or
+    ``--help``) and an unexpected exception take the normal exit path."""
+    code = main(argv)
+    try:
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except OSError as exc:
+        code = 2
+        try:
+            print(f"error: {exc}", file=sys.stderr)
+        except OSError:
+            pass
+    try:
+        if sys.stderr is not None:
+            sys.stderr.flush()
+    except OSError:
+        pass
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    console_entry()

@@ -15,8 +15,8 @@ builds its result on ints through the one trusted constructor
 (ring operations, shift expansion, division by a difference,
 differentiation, integration) runs on ints alone.  ``fractions`` is
 imported only where a Fraction is built or tested: the non-int branch of
-``_scalar`` and the ``terms`` views, so a command that reads no JSON input
-does not load it.
+``_scalar`` and the ``terms`` views.  The package itself builds no
+Fraction (``jsonio`` reads JSON on ints too), so no command loads it.
 
 The transposition kernel ``_apply_factors`` runs factors
 (1 +- sum of transpositions) on the numerator map of either subclass: a

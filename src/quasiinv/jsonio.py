@@ -2,12 +2,15 @@
 
 A polynomial is {"nvars": n, "terms": [{"exp": [...], "num": "...",
 "den": "..."}, ...]} with terms in graded-lex descending exponent order;
-identical values always serialize to identical bytes.
+identical values always serialize to identical bytes.  Reading and
+writing both run on int numerators and denominators, so a command that
+reads or writes JSON loads no ``fractions``.
 """
 
 from __future__ import annotations
 
 import json
+import math
 
 from .exactalg import MultiPoly, grlex_key
 
@@ -29,9 +32,9 @@ def _integer(value, key: str, text: bool = False) -> int:
 
 
 def poly_from_obj(obj: dict) -> MultiPoly:
-    """The polynomial of a JSON object, its coefficients read as Fractions."""
-    from fractions import Fraction
-
+    """The polynomial of a JSON object, read on ints: each numerator is
+    scaled to the least common denominator of the terms, and the
+    polynomial is validated on those ints and divided by it once."""
     try:
         nvars = _integer(obj["nvars"], "nvars")
         terms = {}
@@ -42,12 +45,15 @@ def poly_from_obj(obj: dict) -> MultiPoly:
             den = _integer(term["den"], "den", text=True)
             if den == 0:
                 raise ValueError(f"term {list(exp)} has denominator 0")
-            terms[exp] = Fraction(_integer(term["num"], "num", text=True), den)
+            terms[exp] = (_integer(term["num"], "num", text=True), den)
     except KeyError as exc:
         raise ValueError(f"polynomial JSON lacks the key {exc}") from None
     except TypeError as exc:
         raise ValueError(f"malformed polynomial JSON: {exc}") from None
-    return MultiPoly(nvars, terms)
+    lcd = math.lcm(*(den for _, den in terms.values()))
+    scaled = MultiPoly(nvars, {exp: num * (lcd // den)
+                               for exp, (num, den) in terms.items()})
+    return MultiPoly._from_int(nvars, scaled.num, lcd)
 
 
 def witness_to_obj(w: QIWitness, seed: int) -> dict:

@@ -32,6 +32,11 @@ package runs the same lift on int pairs.
 view, each term's ``num`` and ``den`` read off its Fraction; the package
 writes them from the int numerators with one gcd per term.
 
+``poly_from_obj`` reads that JSON form into Fractions, one per term, and
+hands them to the validating ``MultiPoly`` constructor, with the
+package's checks and refusal texts in the package's order; the package
+reads it on ints over the least common denominator.
+
 ``random_homogeneous`` draws small test polynomials from a seeded
 ``random.Random``; the package itself draws no random input.
 """
@@ -40,6 +45,7 @@ import math
 from fractions import Fraction
 
 from quasiinv.exactalg import MultiPoly, grlex_key
+from quasiinv.jsonio import _integer
 from quasiinv.quasi import monomials_of_degree
 from quasiinv.symgroup import GroupAlgebraElem, Perm
 
@@ -78,6 +84,26 @@ def poly_to_obj(p: MultiPoly) -> dict:
     return {"nvars": p.nvars,
             "terms": [{"exp": list(exp), "num": str(c.numerator),
                        "den": str(c.denominator)} for exp, c in order]}
+
+
+def poly_from_obj(obj: dict) -> MultiPoly:
+    """The polynomial of a JSON object, its coefficients read as Fractions."""
+    try:
+        nvars = _integer(obj["nvars"], "nvars")
+        terms = {}
+        for term in obj.get("terms", []):
+            exp = tuple(_integer(e, "exp") for e in term["exp"])
+            if exp in terms:
+                raise ValueError(f"term {list(exp)} repeats an exponent")
+            den = _integer(term["den"], "den", text=True)
+            if den == 0:
+                raise ValueError(f"term {list(exp)} has denominator 0")
+            terms[exp] = Fraction(_integer(term["num"], "num", text=True), den)
+    except KeyError as exc:
+        raise ValueError(f"polynomial JSON lacks the key {exc}") from None
+    except TypeError as exc:
+        raise ValueError(f"malformed polynomial JSON: {exc}") from None
+    return MultiPoly(nvars, terms)
 
 
 def ref_convolve(f: dict, g: dict) -> dict:

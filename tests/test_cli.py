@@ -2,16 +2,21 @@
 JSON round-trips, and byte-identical deterministic output."""
 
 import contextlib
+import errno
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import quasiinv
 from quasiinv import SUITES, jsonio
 from quasiinv.cli import main
 from quasiinv.exactalg import MultiPoly
@@ -525,20 +530,96 @@ class TestIdentityFailure:
             "Delta^2 embedding failed quasiinvariance")
 
 
+# the directory holding the package, installed or not: a process started
+# there imports it; PYTHONUNBUFFERED is unset so that stdout stays buffered
+# until the entry function flushes it
+PACKAGE_PARENT = Path(quasiinv.__file__).parents[1]
+PROCESS_ENV = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+
+IDENTITY_FAILURE = """
+from quasiinv import cli, quasi
+vandermonde = quasi.vandermonde
+quasi.vandermonde = lambda n: vandermonde(n) * 2
+cli.console_entry(["detcheck", "--m", "1"])
+"""
+
+
+def process(*argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE):
+    """``python -m quasiinv ARGV`` (or ``python -c SCRIPT`` when argv starts
+    with "-c") as a process: its exit code, stdout and stderr."""
+    args = argv if argv[0] == "-c" else ("-m", "quasiinv", *argv)
+    proc = subprocess.run([sys.executable, *args], stdout=stdout, stderr=stderr,
+                          cwd=PACKAGE_PARENT, env=PROCESS_ENV, text=True)
+    return proc.returncode, proc.stdout or "", proc.stderr or ""
+
+
 class TestEntryPoints:
-    def test_module_invocation(self):
-        import subprocess
-        import sys
-        from pathlib import Path
+    """``python -m quasiinv`` ends through ``cli.console_entry``, which
+    flushes the output and calls os._exit: the exit code and every byte
+    must survive the skipped interpreter teardown."""
 
-        import quasiinv
+    def test_module_invocation(self, capsys):
+        expected = run(capsys, "detcheck", "--m", "1")
+        assert process("detcheck", "--m", "1") == expected
 
-        # run from the directory holding the package, installed or not
+    def test_refusal_exits_2(self):
+        assert_one_line_error(*process("verify", "--suite", "hook", "--n", "0"),
+                              "verify needs n >= 2")
+
+    def test_identity_failure_exits_1(self):
+        assert_one_line_identity_failure(*process("-c", IDENTITY_FAILURE),
+                                         "determinant is not the squared Vandermonde")
+
+    def test_usage_error_exits_2(self):
+        code, out, err = process("detcheck")
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: ") and "required: --m" in err
+
+    def test_out_file_is_complete(self, capsys, tmp_path):
+        # larger than the 8 KiB stdout buffer
+        argv = ("basis", "--n", "5", "--m", "2", "--j", "3")
+        path = tmp_path / "basis.json"
+        assert process(*argv, "--out", str(path)) == (0, "", "")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and len(out) > 8192
+        assert path.read_text(encoding="utf-8") == out
+
+    def test_out_file_with_stdout_closed(self, capsys, tmp_path):
+        # a process started with file descriptor 1 closed has sys.stdout None
+        path = tmp_path / "detcheck.json"
         proc = subprocess.run(
-            [sys.executable, "-m", "quasiinv", "detcheck", "--m", "1"],
-            capture_output=True, cwd=Path(quasiinv.__file__).parents[1],
-        )
-        assert proc.returncode == 0
+            ["sh", "-c", 'exec "$0" -m quasiinv detcheck --m 0 --out "$1" >&-',
+             sys.executable, str(path)],
+            stderr=subprocess.PIPE, cwd=PACKAGE_PARENT, env=PROCESS_ENV, text=True)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert path.read_text(encoding="utf-8") == run(capsys, "detcheck", "--m", "0")[1]
+
+    @pytest.mark.parametrize("argv", [
+        ("detcheck", "--m", "0"),
+        ("oracle", "--n", "3", "--m", "1", "--d", "9"),
+    ], ids=["fails-at-flush", "fails-in-main"])
+    def test_closed_pipe_exits_2(self, argv):
+        # detcheck's output fits the stdout buffer, so only the final flush
+        # meets the closed pipe; the oracle's 10 kB fail inside main
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = process(*argv, stdout=write_end)
+        finally:
+            os.close(write_end)
+        broken = BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+        assert result == (2, "", f"error: {broken}\n")
+
+    def test_closed_pipe_for_stdout_and_stderr_exits_2(self):
+        # as with 2>&1 into a closed pipe: the error line cannot be written
+        # either, and still no exception escapes
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = process("detcheck", "--m", "0", stdout=write_end, stderr=write_end)
+        finally:
+            os.close(write_end)
+        assert result == (2, "", "")
 
     def test_missing_subcommand_errors(self):
         with pytest.raises(SystemExit):
@@ -647,3 +728,37 @@ class TestFuzzMain:
            JSON | st.builds(_spoiled, POLYS, st.sampled_from(POLY_KEYS), JSON))
     def test_apply_on_any_json(self, op, obj):
         assert exit_code(["apply", "--in", "{poly}", "--op", *op], obj) in (0, 1, 2)
+
+
+# a JSON polynomial read by the CLI: positive, negative and zero numerators
+# and denominators, as ints, integer strings or non-integers, with exponent
+# vectors that may repeat, be negative or have the wrong length
+JSON_POLYS = st.builds(
+    lambda nvars, terms: {"nvars": nvars, "terms": [
+        {"exp": list(exp[:nvars]), "num": num, "den": den} for exp, num, den in terms]},
+    st.integers(0, 5),
+    st.lists(st.tuples(st.tuples(*[st.integers(-1, 2)] * 4),
+                       st.integers(-6, 6) | st.sampled_from(["4", "-3", "0", "x", 2.5]),
+                       st.integers(-12, 12) | st.sampled_from(["6", "-2", 1.5])),
+             max_size=4),
+)
+
+
+def _outcome(read, obj):
+    """``read(obj)``, or the type and text of the ValueError it raises."""
+    try:
+        return read(obj)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+class TestPolyFromObj:
+    @settings(max_examples=300, deadline=None)
+    @given(JSON_POLYS | JSON | st.builds(_spoiled, POLYS, st.sampled_from(POLY_KEYS), JSON))
+    @example({"nvars": 2, "terms": [{"exp": [1, 0], "num": "3", "den": "-6"},
+                                    {"exp": [0, 1], "num": 0, "den": 5}]})
+    @example({"nvars": 0, "terms": []})
+    def test_matches_the_fraction_reference(self, obj):
+        # the same polynomial, or the same refusal in the same order
+        assert (_outcome(jsonio.poly_from_obj, obj)
+                == _outcome(reference.poly_from_obj, obj))

@@ -18,10 +18,14 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import quasiinv
 from quasiinv.cli import main
 
 HERE = Path(__file__).parent
@@ -61,12 +65,15 @@ COMMANDS = [
 ]
 
 
+def _argv(command: str) -> list:
+    return command.format(inputs=INPUTS.resolve()).split(" ")
+
+
 def _run(command: str):
     """(exit code, sha256 of stdout) of one command line."""
-    argv = command.format(inputs=INPUTS).split(" ")
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = main(argv)
+        code = main(_argv(command))
     return code, hashlib.sha256(out.getvalue().encode()).hexdigest()
 
 
@@ -91,6 +98,20 @@ def test_golden_covers_every_command(golden):
 def test_stdout_matches_golden_digest(golden, command):
     code, digest = _run(command)
     assert {"exit": code, "stdout_sha256": digest} == golden[command]
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_process_stdout_matches_golden_digest(golden, command):
+    # the command as its own process, which ends through os._exit once its
+    # output is flushed: a byte lost at exit would change the digest; run
+    # from the directory holding the package, with stdout buffered
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.run([sys.executable, "-m", "quasiinv", *_argv(command)],
+                          capture_output=True, cwd=Path(quasiinv.__file__).parents[1],
+                          env=env)
+    digest = hashlib.sha256(proc.stdout).hexdigest()
+    assert {"exit": proc.returncode, "stdout_sha256": digest} == golden[command]
+    assert proc.stderr == b""
 
 
 if __name__ == "__main__":

@@ -5,8 +5,9 @@ CLI command loads only the modules it calls: the package's exports, the
 CLI's subcommands, the verify suites and the functions of ``tableaux``
 that build group-algebra elements import their modules on first use.  ``COMMANDS`` pins the
 exact module set of every subcommand, ``apply`` operation and ``verify``
-suite, and three invariants pin which of them load ``fractions``, ``json``
-and ``symgroup``.
+suite, and three invariants pin that none of them loads ``fractions``
+(with ``decimal`` and ``numbers``) and which of them load ``json`` and
+``symgroup``.
 """
 
 import ast
@@ -81,6 +82,13 @@ def imported_modules(module):
 @pytest.mark.parametrize("module", sorted(ALLOWED))
 def test_no_dataclasses(module):
     assert "dataclasses" not in imported_modules(module)
+
+
+@pytest.mark.parametrize("module", sorted(ALLOWED))
+def test_no_atexit(module):
+    # cli.console_entry ends the process with os._exit, which runs no
+    # exit handler
+    assert "atexit" not in imported_modules(module)
 
 
 @pytest.mark.parametrize("module", sorted(ALLOWED))
@@ -196,10 +204,10 @@ def rows_loading(loaded, module):
     return {argv[:3] for argv, _ in COMMANDS if module in loaded(argv)}
 
 
-def test_only_apply_loads_fractions(loaded):
-    # only JSON input is read into Fractions; the kernel runs on ints
-    assert rows_loading(loaded, "fractions") == {
-        argv[:3] for argv, _ in COMMANDS if argv[0] == "apply"}
+@pytest.mark.parametrize("module", ["fractions", "decimal", "numbers"])
+def test_no_command_loads_fractions(loaded, module):
+    # the kernel runs on ints, and JSON input is read on ints too
+    assert not rows_loading(loaded, module)
 
 
 def test_verify_loads_no_json(loaded):

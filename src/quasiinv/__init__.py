@@ -24,12 +24,11 @@ _HOMES = {
                  "gamma", "gamma_apply", "hook_tableau", "standard_tableaux",
                  "v_t"),
     "quasi": ("QIWitness", "change_of_basis_n2", "graded_dimension_oracle",
-              "is_quasiinvariant"),
+              "is_quasiinvariant", "is_sym_basis"),
     "hookbasis": ("HookSpec", "hook_basis", "q_closed_form", "q_integral"),
     "calogero": ("NonPolynomialError", "apply_lm"),
     "structure": ("HilbertReport", "det_degree", "full_hilbert",
-                  "hook_quotient_dimension", "in_gamma_component",
-                  "theorem_main_checks"),
+                  "in_gamma_component", "theorem_main_checks"),
 }
 _HOME_OF = {name: module for module, names in _HOMES.items() for name in names}
 

@@ -11,8 +11,8 @@ stops at the first pair with a nonzero residual; the oracle takes the rows
 over all monomials of degree d (``_constraint_rows``) and computes their
 exact integer nullspace.  The checks built on the predicate and the oracle
 alone are here too: the Delta^2 embedding of QI_m into QI_(m+1), the
-containment chain, and the n = 2 change of basis between QI_(m+1) and
-QI_m with determinant Delta^2.  The module depends on ``exactalg`` alone;
+containment chain, the Sym-basis certificate, and on it the n = 2 change
+of basis between QI_(m+1) and QI_m.  The module depends on ``exactalg`` alone;
 the checks of the projection characterization, which also need the Young
 projectors, are in ``structure``.
 
@@ -28,6 +28,7 @@ never a guess.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import os
 
@@ -36,7 +37,6 @@ from .exactalg import (
     ResourceGuardError,
     TheoremViolationError,
     elementary_symmetric,
-    series_expand,
     vandermonde,
 )
 
@@ -53,8 +53,16 @@ DELTA2_MAX_TERM_PAIRS = 100_000
 
 
 def degree_cap() -> int:
-    value = os.environ.get("QI_MAX_DEGREE")
-    return int(value) if value else DEFAULT_DEGREE_CAP
+    value = os.environ.get("QI_MAX_DEGREE") or str(DEFAULT_DEGREE_CAP)
+    if not (value.isascii() and value.isdigit()):
+        raise ValueError(f"QI_MAX_DEGREE must be a non-negative integer, got {value!r}")
+    return int(value)
+
+
+def _refuse_above_cap(d: int):
+    if d > degree_cap():
+        raise ResourceGuardError(
+            f"degree {d} above cap {degree_cap()} (set QI_MAX_DEGREE to raise)")
 
 
 def is_quasiinvariant(p: MultiPoly, m: int) -> bool:
@@ -99,35 +107,52 @@ def delta_sq_embed(p: MultiPoly, m: int) -> MultiPoly:
     return result
 
 
+def is_sym_basis(gens, m: int) -> bool:
+    """True iff ``gens`` are n! homogeneous m-quasiinvariants of degree sum
+    K = (2m+1) C(n,2) n!/2 whose values at the permutations of (0, ..., n-1)
+    have an empty exact kernel, which proves them a basis of QI_m over Sym.
+
+    Proof: let M(x) have rows (sigma g_i)(x), sigma in S_n.  Row sigma minus
+    row (a b) sigma lies in (1 - (a b)) QI_m, so the n!/2 such pairs put
+    (x_a - x_b)^((2m+1) n!/2) in det M(x); the factors are coprime, so
+    det M(x) = c V^((2m+1) n!/2) by degree, V the Vandermonde, and c != 0 as
+    M is nonsingular at the point.  Sum s_i g_i = 0 over Sym gives
+    M(x) s = 0, so s = 0.  For P in QI_m, Cramer's rule solves
+    M(x) s = (sigma P)_sigma with numerators divisible by the same power of
+    V, so the s_i are polynomials, symmetric as tau in S_n permutes the rows
+    of the unique solution, and P = sum s_i g_i.
+    """
+    n = gens[0].nvars if gens else 0
+    twice_k = (2 * m + 1) * math.comb(n, 2) * math.factorial(n)
+    if (len(gens) != math.factorial(n) or 2 * sum(g.degree() for g in gens) != twice_k
+            or any(g.nvars != n or not g.is_homogeneous() for g in gens)
+            or not all(is_quasiinvariant(g, m) for g in gens)):
+        return False
+    rows = [{i: v for i, g in enumerate(gens)
+             if (v := sum(c * math.prod(map(pow, x, e)) for e, c in g.num.items()))}
+            for x in itertools.permutations(range(n))]
+    return not integer_nullspace(rows, len(gens))
+
+
 def change_of_basis_n2(m: int):
     """The 2x2 change-of-basis experiment between QI_(m+1) and QI_m.
 
-    Free bases: {1, (x_1 - x_2)^(2m+1)} for QI_m and the analogous pair
-    for QI_(m+1).  The graded dimensions of QI_m are checked against the
-    oracle through degree 2m+4.  Returns (matrix, determinant); the
-    determinant equals the squared Vandermonde in two variables.
+    {1, (x_1 - x_2)^(2m+1)} and {1, (x_1 - x_2)^(2m+3)} are proved bases
+    of QI_m and QI_(m+1) over Sym by ``is_sym_basis``, with 2m+3 held to
+    the degree cap.  Returns (matrix, determinant); the determinant equals
+    the squared Vandermonde in two variables.
     """
     if m < 0:
         raise ValueError("m must be non-negative")
+    _refuse_above_cap(2 * m + 3)
     n = 2
     x1 = MultiPoly.variable(n, 1)
     x2 = MultiPoly.variable(n, 2)
     one = MultiPoly.constant(n, 1)
     b1 = (x1 - x2) ** (2 * m + 1)
     a1 = (x1 - x2) ** (2 * m + 3)
-    for p, order in ((one, m), (b1, m), (a1, m + 1)):
-        if not is_quasiinvariant(p, order):
-            raise TheoremViolationError("claimed basis element fails quasiinvariance")
-    # free rank-2 module series (1 + q^(2m+1)) / ((1-q)(1-q^2))
-    D = 2 * m + 4
-    series = series_expand([0, 2 * m + 1], n, D)
-    for d in range(D + 1):
-        dim = graded_dimension_oracle(n, m, d).dimension
-        if dim != series[d]:
-            raise TheoremViolationError(
-                f"oracle dimension {dim} != series coefficient "
-                f"{series[d]} at degree {d}"
-            )
+    if not (is_sym_basis([one, b1], m) and is_sym_basis([one, a1], m + 1)):
+        raise TheoremViolationError("claimed basis is not a Sym-basis")
     e1 = elementary_symmetric(n, 1)
     e2 = elementary_symmetric(n, 2)
     growth = e1 * e1 - e2 * 4
@@ -463,10 +488,7 @@ def graded_dimension_oracle(n: int, m: int, d: int) -> QIWitness:
         raise ValueError(f"oracle needs n >= 1, got {n}")
     if n > ORACLE_MAX_N:
         raise ResourceGuardError(f"oracle limited to n <= {ORACLE_MAX_N}, got {n}")
-    if d > degree_cap():
-        raise ResourceGuardError(
-            f"degree {d} above cap {degree_cap()} (set QI_MAX_DEGREE to raise)"
-        )
+    _refuse_above_cap(d)
     if m < 0 or d < 0:
         raise ValueError("m and d must be non-negative")
     monomials = monomials_of_degree(n, d)

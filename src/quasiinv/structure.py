@@ -1,6 +1,5 @@
-"""Hilbert-series assembly, the projection characterization of QI_m, the
-hook quotient dimension, and the degree of the change-of-basis
-determinant.
+"""Hilbert-series assembly, the projection characterization of QI_m, and
+the degree of the change-of-basis determinant.
 
 The graded dimension generating function of QI_m is assembled per shape
 from the exponents m(C(n,2) - content(shape)) + cocharge(T) and divided by
@@ -12,8 +11,8 @@ pair at a time, by ``exactalg.shift_coefficients``.
 ``theorem_main_checks`` checks the direct sum degree by degree: the bases
 of gamma_T R_d intersect V_T^(2m+1) R over all standard T, read off
 ``quasi.poly_relations``, are quasiinvariant, and together they are
-independent and dim QI_m,d in number.  The n = 2 change of basis itself
-and the Delta^2 chain, which need no projector, are in ``quasi``.
+independent and dim QI_m,d in number.  The Sym-basis certificate, the n = 2
+change of basis and the Delta^2 chain, which need no projector, are in ``quasi``.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ from .exactalg import (
     MultiPoly,
     ResourceGuardError,
     TheoremViolationError,
-    elementary_symmetric,
     series_expand,
     shift_coefficients,
 )
@@ -179,24 +177,6 @@ def theorem_main_checks(n: int, m: int) -> dict:
             report["failures"].append(("dimension", d, None))
     report["passed"] = not report["failures"]
     return report
-
-
-def hook_quotient_dimension(n: int, m: int, d: int, t: Tableau) -> int:
-    """Graded dimension of the gamma_T component of QI_m modulo the ideal
-    generated by e_1..e_n, at degree d.
-
-    Computed as rank gamma_T(QI_m)_d minus rank gamma_T(sum_i e_i
-    (QI_m)_{d-i}); freeness over the symmetric functions makes the second
-    span the ideal's degree-d piece.
-    """
-    from .quasi import graded_dimension_oracle, poly_rank
-
-    top = poly_rank(gamma_images(t, graded_dimension_oracle(n, m, d).basis))
-    ideal = []
-    for i in range(1, min(n, d) + 1):
-        e_i = elementary_symmetric(n, i)
-        ideal.extend(e_i * b for b in graded_dimension_oracle(n, m, d - i).basis)
-    return top - poly_rank(gamma_images(t, ideal))
 
 
 def det_degree(n: int) -> int:

@@ -15,6 +15,15 @@ from . import SUITES
 # 0.3 s, and n = 7 (with this cap raised) took 4.9 s.
 GROUPALGEBRA_MAX_N = 6
 
+# The hook and lm suites build every Q^(k,m) of the hook [n-1, 1] with
+# q_integral and then expand, shift and differentiate each one, so their
+# work grows with the term bound of ``basis`` times n + m.  On a 2-vCPU Xeon
+# VM with Python 3.11, at (n + m) basis_term_bound(n, m) of about 245,000
+# the slower of the two took 3.9 s (n = 5, m = 5) and 4.6 s (n = 7, m = 2);
+# n = 5, m = 6 (505,582) took 9.3 s, and n = 3, m = 63 (1.6 M, though its
+# term bound 24,512 is below that of n = 5, m = 5) took 30 s.
+HOOK_SUITE_MAX_WORK = 250_000
+
 
 def _all_standard(n):
     from .tableaux import partitions_of, standard_tableaux
@@ -122,10 +131,23 @@ def suite_thm_main(n: int, m: int):
     return [("Direct-sum characterization of QI_m", report["passed"], detail)]
 
 
+def _refuse_large_hook_grid(n: int, m: int):
+    from .exactalg import ResourceGuardError
+    from .hookbasis import basis_term_bound
+
+    work = (n + m) * basis_term_bound(n, m)
+    if work > HOOK_SUITE_MAX_WORK:
+        raise ResourceGuardError(
+            f"hook and lm suites limited to (n + m) * term bound <= "
+            f"{HOOK_SUITE_MAX_WORK}, got {work} for n={n}, m={m}")
+
+
 def _hook_grid(n: int, m: int):
-    """Every basis element spec of the hook shape [n-1, 1]: all j and k."""
+    """Every basis element spec of the hook shape [n-1, 1]: all j and k,
+    refused before any element is built when the work bound is exceeded."""
     from .hookbasis import HookSpec
 
+    _refuse_large_hook_grid(n, m)
     return [HookSpec(n=n, m=m, j=j, k=k) for j in range(2, n + 1) for k in range(n - 1)]
 
 
@@ -239,12 +261,15 @@ def run_suite(name: str, n: int, m: int):
         return suite_chain(n, m)
     if name == "all":
         from .exactalg import ResourceGuardError
-        from .quasi import ORACLE_MAX_N
+        from .quasi import ORACLE_MAX_N, _refuse_above_cap
 
-        # every suite's limit on n, checked before any suite runs
+        # every suite's limits, checked before any suite runs: on n, on the
+        # hook and lm work, and on the degree 2m+3 of the chain's n = 2 basis
         for what, cap in (("groupalgebra", GROUPALGEBRA_MAX_N), ("oracle", ORACLE_MAX_N)):
             if n > cap:
                 raise ResourceGuardError(f"{what} limited to n <= {cap}, got {n}")
+        _refuse_large_hook_grid(n, m)
+        _refuse_above_cap(2 * m + 3)
         out = []
         for sub in SUITES:
             out.extend(run_suite(sub, n, m))

@@ -39,15 +39,21 @@ reads it on ints over the least common denominator.
 
 ``random_homogeneous`` draws small test polynomials from a seeded
 ``random.Random``; the package itself draws no random input.
+
+``paper_basis`` lists the paper's generators of QI_m over the symmetric
+polynomials at n = 2 and 3, each with the standard tableau of its
+component, for the tests of the Sym-basis certificate.
 """
 
 import math
 from fractions import Fraction
 
-from quasiinv.exactalg import MultiPoly, grlex_key
+from quasiinv.exactalg import MultiPoly, grlex_key, vandermonde
+from quasiinv.hookbasis import HookSpec, q_integral
 from quasiinv.jsonio import _integer
 from quasiinv.quasi import monomials_of_degree
 from quasiinv.symgroup import GroupAlgebraElem, Perm
+from quasiinv.tableaux import Tableau, hook_tableau
 
 
 def divide_exact(p: MultiPoly, d: MultiPoly):
@@ -247,3 +253,16 @@ def random_homogeneous(rng, n: int, degree: int) -> MultiPoly:
         exp = monomials[rng.randrange(len(monomials))]
         terms[exp] = terms.get(exp, 0) + rng.randint(-5, 5)
     return MultiPoly(n, terms)
+
+
+def paper_basis(n: int, m: int) -> list:
+    """(standard tableau, generator) pairs of the paper's basis of QI_m over
+    the symmetric polynomials, for n = 2 or 3: 1 for the one-row tableau,
+    Q^(0,m) and Q^(1,m) for each hook tableau when n = 3, and V^(2m+1), V
+    the Vandermonde, for the one-column tableau."""
+    pairs = [(Tableau([tuple(range(1, n + 1))]), MultiPoly.constant(n, 1))]
+    if n == 3:
+        pairs += [(hook_tableau(3, j), q_integral(HookSpec(n=3, m=m, j=j, k=k)))
+                  for j in (2, 3) for k in (0, 1)]
+    pairs.append((Tableau([(i,) for i in range(1, n + 1)]), vandermonde(n) ** (2 * m + 1)))
+    return pairs

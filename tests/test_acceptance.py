@@ -25,11 +25,12 @@ from quasiinv.quasi import (
     delta_sq_chain_check,
     graded_dimension_oracle,
     is_quasiinvariant,
+    is_sym_basis,
 )
-from quasiinv.structure import det_degree, full_hilbert, hook_quotient_dimension
-from quasiinv.tableaux import gamma, hook_tableau, v_t
+from quasiinv.structure import det_degree, full_hilbert, in_gamma_component
+from quasiinv.tableaux import Partition, f_lambda, gamma, hook_tableau, v_t
 from quasiinv.verify import run_suite
-from reference import divide_exact
+from reference import divide_exact, paper_basis
 
 
 def report(name: str, passed: bool, detail: str = ""):
@@ -104,16 +105,23 @@ def test_a6_hilbert_oracle_agreement():
                 oracle = graded_dimension_oracle(n, m, d).dimension
                 if oracle != series.total[d]:
                     failures.append((n, m, d, oracle, series.total[d]))
-    for n, m_max in ((2, 3), (3, 2)):
+    # the paper's bases are Sym-bases of QI_m, so the series holds in every
+    # degree; each generator lies in its tableau's component, and their
+    # degrees are the formula's exponents, each counted f_lambda times
+    for n, m_max in ((2, 3), (3, 4)):
         for m in range(m_max + 1):
-            for j in range(2, n + 1):
-                t = hook_tableau(n, j)
-                for d in range(m * n + 1, m * n + n):
-                    dim = hook_quotient_dimension(n, m, d, t)
-                    if dim != 1:
-                        failures.append((n, m, j, d, dim))
-    report("A6 graded dimensions match series and hook strip", not failures,
-           str(failures[:3]) if failures else "oracle grid n <= 5 plus quotient strip")
+            pairs = paper_basis(n, m)
+            exponents = sorted(e for parts, row in full_hilbert(n, m, 0).shape_exponents
+                               for e in row * f_lambda(Partition(parts)))
+            if not is_sym_basis([g for _, g in pairs], m):
+                failures.append((n, m, "Sym-basis"))
+            if not all(in_gamma_component(g, t, m) for t, g in pairs):
+                failures.append((n, m, "component"))
+            if sorted(g.degree() for _, g in pairs) != exponents:
+                failures.append((n, m, "degrees"))
+    report("A6 graded dimensions match series; the paper's bases are Sym-bases",
+           not failures,
+           str(failures[:3]) if failures else "oracle grid n <= 5, Sym-bases n <= 3")
 
 
 def test_a7_group_algebra_suite():

@@ -238,6 +238,46 @@ class TestVerify:
         assert_one_line_error(*run(capsys, "verify", "--suite", "all", "--n", "6"),
                               "oracle limited to n <= 5, got 6")
 
+    def test_all_checks_the_chain_degree_before_running(self, capsys, monkeypatch):
+        # m = 5 takes the chain suite's n = 2 basis to degree 13, above the
+        # default cap; at n = 5 the suites before it once ran for 10 s first
+        from quasiinv import verify
+
+        def ran(n):
+            raise AssertionError("groupalgebra ran")
+
+        monkeypatch.setattr(verify, "suite_groupalgebra", ran)
+        monkeypatch.delenv("QI_MAX_DEGREE", raising=False)
+        assert_one_line_error(
+            *run(capsys, "verify", "--suite", "all", "--n", "5", "--m", "5"),
+            "degree 13 above cap 12 (set QI_MAX_DEGREE to raise)")
+
+    @pytest.mark.parametrize("suite, n, m", [
+        ("hook", 5, 6), ("lm", 5, 6), ("lm", 10, 1), ("hook", 3, 63), ("all", 5, 6)])
+    def test_hook_and_lm_refuse_before_any_work(self, capsys, monkeypatch, suite, n, m):
+        from quasiinv import hookbasis, verify
+
+        def ran(*args):
+            raise AssertionError("work began before the guard")
+
+        monkeypatch.setattr(hookbasis, "_q_integral", ran)
+        monkeypatch.setattr(verify, "suite_groupalgebra", ran)
+        work = (n + m) * hookbasis.basis_term_bound(n, m)
+        assert_one_line_error(
+            *run(capsys, "verify", "--suite", suite, "--n", str(n), "--m", str(m)),
+            f"hook and lm suites limited to (n + m) * term bound <= 250000, got {work} "
+            f"for n={n}, m={m}")
+
+    def test_hook_and_lm_guard_admits(self, capsys):
+        # the benchmark's requests, and the largest measured below the bound
+        from quasiinv.verify import _refuse_large_hook_grid
+
+        for n, m in ((5, 5), (7, 2), (9, 1), (3, 30)):
+            _refuse_large_hook_grid(n, m)
+        for suite in ("hook", "lm"):
+            code, out, _ = run(capsys, "verify", "--suite", suite, "--n", "4", "--m", "2")
+            assert code == 0 and out.endswith(" passed\n") and "FAIL" not in out
+
     def test_unknown_suite_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--suite", "bogus", "--n", "2"])
@@ -495,6 +535,17 @@ class TestDetcheck:
         assert obj["equals_vandermonde_squared"] is True
 
 
+class TestDegreeCapVariable:
+    @pytest.mark.parametrize("value", ["-5", "abc", "1e3"])
+    def test_invalid_value_exits_2(self, capsys, monkeypatch, value):
+        # -5 once printed a PASS line over 0 degrees, abc a bare int() message
+        monkeypatch.setenv("QI_MAX_DEGREE", value)
+        assert_one_line_error(
+            *run(capsys, "verify", "--suite", "thm-main", "--n", "3", "--m", "2"),
+            f"QI_MAX_DEGREE must be a non-negative integer, got {value!r}")
+        assert_one_line_error(*run(capsys, "detcheck", "--m", "0"), "QI_MAX_DEGREE")
+
+
 def assert_one_line_identity_failure(code, out, err, text):
     assert (code, out) == (1, "")
     assert err.count("\n") == 1 and err.startswith(f"identity failure: {text}")
@@ -544,12 +595,14 @@ cli.console_entry(["detcheck", "--m", "1"])
 """
 
 
-def process(*argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE):
+def process(*argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=None):
     """``python -m quasiinv ARGV`` (or ``python -c SCRIPT`` when argv starts
-    with "-c") as a process: its exit code, stdout and stderr."""
+    with "-c") as a process: its exit code, stdout and stderr.  ``env``
+    adds to or overrides the process environment."""
     args = argv if argv[0] == "-c" else ("-m", "quasiinv", *argv)
     proc = subprocess.run([sys.executable, *args], stdout=stdout, stderr=stderr,
-                          cwd=PACKAGE_PARENT, env=PROCESS_ENV, text=True)
+                          cwd=PACKAGE_PARENT, env={**PROCESS_ENV, **(env or {})},
+                          text=True)
     return proc.returncode, proc.stdout or "", proc.stderr or ""
 
 
@@ -624,6 +677,17 @@ class TestEntryPoints:
     def test_missing_subcommand_errors(self):
         with pytest.raises(SystemExit):
             main([])
+
+    def test_detcheck_at_the_edge_of_the_degree_cap(self):
+        # (x_1 - x_2)^(2m+3) is held to the cap: m = 4 is the largest the
+        # default cap of 12 admits, and m = 5 answers once the cap is 13
+        assert process("detcheck", "--m", "5", env={"QI_MAX_DEGREE": ""}) == (
+            2, "", "error: degree 13 above cap 12 (set QI_MAX_DEGREE to raise)\n")
+        code, out, err = process("detcheck", "--m", "5", "--format", "text",
+                                 env={"QI_MAX_DEGREE": "13"})
+        assert (code, err) == (0, "")
+        assert out.startswith("change-of-basis matrix (m=5):\n")
+        assert out.endswith(" = Delta_2^2\n")
 
 
 # -- fuzzing main ----------------------------------------------------------

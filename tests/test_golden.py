@@ -51,6 +51,9 @@ COMMANDS = [
     "apply --op gamma --tableau [[1,2,4],[3]] --in {inputs}/mixed4.json --format text",
     "detcheck --m 2 --format text",
     "detcheck --m 1",
+    "detcheck --m 0",
+    "detcheck --m 4",
+    "detcheck --m 4 --format text",
     "oracle --n 3 --m 1 --d 5",
     "verify --suite groupalgebra --n 4 --seed 1",
     "verify --suite all --n 3 --m 1",

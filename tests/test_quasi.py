@@ -14,10 +14,12 @@ from quasiinv import quasi, structure
 from quasiinv.exactalg import MultiPoly, elementary_symmetric, vandermonde
 from quasiinv.quasi import (
     ResourceGuardError,
+    change_of_basis_n2,
     delta_sq_embed,
     graded_dimension_oracle,
     integer_nullspace,
     is_quasiinvariant,
+    is_sym_basis,
     monomials_of_degree,
     poly_rank,
 )
@@ -34,6 +36,7 @@ from quasiinv.tableaux import (
 )
 from reference import (
     divide_exact,
+    paper_basis,
     random_homogeneous,
     ref_constraint_rows,
     ref_lift,
@@ -493,6 +496,49 @@ class TestDeltaSqEmbed:
         assert delta_sq_embed(p, 0) == vandermonde(5) ** 2 * p
 
 
+X1, X2 = MultiPoly.variable(2, 1), MultiPoly.variable(2, 2)
+ONE2 = MultiPoly.constant(2, 1)
+
+
+class TestSymBasis:
+    """``is_sym_basis`` at n = 2, where QI_m = Sym + Sym (x_1 - x_2)^(2m+1),
+    and its refusals, each input failing one requirement only."""
+
+    @pytest.mark.parametrize("m", range(5))
+    def test_n2_basis_passes(self, m):
+        assert is_sym_basis([ONE2, (X1 - X2) ** (2 * m + 1)], m)
+
+    @pytest.mark.parametrize("m", range(5))
+    def test_symmetric_generator_of_the_same_degree_fails(self, m):
+        # e_1^(2m+1) is quasiinvariant with the right degree, but it is in Sym
+        assert not is_sym_basis([ONE2, elementary_symmetric(2, 1) ** (2 * m + 1)], m)
+
+    def test_wrong_count_fails(self):
+        # the paper's n = 3 basis without 1: five generators of the right
+        # degree sum, independent at the six points
+        gens = [g for _, g in paper_basis(3, 1)]
+        assert is_sym_basis(gens, 1)
+        assert not is_sym_basis(gens[1:], 1)
+        assert not is_sym_basis([], 1)
+
+    def test_wrong_degree_sum_fails(self):
+        # (x_1 - x_2)^3 is 0-quasiinvariant: a basis of QI_1, not of QI_0
+        assert not is_sym_basis([ONE2, (X1 - X2) ** 3], 0)
+
+    def test_non_homogeneous_member_fails(self):
+        # (x_1 - x_2)^3 + e_1 is 1-quasiinvariant of degree 3, and its values
+        # at (0, 1) and (1, 0) are independent of 1's
+        p = (X1 - X2) ** 3 + elementary_symmetric(2, 1)
+        assert is_quasiinvariant(p, 1)
+        assert not is_sym_basis([ONE2, p], 1)
+
+    def test_non_quasiinvariant_member_fails(self):
+        # x_1^3 has the degree of (x_1 - x_2)^3, and its values at (0, 1)
+        # and (1, 0) are independent of 1's, but it is not 1-quasiinvariant
+        assert not is_quasiinvariant(X1 ** 3, 1)
+        assert not is_sym_basis([ONE2, X1 ** 3], 1)
+
+
 class TestMainCharacterization:
     def test_report_passes(self):
         for n, m in ((2, 1), (2, 2), (3, 1)):
@@ -593,3 +639,24 @@ class TestDegreeCap:
     def test_degree_guard(self):
         with pytest.raises(ResourceGuardError):
             graded_dimension_oracle(2, 1, 100)
+
+    @pytest.mark.parametrize("value", ["-5", "abc", "1e3", " 12", "+5"])
+    def test_invalid_value_is_refused(self, monkeypatch, value):
+        monkeypatch.setenv("QI_MAX_DEGREE", value)
+        with pytest.raises(ValueError, match=re.escape(
+                f"QI_MAX_DEGREE must be a non-negative integer, got {value!r}")):
+            quasi.degree_cap()
+
+    def test_change_of_basis_refuses_before_any_work(self, monkeypatch):
+        # its top generator (x_1 - x_2)^(2m+3) is held to the cap
+        def refuse(*args):
+            raise AssertionError("the guard ran after the work began")
+
+        monkeypatch.setattr(quasi, "is_sym_basis", refuse)
+        monkeypatch.delenv("QI_MAX_DEGREE", raising=False)
+        with pytest.raises(ResourceGuardError, match=re.escape(
+                "degree 13 above cap 12 (set QI_MAX_DEGREE to raise)")):
+            change_of_basis_n2(5)
+        monkeypatch.setenv("QI_MAX_DEGREE", "10")
+        with pytest.raises(ResourceGuardError, match="degree 11 above cap 10"):
+            change_of_basis_n2(4)

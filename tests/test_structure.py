@@ -1,21 +1,23 @@
-"""Hilbert series assembly, quotient dimensions,
-the determinant degree formula, and the n = 2 change-of-basis check."""
+"""Hilbert series assembly, the paper's bases as Sym-bases, the
+determinant degree formula, and the n = 2 change-of-basis check."""
 
 import math
 
 import pytest
 
-from quasiinv.exactalg import series_expand, vandermonde
+from quasiinv import structure
+from quasiinv.exactalg import elementary_symmetric, series_expand, vandermonde
 from quasiinv.quasi import (
     change_of_basis_n2,
     delta_sq_chain_check,
     graded_dimension_oracle,
+    is_sym_basis,
 )
 from quasiinv.structure import (
     HILBERT_MAX_N,
     det_degree,
     full_hilbert,
-    hook_quotient_dimension,
+    in_gamma_component,
     numerator_exponent,
 )
 from quasiinv.tableaux import (
@@ -26,6 +28,7 @@ from quasiinv.tableaux import (
     partitions_of,
     standard_tableaux,
 )
+from reference import paper_basis
 
 
 class TestNumeratorExponents:
@@ -93,18 +96,45 @@ class TestFullHilbert:
             full_hilbert(HILBERT_MAX_N + 1, 1, 4)
 
 
-class TestHookQuotientDimension:
-    def test_one_dimensional_strip(self):
-        for n, m in ((2, 1), (2, 2), (3, 1)):
-            for j in range(2, n + 1):
-                t = hook_tableau(n, j)
-                for d in range(m * n + 1, m * n + n):
-                    assert hook_quotient_dimension(n, m, d, t) == 1
+def weighted_exponents(n, m):
+    """The formula's numerator exponents, each counted f_lambda times."""
+    return sorted(e for parts, row in full_hilbert(n, m, 0).shape_exponents
+                  for e in row * f_lambda(Partition(parts)))
 
-    def test_zero_below_strip(self):
-        t = hook_tableau(3, 2)
-        for d in range(0, 4):  # below m*n + 1 = 4
-            assert hook_quotient_dimension(3, 1, d, t) == 0
+
+class TestPaperSymBasis:
+    """The paper's bases at n = 2 and 3 are bases of QI_m over Sym in every
+    degree (``is_sym_basis``); each generator lies in its tableau's
+    component, and the generator degrees are the formula's exponents."""
+
+    @pytest.mark.parametrize("n, m", [(2, m) for m in range(4)] + [(3, m) for m in range(5)])
+    def test_certified(self, n, m):
+        pairs = paper_basis(n, m)
+        assert is_sym_basis([g for _, g in pairs], m)
+        assert all(in_gamma_component(g, t, m) for t, g in pairs)
+        assert sorted(g.degree() for _, g in pairs) == weighted_exponents(n, m)
+
+    @pytest.mark.parametrize("m", range(5))
+    def test_symmetric_multiple_in_place_of_a_generator_fails(self, m):
+        # e_1 Q^(0,m)_3 has the degree, component and quasiinvariance of
+        # Q^(1,m)_3, but it lies in Sym Q^(0,m)_3: only the certificate fails
+        pairs = paper_basis(3, m)
+        (t, q0), (t1, q1) = pairs[3], pairs[4]
+        assert t == t1 and q1.degree() == q0.degree() + 1
+        mutated = elementary_symmetric(3, 1) * q0
+        assert in_gamma_component(mutated, t, m)
+        pairs[4] = (t, mutated)
+        assert not is_sym_basis([g for _, g in pairs], m)
+
+    def test_shifted_exponent_fails(self, monkeypatch):
+        # one tableau's exponent plus 1 leaves the degrees unmatched
+        numerator_exponent = structure.numerator_exponent
+        shifted = hook_tableau(3, 2)
+        monkeypatch.setattr(structure, "numerator_exponent", lambda m, t: (
+            numerator_exponent(m, t) + (t == shifted)))
+        for m in range(5):
+            degrees = sorted(g.degree() for _, g in paper_basis(3, m))
+            assert degrees != weighted_exponents(3, m)
 
 
 class TestDeterminant:

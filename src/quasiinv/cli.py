@@ -82,13 +82,18 @@ def cmd_verify(args) -> int:
 
 
 def cmd_hilbert(args) -> int:
-    from .structure import full_hilbert
+    from .structure import _refuse_hilbert, full_hilbert
 
-    report = full_hilbert(args.n, args.m, args.D)
     oracle = None
     if args.oracle:
-        from .quasi import graded_dimension_oracle
+        from .quasi import _refuse_above_cap, _refuse_oracle_n, graded_dimension_oracle
 
+        # the series' limits, then the oracle's, before any degree is computed
+        _refuse_hilbert(args.n, args.m, args.D)
+        _refuse_oracle_n(args.n)
+        _refuse_above_cap(args.D)
+    report = full_hilbert(args.n, args.m, args.D)
+    if args.oracle:
         oracle = []
         for d in range(args.D + 1):
             dim = graded_dimension_oracle(args.n, args.m, d).dimension
@@ -100,6 +105,7 @@ def cmd_hilbert(args) -> int:
                     "match": dim == report.total[d],
                 }
             )
+    agree = oracle is None or all(entry["match"] for entry in oracle)
     if args.format == "json":
         from . import jsonio
 
@@ -110,10 +116,7 @@ def cmd_hilbert(args) -> int:
             lines.append(f"  shape {list(parts)}: numerator exponents {list(exps)}")
         lines.append(f"  total coefficients: {list(report.total)}")
         if oracle is not None:
-            verdict = all(entry["match"] for entry in oracle)
-            lines.append(
-                "  oracle agreement: " + ("PASS" if verdict else "FAIL")
-            )
+            lines.append("  oracle agreement: " + ("PASS" if agree else "FAIL"))
             for entry in oracle:
                 if not entry["match"]:
                     lines.append(
@@ -122,9 +125,7 @@ def cmd_hilbert(args) -> int:
                     )
         text = "\n".join(lines) + "\n"
     _emit(text, args.out)
-    if oracle is not None and not all(e["match"] for e in oracle):
-        return 1
-    return 0
+    return 0 if agree else 1
 
 
 def _parse_json(text: str, option: str):

@@ -65,6 +65,13 @@ def _refuse_above_cap(d: int):
             f"degree {d} above cap {degree_cap()} (set QI_MAX_DEGREE to raise)")
 
 
+def _refuse_oracle_n(n: int):
+    if n < 1:
+        raise ValueError(f"oracle needs n >= 1, got {n}")
+    if n > ORACLE_MAX_N:
+        raise ResourceGuardError(f"oracle limited to n <= {ORACLE_MAX_N}, got {n}")
+
+
 def is_quasiinvariant(p: MultiPoly, m: int) -> bool:
     """True iff (x_i - x_j)^(2m+1) divides (1 - (i,j)) p for all i < j.
 
@@ -484,10 +491,7 @@ def graded_dimension_oracle(n: int, m: int, d: int) -> QIWitness:
     Builds the vanishing conditions on a generic coefficient vector and
     returns the integer nullspace.
     """
-    if n < 1:
-        raise ValueError(f"oracle needs n >= 1, got {n}")
-    if n > ORACLE_MAX_N:
-        raise ResourceGuardError(f"oracle limited to n <= {ORACLE_MAX_N}, got {n}")
+    _refuse_oracle_n(n)
     _refuse_above_cap(d)
     if m < 0 or d < 0:
         raise ValueError("m and d must be non-negative")

@@ -64,14 +64,18 @@ def numerator_exponent(m: int, t: Tableau) -> int:
     return m * (math.comb(n, 2) - content(t.shape)) + cocharge(t)
 
 
-def full_hilbert(n: int, m: int, D: int) -> HilbertReport:
-    """Assemble the graded dimension series of QI_m through q^D."""
+def _refuse_hilbert(n: int, m: int, D: int):
     if n < 1:
         raise ValueError(f"hilbert needs n >= 1, got {n}")
     if n > HILBERT_MAX_N:
         raise ResourceGuardError(f"hilbert limited to n <= {HILBERT_MAX_N}, got {n}")
     if m < 0 or D < 0:
         raise ValueError("m and D must be non-negative")
+
+
+def full_hilbert(n: int, m: int, D: int) -> HilbertReport:
+    """Assemble the graded dimension series of QI_m through q^D."""
+    _refuse_hilbert(n, m, D)
     shape_exponents = []
     per_shape = []
     total = [0] * (D + 1)

@@ -37,6 +37,7 @@ from .exactalg import (
     MAX_GROUP_N,
     DimensionMismatch,
     MultiPoly,
+    ResourceGuardError,
     _apply_factors,
     _Combination,
     _scalar,
@@ -192,7 +193,7 @@ def subgroup_perms(n: int, support):
     if any(type(s) is not int or not 1 <= s <= n for s in support):
         raise ValueError(f"support {support} not inside 1..{n}")
     if n > MAX_GROUP_N:
-        raise ValueError(f"group enumeration limited to n <= {MAX_GROUP_N}")
+        raise ResourceGuardError(f"group enumeration limited to n <= {MAX_GROUP_N}")
     out = []
     for arrangement in permutations(support):
         images = list(range(1, n + 1))

@@ -35,6 +35,7 @@ from .exactalg import (
     MAX_GROUP_N,
     DimensionMismatch,
     MultiPoly,
+    ResourceGuardError,
     TheoremViolationError,
     _apply_factors,
     telescoping_factors,
@@ -230,7 +231,7 @@ def _projection_plan(t: Tableau):
     cost = math.prod(math.factorial(len(s)) for s in t.rows + t.columns)
     bound = math.factorial(MAX_GROUP_N)
     if cost > bound:
-        raise ValueError(f"gamma limited to |R(T)| |C(T)| <= {bound}, got {cost}")
+        raise ResourceGuardError(f"gamma limited to |R(T)| |C(T)| <= {bound}, got {cost}")
     brackets = [(col, -1) for col in t.columns] + [(row, 1) for row in t.rows]
     factors = tuple((tuple(pairs), sign) for support, sign in brackets
                     for pairs in telescoping_factors(support))

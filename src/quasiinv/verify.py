@@ -1,9 +1,11 @@
 """Named verification suites aggregating the executable identities.
 
-Each suite returns a list of (name, passed, detail) triples, the same for
+Each suite is a generator of (name, passed, detail) triples, the same for
 the same flags, and draws no random input; the CLI renders them one line
-per check.  Each suite imports the layers it checks when it runs, so a
-``verify`` command loads only the modules of its suite.
+per check.  A suite checks all of its limits first and then does a bare
+``yield``, before any work and before its first line.  Each suite imports
+the layers it checks when it runs, so a ``verify`` command loads only the
+modules of its suite.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ def suite_groupalgebra(n: int):
         raise ResourceGuardError(
             f"groupalgebra limited to n <= {GROUPALGEBRA_MAX_N}, got {n}"
         )
-    results = []
+    yield
 
     # the n rotations of 1..n and the reverse (a rotation when n = 2)
     rotations = [tuple(range(k, n + 1)) + tuple(range(1, k)) for k in range(1, n + 1)]
@@ -67,8 +69,8 @@ def suite_groupalgebra(n: int):
         for order in orderings
         for signed in (False, True)
     )
-    results.append(("Bracket factorization [S_n] product", ok,
-                    f"n={n}, {len(orderings)} orderings, both signs"))
+    yield ("Bracket factorization [S_n] product", ok,
+           f"n={n}, {len(orderings)} orderings, both signs")
 
     # x^delta = x_1^(n-1) x_2^(n-2) ... x_n^0 has n! distinct images, so an
     # element a of Q S_n is determined by a x^delta.  The factored gamma_T
@@ -102,10 +104,10 @@ def suite_groupalgebra(n: int):
             # (1 - alpha) [C_i]' = [C_i union {cell}]'
             if times_brackets(one - a, [(t.columns[i - 1], True)]) != union:
                 ok = False
-    results.append(("Zero-product / alpha-invariance / gamma idempotence", ok,
-                    f"n={n}, {len(tableaux)} tableaux, {checked} (column, cell) pairs"))
-    results.append(("Factored and expanded gamma_T agree", agree,
-                    f"n={n}, {len(tableaux)} tableaux"))
+    yield ("Zero-product / alpha-invariance / gamma idempotence", ok,
+           f"n={n}, {len(tableaux)} tableaux, {checked} (column, cell) pairs")
+    yield ("Factored and expanded gamma_T agree", agree,
+           f"n={n}, {len(tableaux)} tableaux")
 
     if n <= 5:
         ok = True
@@ -115,20 +117,22 @@ def suite_groupalgebra(n: int):
                 total = sum(poly_rank(gamma_images(t, w.basis)) for t in tableaux)
                 if total != w.dimension:
                     ok = False
-        results.append(("Projector rank-sum decomposition", ok,
-                        f"n={n}, m in {{0,1}}, degrees 0..3"))
-    return results
+        yield ("Projector rank-sum decomposition", ok,
+               f"n={n}, m in {{0,1}}, degrees 0..3")
 
 
 def suite_thm_main(n: int, m: int):
+    from .quasi import _refuse_oracle_n
     from .structure import theorem_main_checks
 
+    _refuse_oracle_n(n)
+    yield
     report = theorem_main_checks(n, m)
     detail = (
         f"n={n}, m={m}, {report['checked_dims']} degrees, "
         f"{report['checked_b']} component members"
     )
-    return [("Direct-sum characterization of QI_m", report["passed"], detail)]
+    yield ("Direct-sum characterization of QI_m", report["passed"], detail)
 
 
 def _refuse_large_hook_grid(n: int, m: int):
@@ -162,13 +166,15 @@ def suite_hook(n: int, m: int):
     )
     from .quasi import is_quasiinvariant
     from .structure import in_gamma_component
-    from .tableaux import hook_tableau
+    from .tableaux import _projection_plan, hook_tableau
 
-    results = []
     grid = _hook_grid(n, m)
+    # the projector guard of the shape; the plan is cached for the j = 2 line
+    _projection_plan(hook_tableau(n, 2))
+    yield
     ok = all(q_integral(s) == q_closed_form(s) for s in grid)
-    results.append(("Dual construction equality (integral vs closed form)", ok,
-                    f"grid {len(grid)} specs"))
+    yield ("Dual construction equality (integral vs closed form)", ok,
+           f"grid {len(grid)} specs")
 
     ok = True
     for s in grid:
@@ -180,98 +186,83 @@ def suite_hook(n: int, m: int):
             ok = False
         if not (q.is_homogeneous() and q.degree() == m * n + s.k + 1):
             ok = False
-    results.append(("Membership and degree of hook basis elements", ok,
-                    f"grid {len(grid)} specs"))
+    yield ("Membership and degree of hook basis elements", ok, f"grid {len(grid)} specs")
 
     if m >= 1:
         ok = all(recursion_residual(s).is_zero() for s in grid)
-        results.append(("Elementary-symmetric recursion", ok, f"grid {len(grid)} specs"))
+        yield ("Elementary-symmetric recursion", ok, f"grid {len(grid)} specs")
 
     try:
         ok = all(lowest_quotient(s) == lowest_quotient_rhs(s) for s in grid)
     except TheoremViolationError:
         ok = False
-    results.append(("Limit formula at x_1 = x_j", ok, f"grid {len(grid)} specs"))
-    return results
+    yield ("Limit formula at x_1 = x_j", ok, f"grid {len(grid)} specs")
 
 
 def suite_lm(n: int, m: int):
     from .calogero import NonPolynomialError, apply_lm, lm_eigen_check
     from .exactalg import MultiPoly, elementary_symmetric
 
-    results = []
     grid = _hook_grid(n, m)
+    yield
     try:
         ok = all(lm_eigen_check(s).is_zero() for s in grid)
         detail = f"grid {(n - 1)}x{(n - 1)}"
     except NonPolynomialError as exc:
         ok, detail = False, f"NonPolynomial: {exc}"
-    results.append(("Second-differentiation eigen-identity", ok, detail))
+    yield ("Second-differentiation eigen-identity", ok, detail)
 
     one = MultiPoly.constant(n, 1)
     e1 = elementary_symmetric(n, 1)
     ok = apply_lm(one, m).is_zero() and apply_lm(e1, m).is_zero()
-    results.append(("Operator annihilates degree <= 1", ok, f"n={n}, m={m}"))
-    return results
+    yield ("Operator annihilates degree <= 1", ok, f"n={n}, m={m}")
 
 
 def suite_chain(n: int, m: int):
     from .exactalg import TheoremViolationError
-    from .quasi import change_of_basis_n2, delta_sq_chain_check
+    from .quasi import (_refuse_above_cap, _refuse_oracle_n, change_of_basis_n2,
+                        delta_sq_chain_check)
     from .structure import det_degree
 
-    results = []
+    # the n = 2 basis reaches degree 2m+3, past the chain's min(4, mn + 1)
+    _refuse_oracle_n(n)
+    _refuse_above_cap(2 * m + 3)
+    yield
     report = delta_sq_chain_check(n, m, max_degree=min(4, m * n + 1))
-    results.append(("Delta^2 embedding and containment chain", report["passed"],
-                    f"n={n}, m={m}, {report['embedded']} embedded, "
-                    f"{report['chained']} chained"))
+    yield ("Delta^2 embedding and containment chain", report["passed"],
+           f"n={n}, m={m}, {report['embedded']} embedded, {report['chained']} chained")
     try:
         change_of_basis_n2(m)
         ok = True
     except TheoremViolationError:
         ok = False
-    results.append(("n=2 change-of-basis determinant", ok, f"m={m}"))
+    yield ("n=2 change-of-basis determinant", ok, f"m={m}")
     ok = True
     for size in range(1, 7):
         try:
             det_degree(size)
         except TheoremViolationError:
             ok = False
-    results.append(("Determinant degree formula", ok, "n <= 6"))
-    return results
+    yield ("Determinant degree formula", ok, "n <= 6")
+
+
+_SUITES = {"groupalgebra": lambda n, m: suite_groupalgebra(n), "thm-main": suite_thm_main,
+           "hook": suite_hook, "lm": suite_lm, "chain": suite_chain}
 
 
 def run_suite(name: str, n: int, m: int):
-    """Run one suite, or every suite for ``all``.  Below n = 2 some checks
-    would run on nothing, and m < 0 names no ring, so such requests are
-    refused."""
+    """The lines of one suite, or of every suite for ``all``.  Every suite
+    asked for is advanced past its bare ``yield`` before any line is taken,
+    so a request that one of them refuses does no work.  Below n = 2 some
+    checks would run on nothing, and m < 0 names no ring, so such requests
+    are refused."""
     if n < 2:
         raise ValueError(f"verify needs n >= 2, got {n}")
     if m < 0:
         raise ValueError(f"verify needs m >= 0, got {m}")
-    if name == "groupalgebra":
-        return suite_groupalgebra(n)
-    if name == "thm-main":
-        return suite_thm_main(n, m)
-    if name == "hook":
-        return suite_hook(n, m)
-    if name == "lm":
-        return suite_lm(n, m)
-    if name == "chain":
-        return suite_chain(n, m)
-    if name == "all":
-        from .exactalg import ResourceGuardError
-        from .quasi import ORACLE_MAX_N, _refuse_above_cap
-
-        # every suite's limits, checked before any suite runs: on n, on the
-        # hook and lm work, and on the degree 2m+3 of the chain's n = 2 basis
-        for what, cap in (("groupalgebra", GROUPALGEBRA_MAX_N), ("oracle", ORACLE_MAX_N)):
-            if n > cap:
-                raise ResourceGuardError(f"{what} limited to n <= {cap}, got {n}")
-        _refuse_large_hook_grid(n, m)
-        _refuse_above_cap(2 * m + 3)
-        out = []
-        for sub in SUITES:
-            out.extend(run_suite(sub, n, m))
-        return out
-    raise ValueError(f"unknown suite {name!r}")
+    if name != "all" and name not in _SUITES:
+        raise ValueError(f"unknown suite {name!r}")
+    suites = [_SUITES[sub](n, m) for sub in (SUITES if name == "all" else (name,))]
+    for suite in suites:
+        next(suite)
+    return [line for suite in suites for line in suite]

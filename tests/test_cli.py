@@ -43,6 +43,22 @@ def assert_one_line_error(code, out, err, text):
     assert err.count("\n") == 1 and err.startswith("error: ") and text in err
 
 
+def forbid_work(monkeypatch):
+    """Make every exact elimination, every projection or group-algebra
+    product on the transposition kernel, every hook basis element and every
+    Hilbert series expansion raise, so that a refusal shows it came before
+    any work."""
+    from quasiinv import hookbasis, quasi, structure, symgroup, tableaux
+
+    def ran(*args):
+        raise AssertionError("work began before the guard")
+
+    for module, name in ((quasi, "integer_nullspace"), (tableaux, "_apply_factors"),
+                         (symgroup, "_apply_factors"), (hookbasis, "_q_integral"),
+                         (structure, "series_expand")):
+        monkeypatch.setattr(module, name, ran)
+
+
 class TestBasis:
     def test_json_output(self, capsys):
         code, out, _ = run(capsys, "basis", "--n", "3", "--m", "1", "--j", "2")
@@ -229,24 +245,14 @@ class TestVerify:
     def test_all_checks_every_limit_before_running(self, capsys, monkeypatch):
         # n = 6 is within the groupalgebra limit but above the oracle's, so
         # all refuses before the first suite runs
-        from quasiinv import verify
-
-        def ran(n):
-            raise AssertionError("groupalgebra ran")
-
-        monkeypatch.setattr(verify, "suite_groupalgebra", ran)
+        forbid_work(monkeypatch)
         assert_one_line_error(*run(capsys, "verify", "--suite", "all", "--n", "6"),
                               "oracle limited to n <= 5, got 6")
 
     def test_all_checks_the_chain_degree_before_running(self, capsys, monkeypatch):
         # m = 5 takes the chain suite's n = 2 basis to degree 13, above the
         # default cap; at n = 5 the suites before it once ran for 10 s first
-        from quasiinv import verify
-
-        def ran(n):
-            raise AssertionError("groupalgebra ran")
-
-        monkeypatch.setattr(verify, "suite_groupalgebra", ran)
+        forbid_work(monkeypatch)
         monkeypatch.delenv("QI_MAX_DEGREE", raising=False)
         assert_one_line_error(
             *run(capsys, "verify", "--suite", "all", "--n", "5", "--m", "5"),
@@ -255,18 +261,38 @@ class TestVerify:
     @pytest.mark.parametrize("suite, n, m", [
         ("hook", 5, 6), ("lm", 5, 6), ("lm", 10, 1), ("hook", 3, 63), ("all", 5, 6)])
     def test_hook_and_lm_refuse_before_any_work(self, capsys, monkeypatch, suite, n, m):
-        from quasiinv import hookbasis, verify
+        from quasiinv import hookbasis
 
-        def ran(*args):
-            raise AssertionError("work began before the guard")
-
-        monkeypatch.setattr(hookbasis, "_q_integral", ran)
-        monkeypatch.setattr(verify, "suite_groupalgebra", ran)
+        forbid_work(monkeypatch)
         work = (n + m) * hookbasis.basis_term_bound(n, m)
         assert_one_line_error(
             *run(capsys, "verify", "--suite", suite, "--n", str(n), "--m", str(m)),
             f"hook and lm suites limited to (n + m) * term bound <= 250000, got {work} "
             f"for n={n}, m={m}")
+
+    @pytest.mark.parametrize("suite, n, m, text", [
+        # once after the Delta^2 chain (2.9 s in a fresh process)
+        ("chain", 5, 5, "degree 13 above cap 12 (set QI_MAX_DEGREE to raise)"),
+        ("chain", 6, 1, "oracle limited to n <= 5, got 6"),
+        # once after building and comparing every Q^(k,m) (0.6 s)
+        ("hook", 9, 1, "gamma limited to |R(T)| |C(T)| <= 40320, got 80640"),
+        ("thm-main", 6, 1, "oracle limited to n <= 5, got 6"),
+    ])
+    def test_single_suite_refuses_before_any_work(self, capsys, monkeypatch,
+                                                   suite, n, m, text):
+        forbid_work(monkeypatch)
+        monkeypatch.delenv("QI_MAX_DEGREE", raising=False)
+        assert_one_line_error(
+            *run(capsys, "verify", "--suite", suite, "--n", str(n), "--m", str(m)), text)
+
+    def test_suites_admit_without_work_before_their_first_line(self, monkeypatch):
+        # lm at n = 9 builds no projector, and hook at n = 8 is inside its
+        # guard ([7,1] gives 10080); starting either does no work
+        from quasiinv import verify
+
+        forbid_work(monkeypatch)
+        for suite in (verify.suite_lm(9, 1), verify.suite_hook(8, 1)):
+            assert next(suite) is None
 
     def test_hook_and_lm_guard_admits(self, capsys):
         # the benchmark's requests, and the largest measured below the bound
@@ -312,6 +338,21 @@ class TestHilbert:
     def test_rejects_n_below_one(self, capsys, n):
         assert_one_line_error(*run(capsys, "hilbert", "--n", n, "--m", "1", "--D", "3"),
                               "n >= 1")
+
+    @pytest.mark.parametrize("n, m, D, text", [
+        # once after computing degrees 0..12 (0.9 s)
+        (5, 1, 13, "degree 13 above cap 12 (set QI_MAX_DEGREE to raise)"),
+        (6, 1, 4, "oracle limited to n <= 5, got 6"),
+        # the series' own limits speak first, as before
+        (7, 1, 13, "hilbert limited to n <= 6, got 7"),
+        (0, 1, 13, "hilbert needs n >= 1, got 0"),
+        (3, -1, 13, "m and D must be non-negative"),
+    ])
+    def test_oracle_refuses_before_any_degree(self, capsys, monkeypatch, n, m, D, text):
+        forbid_work(monkeypatch)
+        monkeypatch.delenv("QI_MAX_DEGREE", raising=False)
+        assert_one_line_error(*run(capsys, "hilbert", "--n", str(n), "--m", str(m),
+                                   "--D", str(D), "--oracle"), text)
 
 
 class TestApply:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quasiinv.exactalg import DimensionMismatch, MultiPoly
+from quasiinv.exactalg import DimensionMismatch, MultiPoly, ResourceGuardError
 from quasiinv.symgroup import (
     GroupAlgebraElem,
     act,
@@ -287,6 +287,17 @@ class TestGammaApply:
             gamma_apply(Tableau([tuple(range(1, 9)), (9,)]), MultiPoly.variable(9, 1))
         with pytest.raises(DimensionMismatch):
             gamma_apply(hook_tableau(3, 2), MultiPoly.variable(4, 1))
+
+    def test_cost_guards_are_resource_guards(self):
+        # the projector and the group enumeration refuse shape [8, 1] as
+        # every other cost guard does, with the same exit code and text
+        t = Tableau([tuple(range(1, 9)), (9,)])
+        with pytest.raises(ResourceGuardError, match=r"^gamma limited to \|R\(T\)\| "
+                                                     r"\|C\(T\)\| <= 40320, got 80640$"):
+            gamma_apply(t, MultiPoly.variable(9, 1))
+        with pytest.raises(ResourceGuardError,
+                           match="^group enumeration limited to n <= 8$"):
+            subgroup_perms(9, t.rows[0])
 
 
 @st.composite

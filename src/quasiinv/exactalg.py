@@ -31,9 +31,10 @@ All values are immutable after construction and all operations are pure.
 
 from __future__ import annotations
 
+import functools
 import math
 from itertools import combinations
-from operator import add
+from operator import add, itemgetter
 
 
 class DimensionMismatch(ValueError):
@@ -218,23 +219,39 @@ def telescoping_factors(order):
     return [[(order[s], order[t]) for s in range(t)] for t in range(1, len(order))]
 
 
+@functools.cache
+def _swapper(size: int, a: int, b: int):
+    """The map that swaps slots a and b (0-based) of a tuple of ``size``."""
+    order = list(range(size))
+    order[a], order[b] = b, a
+    return itemgetter(*order)
+
+
 def _apply_factors(q: dict, factors) -> dict:
     """Run each factor (1 + sign * sum of the transpositions ``pairs``) of
     the ordered list ``factors`` of (pairs, sign) on {tuple: int}, first
-    factor first.  A transposition (a b) swaps slots a and b of every key:
-    on exponent tuples that is its action, on image tuples the right
-    product by it."""
+    factor first.  A transposition (a b) swaps slots a and b of every key
+    where they differ, by one cached ``itemgetter``: on exponent tuples that
+    is its action, on image tuples the right product by it."""
     for pairs, sign in factors:
+        if not q:
+            break
+        size = len(next(iter(q)))
         out = dict(q)
         get = out.get
         for a, b in pairs:
             a, b = a - 1, b - 1
-            for e, c in q.items():
-                if e[a] != e[b]:
-                    swapped = list(e)
-                    swapped[a], swapped[b] = e[b], e[a]
-                    e = tuple(swapped)
-                out[e] = get(e, 0) + sign * c
+            swap = _swapper(size, a, b)
+            if sign > 0:
+                for e, c in q.items():
+                    if e[a] != e[b]:
+                        e = swap(e)
+                    out[e] = get(e, 0) + c
+            else:
+                for e, c in q.items():
+                    if e[a] != e[b]:
+                        e = swap(e)
+                    out[e] = get(e, 0) - c
         q = {e: c for e, c in out.items() if c}
     return q
 

@@ -391,8 +391,9 @@ def poly_relations(polys):
 
 
 def poly_rank(polys) -> int:
-    """Rank over Q of a list of MultiPoly values."""
-    polys = [p for p in polys if not p.is_zero()]
+    """Rank over Q of a list of MultiPoly values, read off its distinct
+    nonzero members."""
+    polys = list(dict.fromkeys(p for p in polys if not p.is_zero()))
     return len(polys) - len(poly_relations(polys))
 
 

@@ -40,6 +40,11 @@ from .tableaux import (
 
 HILBERT_MAX_N = 6
 
+# The series' work and output grow linearly in D: at n = 6 on a 2-vCPU Xeon
+# VM with Python 3.11, --D 10000 takes 0.23 s in a fresh process and prints
+# 1.9 MB of JSON; --D 100000 took 1.6 s and 25 MB.
+HILBERT_MAX_D = 10_000
+
 
 class HilbertReport:
     """The series of ``full_hilbert``: ``shape_exponents`` holds (parts,
@@ -71,6 +76,8 @@ def _refuse_hilbert(n: int, m: int, D: int):
         raise ResourceGuardError(f"hilbert limited to n <= {HILBERT_MAX_N}, got {n}")
     if m < 0 or D < 0:
         raise ValueError("m and D must be non-negative")
+    if D > HILBERT_MAX_D:
+        raise ResourceGuardError(f"hilbert limited to D <= {HILBERT_MAX_D}, got {D}")
 
 
 def full_hilbert(n: int, m: int, D: int) -> HilbertReport:

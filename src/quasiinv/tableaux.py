@@ -9,8 +9,10 @@ coefficients with the rational scale applied once: forward on image tuples
 for ``gamma``, the expanded element in Q S_n, and reversed on exponent
 tuples for ``gamma_images``, the path every projection of a polynomial in
 the package takes.  It projects a whole list of polynomials in one kernel
-run, their numerators stacked in one map with each polynomial's index as
-an extra slot of its exponent tuples; ``gamma_apply`` is its one-item case.
+run: each polynomial's numerators are merged onto exponents sorted within
+the rows of T (the row classes, on which gamma_T agrees), and the
+distinct merged maps are stacked in one map with each map's index as an
+extra slot of its exponent tuples; ``gamma_apply`` is its one-item case.
 
 Projecting polynomials needs no group algebra: the plan and
 ``gamma_images`` run on ``exactalg`` alone.  Only the functions that build
@@ -30,6 +32,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from operator import itemgetter
 
 from .exactalg import (
     MAX_GROUP_N,
@@ -257,28 +260,72 @@ def gamma(t: Tableau) -> GroupAlgebraElem:
     return _times_gamma(GroupAlgebraElem.identity(t.n), t)
 
 
+def _row_sorter(t: Tableau):
+    """The map sending an exponent tuple to its representative sorted
+    within each row of ``t``, decreasing along the row's entries (so that
+    x^delta, decreasing in every index, is its own representative), or
+    None when every row has one cell."""
+    if all(len(row) == 1 for row in t.rows):
+        return None
+    reading = [i - 1 for row in t.rows for i in row]
+    read = itemgetter(*reading)
+    place = itemgetter(*sorted(range(t.n), key=reading.__getitem__))
+    ends = itertools.accumulate(len(row) for row in t.rows)
+    spans = [slice(end - len(row), end) for row, end in zip(t.rows, ends) if len(row) > 1]
+
+    def sort_rows(e):
+        values = list(read(e))
+        for span in spans:
+            values[span] = sorted(values[span], reverse=True)
+        return place(values)
+
+    return sort_rows
+
+
 def gamma_images(t: Tableau, polys) -> list:
     """[gamma_T p for p in polys], in one run of the plan.  The action is a
     left action, so the plan runs reversed on integer numerators: each row
-    bracket [R], then each column bracket [C]'.  The numerators of the
-    whole list are stacked in one map, each exponent tuple carrying its
-    polynomial's index as one more slot; no transposition touches that
-    slot, so one kernel run projects every polynomial, and the result
-    splits back by it, each over its own denominator."""
+    bracket [R], then each column bracket [C]'.
+
+    Row classes.  The row brackets come first, and together they are
+    P(T) = [R_1] ... [R_l], the sum over R(T) = S_(R_1) x ... x S_(R_l).
+    For sigma in R(T), P(T) sigma = P(T), since the sum over a group is
+    fixed by right multiplication by any of its elements.  So
+    gamma_T sigma x^e = gamma_T x^e: gamma_T x^e depends only on the orbit
+    of e under R(T), that is on e sorted within each row of T.  Each
+    polynomial's numerators are merged onto those sorted exponents, and
+    polynomials whose merged numerator maps agree (repeats, row
+    permutations of one another, or the same numerators over other
+    denominators) are projected once.  The distinct maps are stacked in one map, each
+    exponent tuple carrying its map's index as one more slot; no
+    transposition touches that slot, so one kernel run projects them all,
+    and each polynomial takes its map's image over its own denominator,
+    built once per map and denominator."""
     factors, f, n_factorial = _projection_plan(t)
+    sort_rows = _row_sorter(t)
     polys = list(polys)
-    stacked = {}
-    for k, p in enumerate(polys):
+    classes = {}
+    owners = []
+    for p in polys:
         if p.nvars != t.n:
             raise DimensionMismatch("polynomial nvars mismatch")
-        tag = (k,)
-        for e, c in p.num.items():
-            stacked[e + tag] = c
-    split = [{} for _ in polys]
+        num = p.num
+        if sort_rows is not None:
+            num = {}
+            for e, c in p.num.items():
+                e = sort_rows(e)
+                num[e] = num.get(e, 0) + c
+        key = frozenset((e, c) for e, c in num.items() if c)
+        owners.append(classes.setdefault(key, len(classes)))
+    stacked = {e + (k,): c for key, k in classes.items() for e, c in key}
+    split = [{} for _ in classes]
     for e, c in _apply_factors(stacked, reversed(factors)).items():
         split[e[-1]][e[:-1]] = c * f
-    return [MultiPoly._from_int(t.n, num, n_factorial * p.den)
-            for num, p in zip(split, polys)]
+    images = {}
+    for k, p in zip(owners, polys):
+        if (k, p.den) not in images:
+            images[k, p.den] = MultiPoly._from_int(t.n, split[k], n_factorial * p.den)
+    return [images[k, p.den] for k, p in zip(owners, polys)]
 
 
 def gamma_apply(t: Tableau, p: MultiPoly) -> MultiPoly:

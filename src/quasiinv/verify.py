@@ -43,7 +43,7 @@ def _column_cells(t):
 
 def suite_groupalgebra(n: int):
     from .exactalg import MultiPoly, ResourceGuardError
-    from .quasi import graded_dimension_oracle, poly_rank
+    from .quasi import _refuse_above_cap, graded_dimension_oracle, poly_rank
     from .symgroup import GroupAlgebraElem, bracket, times_brackets
     from .tableaux import (
         _times_gamma,
@@ -58,6 +58,9 @@ def suite_groupalgebra(n: int):
         raise ResourceGuardError(
             f"groupalgebra limited to n <= {GROUPALGEBRA_MAX_N}, got {n}"
         )
+    if n <= 5:
+        # the rank-sum line reads the oracle through degree 3
+        _refuse_above_cap(3)
     yield
 
     # the n rotations of 1..n and the reverse (a rotation when n = 2)
@@ -110,13 +113,16 @@ def suite_groupalgebra(n: int):
            f"n={n}, {len(tableaux)} tableaux")
 
     if n <= 5:
-        ok = True
-        for m in (0, 1):
-            for d in range(4):
-                w = graded_dimension_oracle(n, m, d)
-                total = sum(poly_rank(gamma_images(t, w.basis)) for t in tableaux)
-                if total != w.dimension:
-                    ok = False
+        # each tableau projects the eight bases in one list; the ranks are
+        # summed over the tableaux per (m, d)
+        bases = [graded_dimension_oracle(n, m, d).basis for m in (0, 1) for d in range(4)]
+        stacked = [p for basis in bases for p in basis]
+        totals = [0] * len(bases)
+        for t in tableaux:
+            images = iter(gamma_images(t, stacked))
+            for k, basis in enumerate(bases):
+                totals[k] += poly_rank([next(images) for _ in basis])
+        ok = all(total == len(basis) for total, basis in zip(totals, bases))
         yield ("Projector rank-sum decomposition", ok,
                f"n={n}, m in {{0,1}}, degrees 0..3")
 

@@ -285,6 +285,18 @@ class TestVerify:
         assert_one_line_error(
             *run(capsys, "verify", "--suite", suite, "--n", str(n), "--m", str(m)), text)
 
+    @pytest.mark.parametrize("suite, n, m", [
+        # the rank-sum line reads the oracle through degree 3; groupalgebra
+        # is first in all, so all names degree 3 before the chain's 2m + 3
+        ("groupalgebra", 5, 0), ("groupalgebra", 3, 0), ("all", 3, 1), ("all", 3, 0)])
+    def test_groupalgebra_checks_the_oracle_degree_before_running(
+            self, capsys, monkeypatch, suite, n, m):
+        forbid_work(monkeypatch)
+        monkeypatch.setenv("QI_MAX_DEGREE", "2")
+        assert_one_line_error(
+            *run(capsys, "verify", "--suite", suite, "--n", str(n), "--m", str(m)),
+            "degree 3 above cap 2 (set QI_MAX_DEGREE to raise)")
+
     def test_suites_admit_without_work_before_their_first_line(self, monkeypatch):
         # lm at n = 9 builds no projector, and hook at n = 8 is inside its
         # guard ([7,1] gives 10080); starting either does no work
@@ -338,6 +350,21 @@ class TestHilbert:
     def test_rejects_n_below_one(self, capsys, n):
         assert_one_line_error(*run(capsys, "hilbert", "--n", n, "--m", "1", "--D", "3"),
                               "n >= 1")
+
+    @pytest.mark.parametrize("args", [
+        # once 3.4 s and 84 MB of JSON
+        ("--n", "6", "--m", "1", "--D", "300000"),
+        ("--n", "1", "--m", "0", "--D", "10001"),
+        ("--n", "3", "--m", "1", "--D", "10001", "--oracle"),
+    ])
+    def test_series_refuses_large_D_before_any_work(self, capsys, monkeypatch, args):
+        from quasiinv.structure import _refuse_hilbert
+
+        forbid_work(monkeypatch)
+        code, out, err = run(capsys, "hilbert", *args)
+        D = args[args.index("--D") + 1]
+        assert_one_line_error(code, out, err, f"hilbert limited to D <= 10000, got {D}")
+        _refuse_hilbert(6, 3, 10000)
 
     @pytest.mark.parametrize("n, m, D, text", [
         # once after computing degrees 0..12 (0.9 s)

@@ -384,6 +384,27 @@ class TestLinearAlgebra:
         assert poly_rank([a, b, a + b]) == 2
         assert poly_rank([MultiPoly.zero(2)]) == 0
 
+    def test_poly_rank_with_repeats_and_zeros(self, monkeypatch):
+        # repeats and zeros leave the rank alone and never reach the
+        # elimination; a scalar multiple is a distinct member
+        from quasiinv import quasi
+
+        sizes = []
+        real = quasi.poly_relations
+
+        def spy(polys):
+            sizes.append(len(polys))
+            return real(polys)
+
+        monkeypatch.setattr(quasi, "poly_relations", spy)
+        a = x(1, 2) + x(2, 2)
+        b = x(1, 2) - x(2, 2)
+        zero = MultiPoly.zero(2)
+        assert poly_rank([a, zero, a, b, zero, a * 2, b, a]) == 2
+        assert poly_rank([zero, zero]) == 0
+        assert poly_rank([b, b, b]) == 1
+        assert sizes == [3, 0, 1]
+
 
 class TestOracle:
     def test_n2_m1_low_degrees(self):

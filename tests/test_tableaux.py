@@ -10,9 +10,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quasiinv.exactalg import DimensionMismatch, MultiPoly, ResourceGuardError
+from quasiinv.exactalg import (
+    DimensionMismatch,
+    MultiPoly,
+    ResourceGuardError,
+    elementary_symmetric,
+)
 from quasiinv.symgroup import (
     GroupAlgebraElem,
+    Perm,
     act,
     bracket,
     subgroup_perms,
@@ -319,12 +325,46 @@ def projection_lists(draw):
     return t, polys[:6]
 
 
+@st.composite
+def row_class_lists(draw):
+    """(t, polys): a standard tableau with n <= 5 and a shuffled list of a
+    rational polynomial, its images under row permutations of T (scaled),
+    symmetric polynomials, zeros and repeats, so that row classes meet
+    across and within the list."""
+    t = draw(st.sampled_from(TABLEAUX_UP_TO_5))
+    n = t.n
+    p = draw(rational_polys(n))
+    scales = st.fractions(-9, 9, max_denominator=12).filter(bool)
+    polys = [p, MultiPoly.zero(n)]
+    for _ in range(draw(st.integers(1, 3))):
+        images = list(range(1, n + 1))
+        for row in t.rows:
+            for slot, value in zip(row, draw(st.permutations(row))):
+                images[slot - 1] = value
+        polys.append(act(Perm(images), p) * draw(scales))
+    for degrees in draw(st.lists(st.lists(st.integers(1, n), max_size=3), max_size=2)):
+        sym = MultiPoly.constant(n, draw(scales))
+        for i in degrees:
+            sym = sym * elementary_symmetric(n, i)
+        polys.append(sym)
+    polys.append(polys[draw(st.integers(0, len(polys) - 1))])
+    return t, draw(st.permutations(polys))
+
+
 class TestGammaImages:
     @settings(max_examples=150, deadline=None)
     @given(projection_lists())
     def test_matches_one_projection_per_polynomial(self, case):
         t, polys = case
         assert gamma_images(t, polys) == [gamma_apply(t, p) for p in polys]
+
+    @settings(max_examples=150, deadline=None)
+    @given(row_class_lists())
+    def test_matches_the_expanded_projector(self, case):
+        # the expanded element acts permutation by permutation, with no row
+        # sorting, so it checks the row classes that gamma_images shares
+        t, polys = case
+        assert gamma_images(t, polys) == [expanded_gamma(t).apply(p) for p in polys]
 
     def test_projects_a_list_in_one_kernel_run(self, monkeypatch):
         from quasiinv import tableaux
@@ -340,7 +380,10 @@ class TestGammaImages:
         t = hook_tableau(3, 2)
         polys = [MultiPoly.variable(3, i) for i in (1, 2, 3)] + [MultiPoly.zero(3)]
         images = gamma_images(t, polys)
-        assert calls == [3]
+        # x1 and x3 share the row class of T's row (1, 3), so the kernel
+        # runs once on one term per class
+        assert calls == [2]
+        assert images[0] == images[2]
         assert images[3].is_zero()
 
     def test_refusals(self):

@@ -12,11 +12,11 @@ denominator, in lowest terms.  Its validating public constructor is the
 one place that scales Fraction coefficients to integers; every operation
 builds its result on ints through the one trusted constructor
 ``_from_int``, which drops zeros and divides out one gcd.  The kernel
-(ring operations, shift expansion, division by a difference,
-differentiation, integration) runs on ints alone.  ``fractions`` is
-imported only where a Fraction is built or tested: the non-int branch of
-``_scalar`` and the ``terms`` views.  The package itself builds no
-Fraction (``jsonio`` reads JSON on ints too), so no command loads it.
+(ring operations, shift expansion, differentiation, integration) runs on
+ints alone.  ``fractions`` is imported only where a Fraction is built or
+tested: the non-int branch of ``_scalar`` and the ``terms`` views.  The
+package itself builds no Fraction (``jsonio`` reads JSON on ints too), so
+no command loads it.
 
 The transposition kernel ``_apply_factors`` runs factors
 (1 +- sum of transpositions) on the numerator map of either subclass: a
@@ -393,28 +393,6 @@ def shift_coefficients(p: MultiPoly, a: int, b: int, k: int):
             terms[shifted] = terms.get(shifted, 0) + math.comb(ea, t) * c
             key[b - 1] -= 1
     return [MultiPoly._from_int(n, terms, p.den) for terms in coeffs]
-
-
-def divide_by_difference(p: MultiPoly, i: int, j: int):
-    """p / (x_i - x_j), or None when x_i - x_j does not divide p.
-
-    It divides exactly when p vanishes at x_i = x_j; then p equals the sum
-    over its terms c x^e of c x^e' (x_i^(e_i) - x_j^(e_i)), with e' = e
-    less its x_i part, and each (x_i^(e_i) - x_j^(e_i)) / (x_i - x_j) is
-    the sum of x_i^s x_j^(e_i - 1 - s) over s < e_i.
-    """
-    if not shift_coefficients(p, i, j, 0)[0].is_zero():
-        return None
-    terms = {}
-    for exp, c in p.num.items():
-        ei = exp[i - 1]
-        for s in range(ei):
-            key = list(exp)
-            key[i - 1] = s
-            key[j - 1] += ei - 1 - s
-            key = tuple(key)
-            terms[key] = terms.get(key, 0) + c
-    return MultiPoly._from_int(p.nvars, terms, p.den)
 
 
 def partial_derivative(p: MultiPoly, i: int) -> MultiPoly:

@@ -6,14 +6,15 @@ written out once, in ``_pair_terms``: substituting x_i = c + u,
 x_j = c - u, only the odd powers u^1, u^3, ..., u^(2m-1) can carry a
 nonzero coefficient, which gives one sparse integer row per (pair, odd
 u-power, residual monomial) over a list of monomials.  The predicate sums
-a polynomial's integer numerators into those rows one pair at a time and
-stops at the first pair with a nonzero residual; the oracle takes the rows
-over all monomials of degree d (``_constraint_rows``) and computes their
-exact integer nullspace.  The checks built on the predicate and the oracle
-alone are here too: the Delta^2 embedding of QI_m into QI_(m+1), the
-containment chain, the Sym-basis certificate, and on it the n = 2 change
-of basis between QI_(m+1) and QI_m.  The module depends on ``exactalg`` alone;
-the checks of the projection characterization, which also need the Young
+a polynomial's integer numerators, folded onto (1 - (i,j)) p, into those
+rows one pair at a time and stops at the first pair with a nonzero
+residual; the oracle takes the rows over all monomials of degree d
+(``_constraint_rows``) and computes their exact integer nullspace.  The
+checks built on the predicate and the oracle alone are here too: the
+Delta^2 embedding of QI_m into QI_(m+1), the containment chain, the
+Sym-basis certificate, and on it the n = 2 change of basis between
+QI_(m+1) and QI_m.  The module depends on ``exactalg`` alone; the checks
+of the projection characterization, which also need the Young
 projectors, are in ``structure``.
 
 The one linear-algebra core behind the oracle and ``poly_rank`` finds the
@@ -36,6 +37,7 @@ from .exactalg import (
     MultiPoly,
     ResourceGuardError,
     TheoremViolationError,
+    _swapper,
     elementary_symmetric,
     vandermonde,
 )
@@ -75,20 +77,31 @@ def _refuse_oracle_n(n: int):
 def is_quasiinvariant(p: MultiPoly, m: int) -> bool:
     """True iff (x_i - x_j)^(2m+1) divides (1 - (i,j)) p for all i < j.
 
-    Pair by pair, p's integer numerators are summed into the constraint
-    rows of ``_pair_terms``; the first pair with a nonzero residual ends
-    the check, so no later pair is expanded.  A row's key fixes the degree
-    of its monomials, so p need not be homogeneous.
+    Pair by pair, p's integer numerators are folded onto the exponents with
+    e_i > e_j (a term with e_i < e_j is subtracted at its swap, one with
+    e_i = e_j dropped), which is exact as W(b, a, t) = -W(a, b, t) at the
+    odd t of ``_pair_terms``, and summed into its rows; the first pair with
+    a nonzero residual ends the check, so no later pair is expanded.  A
+    row's key fixes the degree of its monomials, so p need not be
+    homogeneous.
     """
     if m < 0:
         raise ValueError("m must be non-negative")
-    n, num = p.nvars, p.num
+    n = p.nvars
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
+            swap = _swapper(n, i - 1, j - 1)
+            folded = {}
+            for e, c in p.num.items():
+                if e[i - 1] < e[j - 1]:
+                    e, c = swap(e), -c
+                if e[i - 1] > e[j - 1]:
+                    folded[e] = folded.get(e, 0) + c
+            folded = {e: c for e, c in folded.items() if c}
             residual = {}
             get = residual.get
-            for key, exp, w in _pair_terms(i, j, m, num):
-                residual[key] = get(key, 0) + w * num[exp]
+            for key, exp, w in _pair_terms(i, j, m, folded):
+                residual[key] = get(key, 0) + w * folded[exp]
             if any(residual.values()):
                 return False
     return True
@@ -108,7 +121,8 @@ def delta_sq_embed(p: MultiPoly, m: int) -> MultiPoly:
             f"pairs, got {pairs}")
     if not is_quasiinvariant(p, m):
         raise ValueError("input is not m-quasiinvariant")
-    result = vandermonde(p.nvars) ** 2 * p
+    v = vandermonde(p.nvars)
+    result = v * (v * p)
     if not is_quasiinvariant(result, m + 1):
         raise TheoremViolationError("Delta^2 embedding failed quasiinvariance")
     return result

@@ -31,7 +31,6 @@ from .tableaux import (
     cocharge,
     content,
     f_lambda,
-    gamma_apply,
     gamma_images,
     partitions_of,
     standard_tableaux,
@@ -106,13 +105,20 @@ def full_hilbert(n: int, m: int, D: int) -> HilbertReport:
 
 def in_gamma_component(p: MultiPoly, t: Tableau, m: int) -> bool:
     """Membership in gamma_T R intersect V_T^(2m+1) R."""
-    if p.nvars != t.n:
+    return gamma_component_verdicts(t, [p], m)[0]
+
+
+def gamma_component_verdicts(t: Tableau, polys, m: int) -> list:
+    """[in_gamma_component(p, t, m) for p in polys]: the nonzero members
+    are projected in one ``gamma_images`` run, and a member is in when
+    gamma_T fixes it and V_T^(2m+1) divides it."""
+    polys = list(polys)
+    if any(p.nvars != t.n for p in polys):
         raise ValueError("size mismatch between polynomial and tableau")
-    if p.is_zero():
-        return True
-    if gamma_apply(t, p) != p:
-        return False
-    return _in_vt_ideal(p, t, m)
+    nonzero = [p for p in polys if not p.is_zero()]
+    images = iter(gamma_images(t, nonzero) if nonzero else ())
+    return [p.is_zero() or (next(images) == p and _in_vt_ideal(p, t, m))
+            for p in polys]
 
 
 def _in_vt_ideal(p: MultiPoly, t: Tableau, m: int) -> bool:

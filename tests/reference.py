@@ -19,6 +19,11 @@ multiplies only on the right by brackets, through their telescoping
 factors, so ``convolve`` is the independent reference for those
 products.
 
+``ref_apply_lm`` applies L_m on the Fraction view of a polynomial, with
+``ref_partial_derivative`` and each divided difference by the long
+division ``divide_exact``; the package builds L_m p in one pass over its
+integer numerators, dividing term by term.
+
 ``ref_constraint_rows`` writes the quasiinvariance condition in the
 asymmetric form x_i = x_j + u, with every power u^0..u^2m, as a second
 row set with the same kernel as the package's odd-power rows.
@@ -48,6 +53,7 @@ component, for the tests of the Sym-basis certificate.
 import math
 from fractions import Fraction
 
+from quasiinv.calogero import NonPolynomialError
 from quasiinv.exactalg import MultiPoly, grlex_key, vandermonde
 from quasiinv.hookbasis import HookSpec, q_integral
 from quasiinv.jsonio import _integer
@@ -159,6 +165,30 @@ def ref_partial_derivative(p: dict, i: int) -> dict:
             d[i - 1] -= 1
             out[tuple(d)] = out.get(tuple(d), Fraction(0)) + c * e[i - 1]
     return _clean(out)
+
+
+def ref_apply_lm(p: MultiPoly, m: int) -> MultiPoly:
+    """L_m p = sum_i d_i^2 p - 2m sum_{i<j} (d_i p - d_j p) / (x_i - x_j),
+    each quotient by the long division.  At m = 0 the quotients carry no
+    weight and are not formed.  The first pair in order whose quotient is
+    not a polynomial raises NonPolynomialError with the package's text."""
+    n = p.nvars
+    d = {i: ref_partial_derivative(p.terms, i) for i in range(1, n + 1)}
+    out = {}
+    for i in range(1, n + 1):
+        out = ref_add(out, ref_partial_derivative(d[i], i))
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)] if m else []
+    for i, j in pairs:
+        diff = ref_add(d[i], ref_scale(d[j], -1))
+        if not diff:
+            continue
+        quotient = divide_exact(MultiPoly(n, diff),
+                                MultiPoly.variable(n, i) - MultiPoly.variable(n, j))
+        if quotient is None:
+            raise NonPolynomialError(
+                f"(x_{i} - x_{j}) does not divide the derivative difference")
+        out = ref_add(out, ref_scale(quotient.terms, -2 * m))
+    return MultiPoly(n, out)
 
 
 def ref_t_integrate_definite(f: dict, lower: int, upper: int) -> dict:

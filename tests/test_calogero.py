@@ -1,5 +1,6 @@
 """The deformed Laplacian L_m: exactness of the divided-difference terms,
-the eigen-identity on hook basis elements, and structural properties."""
+against an independent Fraction reference, the eigen-identity on hook
+basis elements, and structural properties."""
 
 import random
 from fractions import Fraction
@@ -15,7 +16,7 @@ from quasiinv.exactalg import (
 )
 from quasiinv.hookbasis import HookSpec, q_integral
 from quasiinv.quasi import graded_dimension_oracle
-from reference import random_homogeneous
+from reference import random_homogeneous, ref_apply_lm
 
 
 def x(i, n):
@@ -104,3 +105,68 @@ class TestEigenIdentity:
         d3 = vandermonde(2) ** 3
         image = apply_lm(d3, 1)
         assert image == vandermonde(2) * Fraction(0)
+
+
+def lm_or_text(apply, p, m):
+    """L_m p by ``apply``, or the text of the NonPolynomialError it raises."""
+    try:
+        return apply(p, m)
+    except NonPolynomialError as exc:
+        return str(exc)
+
+
+def assert_matches_reference(p, m):
+    got = lm_or_text(apply_lm, p, m)
+    assert got == lm_or_text(ref_apply_lm, p, m), (p, m)
+    return got
+
+
+GRID = [(n, m) for n in (2, 3, 4) for m in (0, 1, 2)]
+
+
+class TestAgainstReference:
+    """``apply_lm`` builds L_m p in one pass, dividing term by term; the
+    reference divides each derivative difference by the long division."""
+
+    @pytest.mark.parametrize("n, m", GRID)
+    def test_oracle_members(self, n, m):
+        for d in range(min(m * n + 2, 6)):
+            for p in graded_dimension_oracle(n, m, d).basis:
+                assert not isinstance(assert_matches_reference(p, m), str)
+
+    @pytest.mark.parametrize("n, m", [c for c in GRID if c != (4, 2)])
+    def test_delta_power_multiples(self, n, m):
+        # at n = 4, m = 2 Delta^4 has 2925 terms and the long division takes
+        # seconds per polynomial; the hook elements cover that size
+        rng = random.Random(10 * n + m)
+        delta = vandermonde(n) ** (2 * m)
+        for d in (0, 1, 2):
+            p = delta * random_homogeneous(rng, n, d)
+            assert not isinstance(assert_matches_reference(p, m), str)
+
+    @pytest.mark.parametrize("n, m", GRID)
+    def test_hook_elements(self, n, m):
+        for j in range(2, n + 1):
+            for k in range(n - 1):
+                q = q_integral(HookSpec(n=n, m=m, j=j, k=k))
+                assert not isinstance(assert_matches_reference(q, m), str)
+
+    @pytest.mark.parametrize("n, m", [c for c in GRID if c[1]])
+    def test_non_members_raise_the_same_text(self, n, m):
+        rng = random.Random(100 * n + m)
+        cases = [x(1, n), x(1, n) ** 2 * x(2, n)]
+        cases += [random_homogeneous(rng, n, d) + x(n, n) ** d for d in (2, 3, 4)]
+        for p in cases:
+            assert isinstance(assert_matches_reference(p, m), str)
+
+    def test_first_failing_pair_is_named(self):
+        # divided differences exist at (1,2) and (1,3), not at (2,3)
+        p = MultiPoly(3, {(3, 0, 0): 1, (2, 0, 1): -3, (1, 2, 0): -3,
+                          (0, 3, 0): 2, (0, 2, 1): -3})
+        for m in (1, 2):
+            assert assert_matches_reference(p, m) == (
+                "(x_2 - x_3) does not divide the derivative difference")
+        assert assert_matches_reference(x(2, 3) * x(3, 3) ** 2, 1) == (
+            "(x_1 - x_2) does not divide the derivative difference")
+        assert assert_matches_reference(x(1, 3) * x(2, 3) * x(3, 3) ** 2, 1) == (
+            "(x_1 - x_3) does not divide the derivative difference")

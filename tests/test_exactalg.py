@@ -1,8 +1,7 @@
 """Exact polynomial arithmetic: the integer kernel against a Fraction
-reference, ring axioms, the shift expansion at x_a = x_b + u and division
-by x_i - x_j (checked against the test-only long division),
-differentiation, definite integration in t = x_(n+1), and q-series
-expansion."""
+reference, ring axioms, the shift expansion at x_a = x_b + u (checked
+against the test-only long division), differentiation, definite
+integration in t = x_(n+1), and q-series expansion."""
 
 import math
 from fractions import Fraction
@@ -14,7 +13,6 @@ from hypothesis import strategies as st
 from quasiinv.exactalg import (
     DimensionMismatch,
     MultiPoly,
-    divide_by_difference,
     elementary_symmetric,
     partial_derivative,
     series_expand,
@@ -331,20 +329,10 @@ class TestShift:
             total = total + c * u ** t
         assert total == p
 
-    @settings(max_examples=80, deadline=None)
-    @given(shift_cases())
-    def test_divide_by_difference(self, case):
-        p, i, j, _ = case
-        diff = x(i, p.nvars) - x(j, p.nvars)
-        assert divide_by_difference(p * diff, i, j) == p
-        assert divide_by_difference(p, i, j) == divide_exact(p, diff)
-
     @pytest.mark.parametrize("a, b", [(1, 1), (0, 2), (1, 4)])
     def test_rejects_bad_variables(self, a, b):
         with pytest.raises(ValueError):
             shift_coefficients(x(1), a, b, 2)
-        with pytest.raises(ValueError):
-            divide_by_difference(x(1), a, b)
 
 
 class TestCalculus:

@@ -84,6 +84,38 @@ def qi_cases(draw):
     return p, m
 
 
+@st.composite
+def fold_cases(draw):
+    """(p, m) with n <= 4 and m <= 2 that exercise the predicate's fold at
+    a drawn pair (i, j): P + (i,j) P, whose fold is zero, P - (i,j) P,
+    P without the terms whose swap partner is in P, P plus terms with
+    e_i = e_j, or Delta^(2m) P, which is m-quasiinvariant."""
+    n = draw(st.integers(2, 4))
+    m = draw(st.integers(0, 2))
+    i, j = draw(st.sampled_from([(i, j) for i in range(1, n + 1)
+                                 for j in range(i + 1, n + 1)]))
+    terms = draw(st.dictionaries(st.tuples(*[st.integers(0, 3)] * n),
+                                 st.integers(-9, 9).filter(bool), min_size=1, max_size=4))
+    p = MultiPoly(n, terms)
+    swapped = act(Perm.transposition(n, i, j), p)
+    kind = draw(st.sampled_from(["plus", "minus", "unpaired", "diagonal", "delta"]))
+    if kind == "plus":
+        p = p + swapped
+    elif kind == "minus":
+        p = p - swapped
+    elif kind == "unpaired":
+        p = MultiPoly(n, {e: c for e, c in terms.items()
+                          if e[i - 1] == e[j - 1] or e not in swapped.num})
+    elif kind == "diagonal":
+        e = list(draw(st.tuples(*[st.integers(0, 3)] * n)))
+        e[j - 1] = e[i - 1]
+        p = p + MultiPoly(n, {tuple(e): draw(st.integers(1, 9))})
+    elif (n, m) != (4, 2):
+        # see qi_cases for the size at n = 4, m = 2
+        p = vandermonde(n) ** (2 * m) * p
+    return p, m
+
+
 def dense_rref(rows, ncols):
     """Reference: Fraction Gauss-Jordan elimination on dense rows.
 
@@ -261,6 +293,13 @@ class TestPredicate:
     @settings(max_examples=60, deadline=None)
     @given(qi_cases())
     def test_matches_division_reference(self, case):
+        p, m = case
+        for level in (m, m + 1):
+            assert is_quasiinvariant(p, level) == qi_by_division(p, level)
+
+    @settings(max_examples=80, deadline=None)
+    @given(fold_cases())
+    def test_fold_matches_division_reference(self, case):
         p, m = case
         for level in (m, m + 1):
             assert is_quasiinvariant(p, level) == qi_by_division(p, level)
@@ -487,6 +526,15 @@ class TestDeltaSqEmbed:
     def test_rejects_non_member(self):
         with pytest.raises(ValueError):
             delta_sq_embed(x(1, 2), 1)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    def test_equals_squared_vandermonde_times_input(self, n, m):
+        """delta2 multiplies by V twice; the product is Delta^2 p.  Below
+        n = 4 the degrees reach the first non-symmetric members, mn + 1."""
+        for d in range(m * n + 2 if n < 4 else 6):
+            for p in graded_dimension_oracle(n, m, d).basis:
+                assert delta_sq_embed(p, m) == vandermonde(n) ** 2 * p
 
     def test_term_table_counts_delta_squared(self):
         assert quasi._DELTA_SQ_TERMS == {

@@ -12,22 +12,23 @@ from __future__ import annotations
 
 import functools
 import math
-from itertools import product
+from itertools import combinations, product
+from operator import add
 
 from .exactalg import (
     MultiPoly,
     ResourceGuardError,
     TheoremViolationError,
-    elementary_symmetric,
     shift_coefficients,
     t_integrate_definite,
 )
 
 
 # Bound on the terms of a whole basis (``basis_term_bound``).  On a 2-vCPU
-# Xeon VM with Python 3.11, n = 9, m = 2 (bound 411,156; 104,976 terms)
-# builds in 1.2 s and n = 14, m = 1 (bound 1,171,456) in 2.8 s, while
-# n = 16, m = 1 (bound 6.1 M) ran 21 s and printed 64 MB of JSON.
+# Xeon VM with Python 3.11, ``basis --n 9 --m 2`` (bound 411,156; 104,976
+# terms) runs in 1.1 s, 0.4 s of it building the basis, and n = 14, m = 1
+# (bound 1,171,456) builds in 0.6 s in process, while n = 16, m = 1
+# (bound 6.1 M) once ran 21 s and printed 64 MB of JSON.
 BASIS_MAX_TERMS = 500_000
 
 
@@ -62,14 +63,26 @@ def q_integral(spec: HookSpec) -> MultiPoly:
 
 
 @functools.cache
-def _q_integral(n: int, m: int, j: int, k: int) -> MultiPoly:
-    """The integrand lives in n + 1 variables with t = x_(n+1); it is built
-    one factor (t - x_i)^m at a time, which keeps the intermediate
-    products smaller than raising prod_i (t - x_i) to the m-th power."""
+def _integrand_product(n: int, m: int) -> MultiPoly:
+    """prod_i (t - x_i)^m in n + 1 variables with t = x_(n+1), built once
+    per (n, m) and shared by every element there.  It is built one factor
+    (t - x_i)^m at a time, which keeps the intermediate products smaller
+    than raising prod_i (t - x_i) to the m-th power."""
     t = MultiPoly.variable(n + 1, n + 1)
-    integrand = t ** k
+    integrand = MultiPoly.constant(n + 1, 1)
     for i in range(1, n + 1):
         integrand = integrand * (t - MultiPoly.variable(n + 1, i)) ** m
+    return integrand
+
+
+@functools.cache
+def _q_integral(n: int, m: int, j: int, k: int) -> MultiPoly:
+    """The elements at one (n, m) differ only in t^k and the upper limit:
+    t^k times the shared product adds k to the last exponent slot of each
+    term, and the result is integrated from x_1 to x_j."""
+    base = _integrand_product(n, m)
+    integrand = MultiPoly._from_int(
+        n + 1, {(*e[:n], e[n] + k): c for e, c in base.num.items()}, base.den)
     return t_integrate_definite(integrand, lower=1, upper=j)
 
 
@@ -121,15 +134,31 @@ def q_closed_form(spec: HookSpec) -> MultiPoly:
 
 def recursion_residual(spec: HookSpec) -> MultiPoly:
     """Q^(k,m) minus sum_{i=0..n} (-1)^i e_i Q^(n-i+k, m-1); zero when
-    the recursion holds.  The identity is asserted for every m >= 1."""
+    the recursion holds.  The identity is asserted for every m >= 1.
+
+    The sum is formed in one int map over the lcm of the denominators:
+    each monomial of e_i, an i-subset of the variables, is added to the
+    exponents of every term of the lower element in place."""
     if spec.m < 1:
         raise ValueError("recursion needs m >= 1")
     n = spec.n
-    total = q_integral(spec)
-    for i in range(n + 1):
-        lower = HookSpec(n=n, m=spec.m - 1, j=spec.j, k=n - i + spec.k)
-        total = total - elementary_symmetric(n, i) * q_integral(lower) * ((-1) ** i)
-    return total
+    top = q_integral(spec)
+    lowers = [q_integral(HookSpec(n=n, m=spec.m - 1, j=spec.j, k=n - i + spec.k))
+              for i in range(n + 1)]
+    den = math.lcm(top.den, *(q.den for q in lowers))
+    scale = den // top.den
+    acc = {e: c * scale for e, c in top.num.items()}
+    get = acc.get
+    for i, lower in enumerate(lowers):
+        # minus (-1)^i e_i Q^(n-i+k, m-1), over den
+        scale = den // lower.den if i % 2 else -(den // lower.den)
+        terms = [(e, c * scale) for e, c in lower.num.items()]
+        for subset in combinations(range(n), i):
+            step = tuple(1 if s in subset else 0 for s in range(n))
+            for e, c in terms:
+                key = tuple(map(add, e, step))
+                acc[key] = get(key, 0) + c
+    return MultiPoly._from_int(n, acc, den)
 
 
 def lowest_quotient(spec: HookSpec) -> MultiPoly:

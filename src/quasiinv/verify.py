@@ -21,9 +21,10 @@ GROUPALGEBRA_MAX_N = 6
 # q_integral and then expand, shift and differentiate each one, so their
 # work grows with the term bound of ``basis`` times n + m.  On a 2-vCPU Xeon
 # VM with Python 3.11, at (n + m) basis_term_bound(n, m) of about 245,000
-# the slower of the two took 3.9 s (n = 5, m = 5) and 4.6 s (n = 7, m = 2);
-# n = 5, m = 6 (505,582) took 9.3 s, and n = 3, m = 63 (1.6 M, though its
-# term bound 24,512 is below that of n = 5, m = 5) took 30 s.
+# the slower of the two, ``hook``, takes 2.2-2.5 s at both n = 5, m = 5 and
+# n = 7, m = 2 in a fresh process; n = 5, m = 6 (505,582) once took 9.3 s,
+# and n = 3, m = 63 (1.6 M, though its term bound 24,512 is below that of
+# n = 5, m = 5) once took 30 s.
 HOOK_SUITE_MAX_WORK = 250_000
 
 

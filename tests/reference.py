@@ -24,6 +24,14 @@ products.
 division ``divide_exact``; the package builds L_m p in one pass over its
 integer numerators, dividing term by term.
 
+``ref_q_integral`` builds t^k prod_i (t - x_i)^m on Fraction maps with
+``ref_mul``, one factor at a time for every element, and integrates it
+with ``ref_t_integrate_definite``; the package builds the product once
+per (n, m) and shifts the exponent of t by k.  ``ref_recursion_residual``
+forms the elementary-symmetric recursion by ``MultiPoly`` products and
+subtractions, one per term of the sum; the package forms it in one int
+map.
+
 ``ref_constraint_rows`` writes the quasiinvariance condition in the
 asymmetric form x_i = x_j + u, with every power u^0..u^2m, as a second
 row set with the same kernel as the package's odd-power rows.
@@ -54,7 +62,7 @@ import math
 from fractions import Fraction
 
 from quasiinv.calogero import NonPolynomialError
-from quasiinv.exactalg import MultiPoly, grlex_key, vandermonde
+from quasiinv.exactalg import MultiPoly, elementary_symmetric, grlex_key, vandermonde
 from quasiinv.hookbasis import HookSpec, q_integral
 from quasiinv.jsonio import _integer
 from quasiinv.quasi import monomials_of_degree
@@ -202,6 +210,35 @@ def ref_t_integrate_definite(f: dict, lower: int, upper: int) -> dict:
             key = tuple(key)
             out[key] = out.get(key, Fraction(0)) + sign * c / d
     return _clean(out)
+
+
+def ref_q_integral(spec: HookSpec) -> MultiPoly:
+    """Integral of t^k prod_i (t - x_i)^m dt from x_1 to x_j, on Fraction
+    maps in n + 1 variables with t = x_(n+1)."""
+    n, m, j, k = spec.n, spec.m, spec.j, spec.k
+
+    def monomial(slot, power):
+        exp = [0] * (n + 1)
+        exp[slot] = power
+        return tuple(exp)
+
+    integrand = {monomial(n, k): Fraction(1)}
+    for i in range(n):
+        factor = {monomial(n, 1): Fraction(1), monomial(i, 1): Fraction(-1)}
+        for _ in range(m):
+            integrand = ref_mul(integrand, factor)
+    return MultiPoly(n, ref_t_integrate_definite(integrand, lower=1, upper=j))
+
+
+def ref_recursion_residual(spec: HookSpec) -> MultiPoly:
+    """Q^(k,m) minus sum_{i=0..n} (-1)^i e_i Q^(n-i+k, m-1), by one
+    ``MultiPoly`` product and one subtraction per i."""
+    n = spec.n
+    total = q_integral(spec)
+    for i in range(n + 1):
+        lower = HookSpec(n=n, m=spec.m - 1, j=spec.j, k=n - i + spec.k)
+        total = total - elementary_symmetric(n, i) * q_integral(lower) * ((-1) ** i)
+    return total
 
 
 def ref_shift_coefficients(p: dict, a: int, b: int, k: int) -> list:

@@ -65,6 +65,9 @@ COMMANDS = [
     "verify --suite groupalgebra --n 3 --seed 2",
     "apply --op perm --sigma 1 --in {inputs}/mixed1.json",
     "verify --suite groupalgebra --n 6 --seed 1",
+    "basis --n 5 --m 2 --j 3 --verify",
+    "verify --suite hook --n 5 --m 2",
+    "verify --suite lm --n 5 --m 2",
 ]
 
 

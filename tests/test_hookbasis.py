@@ -20,7 +20,7 @@ from quasiinv.hookbasis import (
 from quasiinv.quasi import is_quasiinvariant
 from quasiinv.structure import in_gamma_component
 from quasiinv.tableaux import hook_tableau
-from reference import divide_exact
+from reference import divide_exact, ref_q_integral, ref_recursion_residual
 
 
 def x(i, n):
@@ -50,6 +50,7 @@ class TestSpecValidation:
         # a float equal to an int would find, or fill, the int's cache entry
         q_integral(HookSpec(n=3, m=1, j=2, k=1))
         entries = hookbasis._q_integral.cache_info().currsize
+        products = hookbasis._integrand_product.cache_info().currsize
         bad = [(1, 0, 2, 0), (3, -1, 2, 0), (3, 0, 4, 0), (3, 0, 1, 0),
                (3, 0, 2, -1), (3, 1, 2, 1.0), (3.0, 1, 2, 1), (3, True, 2, 1)]
         for _ in range(2):
@@ -57,6 +58,7 @@ class TestSpecValidation:
                 with pytest.raises(ValueError):
                     q_integral(HookSpec(n=n, m=m, j=j, k=k))
         assert hookbasis._q_integral.cache_info().currsize == entries
+        assert hookbasis._integrand_product.cache_info().currsize == products
 
 
 class TestIntegralCache:
@@ -68,6 +70,29 @@ class TestIntegralCache:
         assert all(q == first for q in again)
         assert hookbasis._q_integral.cache_info().currsize == entries
         assert q_integral(HookSpec(n=4, m=1, j=3, k=1)) != first
+
+    def test_one_product_per_n_and_m(self):
+        # every (j, k) at one (n, m), k past n - 2 as the recursion reads
+        # them, shares one integrand product
+        hookbasis._q_integral.cache_clear()
+        hookbasis._integrand_product.cache_clear()
+        specs = [HookSpec(n=4, m=2, j=j, k=k) for j in range(2, 5) for k in range(7)]
+        for spec in specs:
+            q_integral(spec)
+        assert hookbasis._integrand_product.cache_info().currsize == 1
+        assert hookbasis._q_integral.cache_info().currsize == len(specs)
+
+
+class TestReferenceIntegral:
+    @pytest.mark.parametrize("n", (2, 3, 4, 5))
+    @pytest.mark.parametrize("m", (0, 1, 2, 3))
+    def test_integral_matches_reference(self, n, m):
+        # every j and k <= n, which covers the k > n - 2 elements that
+        # the recursion reads
+        for j in range(2, n + 1):
+            for k in range(n + 1):
+                spec = HookSpec(n=n, m=m, j=j, k=k)
+                assert q_integral(spec) == ref_q_integral(spec), spec
 
 
 class TestHandValues:
@@ -143,6 +168,25 @@ class TestRecursion:
             acc = acc + elementary_symmetric(3, i) * lower * sign
         assert total == acc
 
+    @pytest.mark.parametrize("spec", list(grid(n_range=(2, 3, 4), m_range=(1, 2, 3))),
+                             ids=str)
+    def test_residual_matches_reference(self, spec):
+        assert recursion_residual(spec) == ref_recursion_residual(spec)
+
+    @pytest.mark.parametrize("i", (0, 1, 3))
+    def test_doubled_lower_element_is_caught(self, monkeypatch, i):
+        # Q^(n-i+k, m-1) doubled in the sum leaves a nonzero residual
+        spec = HookSpec(n=3, m=2, j=3, k=1)
+        doubled = (spec.n, spec.m - 1, spec.j, spec.n - i + spec.k)
+        exact = hookbasis.q_integral
+
+        def q_integral_doubling(s):
+            q = exact(s)
+            return q * 2 if (s.n, s.m, s.j, s.k) == doubled else q
+
+        monkeypatch.setattr(hookbasis, "q_integral", q_integral_doubling)
+        assert not recursion_residual(spec).is_zero()
+
     def test_m0_raises(self):
         with pytest.raises(ValueError):
             recursion_residual(HookSpec(n=3, m=0, j=2, k=0))
@@ -205,6 +249,7 @@ class TestBasisBuilder:
             raise AssertionError("an element was built past the guard")
 
         monkeypatch.setattr(hookbasis, "_q_integral", refuse)
+        monkeypatch.setattr(hookbasis, "_integrand_product", refuse)
         with pytest.raises(hookbasis.ResourceGuardError,
                            match="limited to 500000 bounded terms, got 1171456"):
             hook_basis(14, 1, 2)

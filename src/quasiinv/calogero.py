@@ -12,7 +12,6 @@ NonPolynomialError.
 from __future__ import annotations
 
 from .exactalg import MultiPoly
-from .hookbasis import HookSpec, q_integral
 
 
 class NonPolynomialError(ArithmeticError):
@@ -74,7 +73,10 @@ def apply_lm(p: MultiPoly, m: int) -> MultiPoly:
 
 def lm_eigen_check(spec: HookSpec) -> MultiPoly:
     """L_m Q^(k,m) - k(k-1) Q^(k-2,m); the zero polynomial when the
-    eigen-identity holds (the subtracted term is omitted for k < 2)."""
+    eigen-identity holds (the subtracted term is omitted for k < 2).
+    ``hookbasis`` is imported here, so ``apply --op lm`` does not load it."""
+    from .hookbasis import HookSpec, q_integral
+
     residual = apply_lm(q_integral(spec), spec.m)
     if spec.k >= 2:
         lower = HookSpec(n=spec.n, m=spec.m, j=spec.j, k=spec.k - 2)

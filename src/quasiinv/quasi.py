@@ -37,7 +37,7 @@ from .exactalg import (
     MultiPoly,
     ResourceGuardError,
     TheoremViolationError,
-    _swapper,
+    _fold,
     elementary_symmetric,
     vandermonde,
 )
@@ -78,9 +78,10 @@ def is_quasiinvariant(p: MultiPoly, m: int) -> bool:
     """True iff (x_i - x_j)^(2m+1) divides (1 - (i,j)) p for all i < j.
 
     Pair by pair, p's integer numerators are folded onto the exponents with
-    e_i > e_j (a term with e_i < e_j is subtracted at its swap, one with
-    e_i = e_j dropped), which is exact as W(b, a, t) = -W(a, b, t) at the
-    odd t of ``_pair_terms``, and summed into its rows; the first pair with
+    e_i > e_j by the signed fold of the bracket over {i, j}
+    (``exactalg._fold``: a term with e_i < e_j is subtracted at its swap, one
+    with e_i = e_j dropped), which is exact as W(b, a, t) = -W(a, b, t) at
+    the odd t of ``_pair_terms``, and summed into its rows; the first pair with
     a nonzero residual ends the check, so no later pair is expanded.  A
     row's key fixes the degree of its monomials, so p need not be
     homogeneous.
@@ -90,14 +91,7 @@ def is_quasiinvariant(p: MultiPoly, m: int) -> bool:
     n = p.nvars
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            swap = _swapper(n, i - 1, j - 1)
-            folded = {}
-            for e, c in p.num.items():
-                if e[i - 1] < e[j - 1]:
-                    e, c = swap(e), -c
-                if e[i - 1] > e[j - 1]:
-                    folded[e] = folded.get(e, 0) + c
-            folded = {e: c for e, c in folded.items() if c}
+            folded = _fold(p.num, ((i, j),), True)
             residual = {}
             get = residual.get
             for key, exp, w in _pair_terms(i, j, m, folded):

@@ -15,16 +15,20 @@ each exponent tuple through it.  The Fraction view
 each [U] and [U]' once per process; a bracket is also the telescoping
 product of ``telescoping_factors``, so it can act without being expanded.
 
-One kernel, ``exactalg._apply_factors``, runs such factors (1 +- sum of
-transpositions) on a map {tuple: int}, and it serves two products.  The
-left action of (a b) on a polynomial swaps slots a and b of each exponent
-tuple; the right product by (a b) swaps the same two slots of each image
-tuple, since (x (a b))(a) = x(b) and (x (a b))(b) = x(a).  Elements are
-multiplied only this way, on the right by brackets: ``*`` scales by an
-int or a Fraction, and ``x * y`` of two elements raises TypeError.  So
+One kernel, ``exactalg._apply_brackets``, applies such brackets to a map
+{tuple: int}, and it serves two products.  The left action of (a b) on a
+polynomial swaps slots a and b of each exponent tuple; the right product
+by (a b) swaps the same two slots of each image tuple, since
+(x (a b))(a) = x(b) and (x (a b))(b) = x(a).  For each group of brackets
+on disjoint supports it first folds the map onto the group's bracket
+classes (keys sorted within each support, signed for [U]'), on which the
+product depends, and then runs the telescoping factors (1 +- sum of
+transpositions) on the representatives alone.  Elements are multiplied
+only this way, on the right by brackets: ``*`` scales by an int or a
+Fraction, and ``x * y`` of two elements raises TypeError.  So
 ``times_brackets`` multiplies a group-algebra element on the right by
 brackets in O(k^2) transpositions per bracket rather than k! permutations,
-and ``tableaux`` runs the Young projector's factors both ways.
+and ``tableaux`` runs the Young projector's brackets both ways.
 """
 
 from __future__ import annotations
@@ -38,10 +42,10 @@ from .exactalg import (
     DimensionMismatch,
     MultiPoly,
     ResourceGuardError,
-    _apply_factors,
+    _apply_brackets,
+    _bracket_group,
     _Combination,
     _scalar,
-    telescoping_factors,
 )
 
 
@@ -315,13 +319,20 @@ def times_brackets(x: GroupAlgebraElem, brackets) -> GroupAlgebraElem:
     """x [U_1] [U_2] ..., for ``brackets`` a list of (support, signed) and
     [U]' in place of [U] where signed, without expanding a bracket: each
     runs on x's numerators as the telescoping product over its support in
-    the order given (repeats dropped), in O(|x| k^2) rather than O(|x| k!)."""
-    factors = []
+    the order given (repeats dropped), in O(|x| k^2) rather than O(|x| k!).
+    Consecutive brackets of one sign on disjoint supports form one group,
+    folded onto its bracket classes once before its factors run."""
+    groups, used = [], set()
     for support, signed in brackets:
-        order = list(dict.fromkeys(support))
+        order = tuple(dict.fromkeys(support))
         if not order or any(type(s) is not int or not 1 <= s <= x.n for s in order):
-            raise ValueError(f"bracket support {order} not a nonempty subset "
+            raise ValueError(f"bracket support {list(order)} not a nonempty subset "
                              f"of 1..{x.n}")
-        sign = -1 if signed else 1
-        factors.extend((pairs, sign) for pairs in telescoping_factors(order))
-    return GroupAlgebraElem._from_int(x.n, _apply_factors(x.num, factors), x.den)
+        signed = bool(signed)
+        if not groups or groups[-1][1] != signed or used.intersection(order):
+            groups.append(([], signed))
+            used = set()
+        groups[-1][0].append(order)
+        used.update(order)
+    q = _apply_brackets(x.num, [_bracket_group(*group) for group in groups])
+    return GroupAlgebraElem._from_int(x.n, q, x.den)

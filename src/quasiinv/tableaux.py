@@ -3,16 +3,20 @@ column polynomial V_T, and the auxiliary group-algebra elements built from
 a column plus one cell to its right.
 
 gamma_T = f_lambda [C_1]' ... [C_k]' [R_1] ... [R_l] / n! is written once,
-as one ordered list of telescoping factors (``_projection_plan``), and
-the transposition kernel of ``exactalg`` runs that list on integer
-coefficients with the rational scale applied once: forward on image tuples
-for ``gamma``, the expanded element in Q S_n, and reversed on exponent
-tuples for ``gamma_images``, the path every projection of a polynomial in
-the package takes.  It projects a whole list of polynomials in one kernel
-run: each polynomial's numerators are merged onto exponents sorted within
-the rows of T (the row classes, on which gamma_T agrees), and the
-distinct merged maps are stacked in one map with each map's index as an
-extra slot of its exponent tuples; ``gamma_apply`` is its one-item case.
+as two bracket groups, the columns and the rows, each with its
+telescoping factors (``_projection_plan``), and the transposition kernel
+of ``exactalg`` runs them on integer coefficients with the rational scale
+applied once: forward on image tuples for ``gamma`` and ``_times_gamma``
+(elements of Q S_n), and reversed on exponent tuples for
+``gamma_images``, the path every projection of a polynomial in the
+package takes.  Before each group the kernel folds the map onto that
+group's classes (keys sorted within each column, with the sign of the
+sort, or within each row), so only the representatives are expanded.
+``gamma_images`` projects a whole list of polynomials in one kernel run:
+each polynomial's numerators are folded onto the row classes, on which
+gamma_T agrees, and the distinct folded maps are stacked in one map with
+each map's index as an extra slot of its exponent tuples;
+``gamma_apply`` is its one-item case.
 
 Projecting polynomials needs no group algebra: the plan and
 ``gamma_images`` run on ``exactalg`` alone.  Only the functions that build
@@ -32,7 +36,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from operator import itemgetter
 
 from .exactalg import (
     MAX_GROUP_N,
@@ -40,8 +43,9 @@ from .exactalg import (
     MultiPoly,
     ResourceGuardError,
     TheoremViolationError,
-    _apply_factors,
-    telescoping_factors,
+    _apply_brackets,
+    _bracket_group,
+    _fold,
 )
 
 
@@ -224,9 +228,11 @@ def cocharge(t: Tableau) -> int:
 
 @functools.cache
 def _projection_plan(t: Tableau):
-    """The telescoping factors (transpositions, sign) of gamma_T's brackets,
-    first factor first, with f_lambda and n!; derived on first use by ``t``
-    and then reused.  Its cost per input term grows with
+    """gamma_T's brackets as two groups for ``_apply_brackets``, first group
+    first: the columns [C_1]' ... [C_k]' and the rows [R_1] ... [R_l], each
+    with its telescoping factors (a group of one-cell supports only is left
+    out), with f_lambda and n!; derived on first use by ``t`` and then
+    reused.  Its cost per input term grows with
     |R(T)| |C(T)| = prod lambda_i! prod lambda'_j!, which is refused above
     MAX_GROUP_N!, the largest it reaches at n <= MAX_GROUP_N."""
     if not t.standard:
@@ -235,20 +241,19 @@ def _projection_plan(t: Tableau):
     bound = math.factorial(MAX_GROUP_N)
     if cost > bound:
         raise ResourceGuardError(f"gamma limited to |R(T)| |C(T)| <= {bound}, got {cost}")
-    brackets = [(col, -1) for col in t.columns] + [(row, 1) for row in t.rows]
-    factors = tuple((tuple(pairs), sign) for support, sign in brackets
-                    for pairs in telescoping_factors(support))
-    return factors, t.shape.hook_length_count(), math.factorial(t.n)
+    groups = (_bracket_group(t.columns, True), _bracket_group(t.rows, False))
+    return (tuple(group for group in groups if group[2]),
+            t.shape.hook_length_count(), math.factorial(t.n))
 
 
 def _times_gamma(x: GroupAlgebraElem, t: Tableau) -> GroupAlgebraElem:
-    """x gamma_T: the plan's factors run forward on x's numerators as right
+    """x gamma_T: the plan's groups run forward on x's numerators as right
     products (a transposition swaps two slots of each image tuple), and
     f_lambda / n! is applied once at the end."""
     from .symgroup import GroupAlgebraElem
 
-    factors, f, n_factorial = _projection_plan(t)
-    q = _apply_factors(x.num, factors)
+    groups, f, n_factorial = _projection_plan(t)
+    q = _apply_brackets(x.num, groups)
     return GroupAlgebraElem._from_int(t.n, {k: c * f for k, c in q.items()},
                                       n_factorial * x.den)
 
@@ -260,66 +265,34 @@ def gamma(t: Tableau) -> GroupAlgebraElem:
     return _times_gamma(GroupAlgebraElem.identity(t.n), t)
 
 
-def _row_sorter(t: Tableau):
-    """The map sending an exponent tuple to its representative sorted
-    within each row of ``t``, decreasing along the row's entries (so that
-    x^delta, decreasing in every index, is its own representative), or
-    None when every row has one cell."""
-    if all(len(row) == 1 for row in t.rows):
-        return None
-    reading = [i - 1 for row in t.rows for i in row]
-    read = itemgetter(*reading)
-    place = itemgetter(*sorted(range(t.n), key=reading.__getitem__))
-    ends = itertools.accumulate(len(row) for row in t.rows)
-    spans = [slice(end - len(row), end) for row, end in zip(t.rows, ends) if len(row) > 1]
-
-    def sort_rows(e):
-        values = list(read(e))
-        for span in spans:
-            values[span] = sorted(values[span], reverse=True)
-        return place(values)
-
-    return sort_rows
-
-
 def gamma_images(t: Tableau, polys) -> list:
     """[gamma_T p for p in polys], in one run of the plan.  The action is a
-    left action, so the plan runs reversed on integer numerators: each row
-    bracket [R], then each column bracket [C]'.
+    left action, so the plan's groups run reversed on integer numerators:
+    the rows P(T) = [R_1] ... [R_l], then the columns [C_1]' ... [C_k]'.
 
-    Row classes.  The row brackets come first, and together they are
-    P(T) = [R_1] ... [R_l], the sum over R(T) = S_(R_1) x ... x S_(R_l).
-    For sigma in R(T), P(T) sigma = P(T), since the sum over a group is
-    fixed by right multiplication by any of its elements.  So
-    gamma_T sigma x^e = gamma_T x^e: gamma_T x^e depends only on the orbit
-    of e under R(T), that is on e sorted within each row of T.  Each
-    polynomial's numerators are merged onto those sorted exponents, and
-    polynomials whose merged numerator maps agree (repeats, row
+    Row classes.  P(T) is the sum over R(T) = S_(R_1) x ... x S_(R_l), so
+    P(T) sigma = P(T) for sigma in R(T), and gamma_T x^e depends only on e
+    sorted within each row of T (``_fold``, which ``_apply_brackets`` runs
+    before every group).  Each polynomial's numerators are folded here
+    already, so that polynomials whose folded maps agree (repeats, row
     permutations of one another, or the same numerators over other
-    denominators) are projected once.  The distinct maps are stacked in one map, each
-    exponent tuple carrying its map's index as one more slot; no
+    denominators) are projected once.  The distinct maps are stacked in one
+    map, each exponent tuple carrying its map's index as one more slot; no
     transposition touches that slot, so one kernel run projects them all,
     and each polynomial takes its map's image over its own denominator,
     built once per map and denominator."""
-    factors, f, n_factorial = _projection_plan(t)
-    sort_rows = _row_sorter(t)
+    groups, f, n_factorial = _projection_plan(t)
     polys = list(polys)
     classes = {}
     owners = []
     for p in polys:
         if p.nvars != t.n:
             raise DimensionMismatch("polynomial nvars mismatch")
-        num = p.num
-        if sort_rows is not None:
-            num = {}
-            for e, c in p.num.items():
-                e = sort_rows(e)
-                num[e] = num.get(e, 0) + c
-        key = frozenset((e, c) for e, c in num.items() if c)
+        key = frozenset(_fold(p.num, t.rows, False).items())
         owners.append(classes.setdefault(key, len(classes)))
     stacked = {e + (k,): c for key, k in classes.items() for e, c in key}
     split = [{} for _ in classes]
-    for e, c in _apply_factors(stacked, reversed(factors)).items():
+    for e, c in _apply_brackets(stacked, groups[::-1]).items():
         split[e[-1]][e[:-1]] = c * f
     images = {}
     for k, p in zip(owners, polys):

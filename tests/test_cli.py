@@ -53,8 +53,8 @@ def forbid_work(monkeypatch):
     def ran(*args):
         raise AssertionError("work began before the guard")
 
-    for module, name in ((quasi, "integer_nullspace"), (tableaux, "_apply_factors"),
-                         (symgroup, "_apply_factors"), (hookbasis, "_q_integral"),
+    for module, name in ((quasi, "integer_nullspace"), (tableaux, "_apply_brackets"),
+                         (symgroup, "_apply_brackets"), (hookbasis, "_q_integral"),
                          (hookbasis, "_integrand_product"), (structure, "series_expand")):
         monkeypatch.setattr(module, name, ran)
 
@@ -142,8 +142,8 @@ class TestVerify:
         from quasiinv import tableaux
 
         def forward(t, p):
-            factors, f, n_factorial = tableaux._projection_plan(t)
-            num = tableaux._apply_factors(p.num, factors)
+            groups, f, n_factorial = tableaux._projection_plan(t)
+            num = tableaux._apply_brackets(p.num, groups)
             return MultiPoly._from_int(t.n, {e: c * f for e, c in num.items()},
                                        n_factorial * p.den)
 
@@ -153,22 +153,45 @@ class TestVerify:
         assert [line for line in out.splitlines() if "FAIL" in line] == [
             f"Factored and expanded gamma_T agree: FAIL (n={n}, {count} tableaux)"]
 
-    def test_dropped_plan_factor_fails_the_suite(self, capsys, monkeypatch):
-        # gamma and gamma_images read one plan, so the agreement line cannot
-        # see a factor missing from it; idempotence and the rank sum do
+    @staticmethod
+    def _drop_first_factor(monkeypatch, group):
+        """Make the plan skip the first telescoping factor of its ``group``-th
+        bracket group (0: the columns, or the rows when every column has one
+        cell; 1: the rows), where that group exists."""
         from quasiinv import tableaux
 
         plan = tableaux._projection_plan
 
         def short(t):
-            factors, f, n_factorial = plan(t)
-            return factors[1:], f, n_factorial
+            groups, f, n_factorial = plan(t)
+            if group < len(groups):
+                supports, signed, factors = groups[group]
+                groups = (*groups[:group], (supports, signed, factors[1:]),
+                          *groups[group + 1:])
+            return groups, f, n_factorial
 
         monkeypatch.setattr(tableaux, "_projection_plan", short)
+
+    def test_dropped_plan_factor_fails_the_suite(self, capsys, monkeypatch):
+        # gamma and gamma_images read one plan, but the fold runs before every
+        # group, so gamma (columns first, on image tuples) and gamma_images
+        # (rows first, on exponents) stop agreeing when a factor is missing;
+        # a fold followed by a short expansion is still injective on the
+        # column classes, so the rank sum cannot see a missing column factor
+        self._drop_first_factor(monkeypatch, 0)
         code, out, _ = run(capsys, "verify", "--suite", "groupalgebra", "--n", "4")
         assert code == 1
         assert [line.split(":")[0] for line in out.splitlines() if "FAIL" in line] == [
             "Zero-product / alpha-invariance / gamma idempotence",
+            "Factored and expanded gamma_T agree"]
+
+    def test_dropped_row_factor_fails_the_suite(self, capsys, monkeypatch):
+        self._drop_first_factor(monkeypatch, 1)
+        code, out, _ = run(capsys, "verify", "--suite", "groupalgebra", "--n", "4")
+        assert code == 1
+        assert [line.split(":")[0] for line in out.splitlines() if "FAIL" in line] == [
+            "Zero-product / alpha-invariance / gamma idempotence",
+            "Factored and expanded gamma_T agree",
             "Projector rank-sum decomposition"]
 
     # n -> the standard tableaux of size n and their (column, cell) pairs

@@ -1,8 +1,10 @@
 """Exact polynomial arithmetic: the integer kernel against a Fraction
 reference, ring axioms, the shift expansion at x_a = x_b + u (checked
 against the test-only long division), differentiation, definite
-integration in t = x_(n+1), and q-series expansion."""
+integration in t = x_(n+1), q-series expansion, and the bracket kernel
+(the fold onto bracket classes before each telescoping expansion)."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -13,6 +15,10 @@ from hypothesis import strategies as st
 from quasiinv.exactalg import (
     DimensionMismatch,
     MultiPoly,
+    _apply_brackets,
+    _apply_factors,
+    _bracket_group,
+    _fold,
     elementary_symmetric,
     partial_derivative,
     series_expand,
@@ -442,3 +448,82 @@ class TestSeries:
         for i in range(1, n + 1):
             back = mul_one_minus_q_power(back, i)
         assert back == numerator
+
+
+@st.composite
+def bracket_groups(draw, size):
+    """(supports, signed): disjoint supports of 1-based slots of a key of
+    ``size``, each in a drawn order (the telescoping order), some of one
+    slot, and a sign."""
+    slots = draw(st.permutations(range(1, size + 1)))
+    cuts = sorted(draw(st.sets(st.integers(1, size - 1), max_size=size - 1)))
+    supports = [tuple(slots[a:b]) for a, b in zip([0] + cuts, cuts + [size])]
+    supports = draw(st.lists(st.sampled_from(supports), min_size=1, unique=True))
+    return tuple(supports), draw(st.booleans())
+
+
+@st.composite
+def bracket_cases(draw, groups=1, max_size=5):
+    """(q, groups): a nonempty {tuple: int} map with no zero value, keyed by
+    image tuples or by exponent tuples with many ties, of at most
+    ``max_size`` slots, and ``groups`` bracket groups on it."""
+    size = draw(st.integers(2, max_size))
+    if draw(st.booleans()):
+        keys = st.permutations(range(1, size + 1)).map(tuple)
+    else:
+        keys = st.tuples(*[st.integers(0, 2)] * size)
+    values = st.integers(-5, 5).filter(bool)
+    q = draw(st.dictionaries(keys, values, min_size=1, max_size=10))
+    return q, [draw(bracket_groups(size)) for _ in range(groups)]
+
+
+def orbit_sum(q, supports, signed):
+    """The brackets over ``supports`` applied to q term by term over every
+    element of the product of their symmetric groups: the independent
+    reference for the kernel."""
+    out = {}
+    for e, c in q.items():
+        for arrangement in itertools.product(*(itertools.permutations(u)
+                                               for u in supports)):
+            key, sign = list(e), 1
+            for u, image in zip(supports, arrangement):
+                for slot, source in zip(u, image):
+                    key[slot - 1] = e[source - 1]
+                places = [u.index(source) for source in image]
+                inversions = sum(a > b for a, b in itertools.combinations(places, 2))
+                sign *= (-1) ** inversions if signed else 1
+            key = tuple(key)
+            out[key] = out.get(key, 0) + sign * c
+    return {e: c for e, c in out.items() if c}
+
+
+class TestBracketFold:
+    @settings(max_examples=200, deadline=None)
+    @given(bracket_cases())
+    def test_fold_then_telescope_equals_telescoping_alone(self, case):
+        q, [(supports, signed)] = case
+        group = _bracket_group(supports, signed)
+        alone = _apply_factors(q, group[2], -1 if signed else 1)
+        alone = {e: c for e, c in alone.items() if c}
+        assert _apply_brackets(q, [group]) == alone == orbit_sum(q, supports, signed)
+
+    @settings(max_examples=200, deadline=None)
+    @given(bracket_cases(groups=3, max_size=4))
+    def test_no_zero_value_comes_out(self, case):
+        q, groups = case
+        out = _apply_brackets(q, [_bracket_group(*group) for group in groups])
+        assert all(type(c) is int and c for c in out.values())
+        for supports, signed in groups:
+            q = orbit_sum(q, supports, signed)
+        assert out == q
+
+    def test_fold_sorts_each_support_decreasing(self):
+        # on support {1, 2, 3}, (1, 3, 2) takes two swaps to (3, 2, 1) and
+        # (2, 3, 1) one; on support {1, 3} only slots 1 and 3 are sorted
+        q = {(1, 3, 2): 5, (2, 3, 1): 1, (0, 0, 1): 7}
+        assert _fold(q, ((1, 2, 3),), False) == {(3, 2, 1): 6, (1, 0, 0): 7}
+        assert _fold(q, ((1, 2, 3),), True) == {(3, 2, 1): 5 - 1}
+        assert _fold(q, ((3, 1),), True) == {(2, 3, 1): -5 + 1, (1, 0, 0): -7}
+        # merged values that cancel are dropped; one-slot supports fold nothing
+        assert _fold({(0, 1): 1, (1, 0): -1}, ((1, 2),), False) == {}
+        assert _fold(q, ((2,),), True) is q

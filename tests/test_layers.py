@@ -35,7 +35,7 @@ ALLOWED = {
     "quasi": {"exactalg"},
     "jsonio": {"exactalg"},
     "hookbasis": {"exactalg"},
-    "calogero": {"exactalg", "hookbasis"},
+    "calogero": {"exactalg"},
     "structure": {"exactalg", "tableaux"},
     "verify": {"__init__"},
     "cli": {"__init__", "exactalg"},
@@ -151,7 +151,7 @@ COMMANDS = [
     (("apply", "--op", "gamma", "--in", "{poly}", "--shape", "2,1", "--j", "2"),
      {"jsonio", "tableaux"}),
     (("apply", "--op", "lm", "--in", "{poly}", "--m", "1"),
-     {"jsonio", "calogero", "hookbasis"}),
+     {"jsonio", "calogero"}),
     (("apply", "--op", "perm", "--in", "{poly}", "--sigma", "(1,2)"),
      {"jsonio", "symgroup"}),
     (("apply", "--op", "delta2", "--in", "{poly}", "--m", "0"), {"jsonio", "quasi"}),

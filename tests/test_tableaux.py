@@ -266,6 +266,34 @@ class TestSymmetrizers:
                                 assert times_brackets(one_minus_a, [(ci, True)]) == want
                                 assert convolve(one_minus_a, bracket(n, ci, signed=True)) == want
 
+    @pytest.mark.parametrize("n, pairs", [(4, 22), (5, 86)])
+    def test_union_times_rows_folds_to_zero_before_any_factor(self, monkeypatch,
+                                                              n, pairs):
+        # [C_i + cell]' holds a transposition of the cell's row, so the row
+        # fold merges its terms in cancelling pairs and no factor runs
+        from quasiinv import exactalg
+
+        runs = []
+        real = exactalg._apply_factors
+
+        def spy(q, factors, sign):
+            runs.extend(len(q) for _ in factors)
+            return real(q, factors, sign)
+
+        monkeypatch.setattr(exactalg, "_apply_factors", spy)
+        checked = 0
+        for shape in partitions_of(n):
+            for t in standard_tableaux(shape):
+                rows = [(row, False) for row in t.rows]
+                for i in range(1, len(t.columns)):
+                    for j in range(i + 1, len(t.columns) + 1):
+                        for k in range(1, len(t.columns[j - 1]) + 1):
+                            union = col_union_antisym(t, i, (k, j))
+                            assert times_brackets(union, rows).is_zero()
+                            checked += 1
+        assert checked == pairs
+        assert runs == []
+
     def test_col_union_factorization(self):
         # B(i, cell) = N(T) * alpha-sum structure: applying the merged
         # antisymmetrizer then the row symmetrizer kills gamma components
@@ -370,13 +398,13 @@ class TestGammaImages:
         from quasiinv import tableaux
 
         calls = []
-        real = tableaux._apply_factors
+        real = tableaux._apply_brackets
 
-        def spy(q, factors):
+        def spy(q, groups):
             calls.append(len(q))
-            return real(q, factors)
+            return real(q, groups)
 
-        monkeypatch.setattr(tableaux, "_apply_factors", spy)
+        monkeypatch.setattr(tableaux, "_apply_brackets", spy)
         t = hook_tableau(3, 2)
         polys = [MultiPoly.variable(3, i) for i in (1, 2, 3)] + [MultiPoly.zero(3)]
         images = gamma_images(t, polys)

@@ -5,7 +5,12 @@ to stdout or to --out, and byte-identical across repeated invocations with
 the same flags.  Each subcommand imports the layers it calls when it runs,
 so a command loads only those modules; ``json`` and ``jsonio`` are loaded
 only by a command that reads or writes JSON, and ``verify``, which prints
-plain text, loads neither.  A refused request raises
+plain text, loads neither.  The options of every command are one table,
+``COMMANDS``, from which ``parse_args`` reads argv and writes the usage
+and help texts, so no command loads argparse.  A usage error prints a
+usage line, the command's once the command is known, and one
+``quasiinv[ <command>]: error: ...`` line and exits 2, and ``-h`` prints
+the help and exits 0, each by SystemExit.  A refused request raises
 ValueError and a failed identity TheoremViolationError; ``main`` alone
 turns them into one stderr line and exit 2 or exit 1.
 
@@ -19,9 +24,9 @@ each cached plan, bracket and polynomial one by one, writing nothing.
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
+from types import SimpleNamespace
 
 from . import SUITES
 from .exactalg import TheoremViolationError
@@ -223,79 +228,242 @@ def cmd_detcheck(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="quasiinv",
-        description="Exact construction and verification of the "
-        "m-quasiinvariants of the symmetric group.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _option(flag, type=str, default=None, choices=None, required=False, help="",
+            dest=None):
+    return (flag, dest or flag[2:], type, default, choices, required, help)
 
-    def common(p, fmt=True):
-        p.add_argument("--out", help="write output to this path instead of stdout")
-        if fmt:
-            p.add_argument("--format", choices=("json", "text"), default="json")
 
-    p = sub.add_parser("basis", help="emit the hook-shape basis polynomials")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--j", type=int, required=True)
-    p.add_argument("--verify", action="store_true",
-                   help="assert the dual construction and degree contract")
-    common(p)
-    p.set_defaults(func=cmd_basis)
+_OUT = _option("--out", help="write output to this path instead of stdout")
+_FORMAT = _option("--format", choices=("json", "text"), default="json")
 
-    p = sub.add_parser("verify", help="run a named property suite")
-    p.add_argument("--suite", required=True,
-                   choices=SUITES + ("all",))
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0,
-                   help="only recorded in the header; no suite draws random input")
-    common(p, fmt=False)
-    p.set_defaults(func=cmd_verify)
+_DESCRIPTION = ("Exact construction and verification of the m-quasiinvariants "
+               "of the symmetric group.")
 
-    p = sub.add_parser("hilbert", help="graded dimension series, optionally "
-                       "cross-checked against the brute-force oracle")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--D", type=int, required=True)
-    p.add_argument("--oracle", action="store_true")
-    common(p)
-    p.set_defaults(func=cmd_hilbert)
+# The option table: command -> (help, handler, options).  Each option is
+# (flag, dest, type, default, choices, required, help); the type is int,
+# str or bool, and a bool option is a flag that takes no value and stores
+# True.  parse_args and the usage and help texts are derived from it.
+COMMANDS = {
+    "basis": ("emit the hook-shape basis polynomials", cmd_basis, (
+        _option("--n", int, required=True),
+        _option("--m", int, required=True),
+        _option("--j", int, required=True),
+        _option("--verify", bool, False,
+                help="assert the dual construction and degree contract"),
+        _OUT, _FORMAT)),
+    "verify": ("run a named property suite", cmd_verify, (
+        _option("--suite", choices=SUITES + ("all",), required=True),
+        _option("--n", int, required=True),
+        _option("--m", int, 1),
+        _option("--seed", int, 0,
+                help="only recorded in the header; no suite draws random input"),
+        _OUT)),
+    "hilbert": ("graded dimension series, optionally cross-checked against the "
+                "brute-force oracle", cmd_hilbert, (
+        _option("--n", int, required=True),
+        _option("--m", int, required=True),
+        _option("--D", int, required=True),
+        _option("--oracle", bool, False),
+        _OUT, _FORMAT)),
+    "apply": ("apply gamma_T, L_m, a permutation, or the Delta^2 embedding to a "
+              "JSON polynomial", cmd_apply, (
+        _option("--op", choices=("gamma", "lm", "perm", "delta2"), required=True),
+        _option("--in", dest="infile", required=True),
+        _option("--shape", help="partition, e.g. 2,1 (gamma)"),
+        _option("--j", int, help="hook second-row entry (gamma)"),
+        _option("--tableau", help="JSON rows for a general tableau (gamma)"),
+        _option("--m", int, 0, help="operator order (lm, delta2)"),
+        _option("--sigma", help='cycle notation, e.g. "(1,2)" (perm)'),
+        _OUT, _FORMAT)),
+    "oracle": ("dump an exact graded witness basis", cmd_oracle, (
+        _option("--n", int, required=True),
+        _option("--m", int, required=True),
+        _option("--d", int, required=True),
+        _option("--seed", int, 0,
+                help="only recorded in the output; the oracle draws nothing"),
+        _OUT)),
+    "detcheck": ("n=2 change-of-basis determinant check", cmd_detcheck, (
+        _option("--m", int, required=True),
+        _OUT, _FORMAT)),
+}
 
-    p = sub.add_parser("apply", help="apply gamma_T, L_m, a permutation, or "
-                       "the Delta^2 embedding to a JSON polynomial")
-    p.add_argument("--op", required=True, choices=("gamma", "lm", "perm", "delta2"))
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--shape", help="partition, e.g. 2,1 (gamma)")
-    p.add_argument("--j", type=int, help="hook second-row entry (gamma)")
-    p.add_argument("--tableau", help="JSON rows for a general tableau (gamma)")
-    p.add_argument("--m", type=int, default=0, help="operator order (lm, delta2)")
-    p.add_argument("--sigma", help='cycle notation, e.g. "(1,2)" (perm)')
-    common(p)
-    p.set_defaults(func=cmd_apply)
+# -h and --help in every parser, named -h/--help in errors; its type None
+# sets it apart from the table's options
+_HELP = ("-h/--help", "help", None, None, None, False, "show this help message and exit")
 
-    p = sub.add_parser("oracle", help="dump an exact graded witness basis")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0,
-                   help="only recorded in the output; the oracle draws nothing")
-    common(p, fmt=False)
-    p.set_defaults(func=cmd_oracle)
 
-    p = sub.add_parser("detcheck", help="n=2 change-of-basis determinant check")
-    p.add_argument("--m", type=int, required=True)
-    common(p)
-    p.set_defaults(func=cmd_detcheck)
+def _write(stream, text):
+    # a closed or missing stream loses the text, as a failed print would
+    try:
+        stream.write(text)
+    except (AttributeError, OSError):
+        pass
 
-    return parser
+
+def _metavar(option):
+    flag, dest, kind, _, choices, _, _ = option
+    if kind is bool:
+        return flag
+    return f"{flag} {'{' + ','.join(choices) + '}' if choices else dest.upper()}"
+
+
+def _usage(command):
+    if command is None:
+        return "usage: quasiinv [-h] {" + ",".join(COMMANDS) + "} ..."
+    words = [f"usage: quasiinv {command} [-h]"]
+    for option in COMMANDS[command][2]:
+        words.append(_metavar(option) if option[5] else f"[{_metavar(option)}]")
+    return " ".join(words)
+
+
+def _fail(command, message, prog=None):
+    """A usage error: the usage line of ``command`` (the top level when
+    None) and one ``error:`` line on stderr, then exit 2."""
+    if prog is None:
+        prog = "quasiinv" if command is None else f"quasiinv {command}"
+    _write(sys.stderr, f"{_usage(command)}\n{prog}: error: {message}\n")
+    raise SystemExit(2)
+
+
+def _help(command):
+    """Print the help of ``command`` (the top level when None) and exit 0."""
+    options = [("-h, --help", _HELP[6])]
+    if command is None:
+        about = _DESCRIPTION
+        sections = [("commands", [(name, entry[0]) for name, entry in COMMANDS.items()]),
+                    ("options", options)]
+    else:
+        about = COMMANDS[command][0]
+        options += [(_metavar(option), option[6]) for option in COMMANDS[command][2]]
+        sections = [("options", options)]
+    lines = [_usage(command), "", about]
+    for heading, rows in sections:
+        width = max(len(left) for left, _ in rows)
+        lines += ["", f"{heading}:"]
+        lines += [f"  {left:<{width}}  {text}".rstrip() for left, text in rows]
+    _write(sys.stdout, "\n".join(lines) + "\n")
+    raise SystemExit(0)
+
+
+def _negative_number(token):
+    # argparse's ^-\d+$|^-\d*\.\d+$, whose $ also matches before a final newline
+    whole, dot, fraction = token[1:].removesuffix("\n").partition(".")
+    if not dot:
+        return whole.isdecimal()
+    return fraction.isdecimal() and (whole == "" or whole.isdecimal())
+
+
+def _read(token, flags, command):
+    """How argparse reads ``token`` in a parser with ``flags``: None for a
+    value, else (option, explicit value or None), the option None when no
+    flag matches.  A long option may be cut to any unique prefix; two
+    matches are a usage error."""
+    if len(token) < 2 or token[0] != "-":
+        return None
+    if token in flags:
+        return flags[token], None
+    name, eq, explicit = token.partition("=")
+    if not eq:
+        explicit = None
+    elif name in flags:
+        return flags[name], explicit
+    if token == "--":
+        return None, None
+    if token[1] == "-":
+        matches = [flag for flag in flags if flag.startswith(name)]
+        if len(matches) > 1:
+            _fail(command, f"ambiguous option: {token} could match {', '.join(matches)}")
+        if matches:
+            return flags[matches[0]], explicit
+    elif token.startswith("-h"):
+        return _HELP, token[2:]
+    if _negative_number(token) or " " in token:
+        return None
+    return None, None
+
+
+def _parse_command(command, argv, extras):
+    """The option values of ``command`` read from ``argv``; every value or
+    unknown option that no option takes is added to ``extras``."""
+    options = COMMANDS[command][2]
+    flags = {"-h": _HELP, "--help": _HELP}
+    flags.update((option[0], option) for option in options)
+    # argparse reads every token before it takes any, so an ambiguous
+    # prefix is an error even after -h
+    reads = [_read(token, flags, command) for token in argv]
+    values = {option[1]: option[3] for option in options}
+    seen = set()
+    i = 0
+    while i < len(argv):
+        read = reads[i]
+        i += 1
+        if read is None or read[0] is None:
+            extras.append(argv[i - 1])
+            continue
+        option, explicit = read
+        flag, dest, kind, _, choices, _, _ = option
+        if kind is None or kind is bool:
+            if explicit is not None:
+                _fail(command, f"argument {flag}: ignored explicit argument {explicit!r}")
+            if option is _HELP:
+                _help(command)
+            value = True
+        else:
+            if explicit is None:
+                if i == len(argv) or reads[i] is not None:
+                    _fail(command, f"argument {flag}: expected one argument")
+                explicit = argv[i]
+                i += 1
+            value = explicit
+            if kind is int:
+                try:
+                    value = int(explicit)
+                except ValueError:
+                    _fail(command, f"argument {flag}: invalid int value: {explicit!r}")
+            if choices and value not in choices:
+                _fail(command, f"argument {flag}: invalid choice: {value!r} "
+                               f"(choose from {', '.join(choices)})")
+        values[dest] = value
+        seen.add(flag)
+    missing = [option[0] for option in options if option[5] and option[0] not in seen]
+    if missing:
+        _fail(command, f"the following arguments are required: {', '.join(missing)}")
+    return values
+
+
+def parse_args(argv):
+    """The namespace of ``argv``: ``command``, every option of the command
+    by its dest, and ``func``, the command's handler.
+
+    argv is read as argparse reads it: ``--opt value`` or ``--opt=value``,
+    a long option cut to any unique prefix, the last of a repeated option
+    kept, and a negative number or a token with a space a value, while
+    any other token that starts with - is an option.  A usage error exits
+    2 and -h or --help exits 0, each through SystemExit."""
+    top = {"-h": _HELP, "--help": _HELP}
+    extras = []
+    for i, token in enumerate(argv):
+        read = _read(token, top, None)
+        if read is None:
+            if token not in COMMANDS:
+                _fail(None, f"argument command: invalid choice: {token!r} "
+                            f"(choose from {', '.join(COMMANDS)})")
+            values = _parse_command(token, argv[i + 1:], extras)
+            if extras:
+                _fail(token, f"unrecognized arguments: {' '.join(extras)}", "quasiinv")
+            return SimpleNamespace(command=token, **values, func=COMMANDS[token][1])
+        option, explicit = read
+        if option is None:
+            extras.append(token)
+        elif explicit is not None:
+            _fail(None, f"argument {option[0]}: ignored explicit argument {explicit!r}")
+        else:
+            _help(None)
+    _fail(None, "the following arguments are required: command")
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:
@@ -312,8 +480,9 @@ def console_entry(argv=None) -> None:
     A flush that fails, such as stdout a pipe whose reader has closed, is
     reported like a failed write inside ``main``: one ``error:`` line and
     exit 2.  A stream is None when its file descriptor was closed before
-    the process started.  A SystemExit from argparse (a usage error or
-    ``--help``) and an unexpected exception take the normal exit path."""
+    the process started.  The SystemExit of a usage error or of ``--help``
+    from ``parse_args``, whose text is already written, and an unexpected
+    exception take the normal exit path."""
     code = main(argv)
     try:
         if sys.stdout is not None:

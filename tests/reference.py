@@ -56,12 +56,20 @@ reads it on ints over the least common denominator.
 ``paper_basis`` lists the paper's generators of QI_m over the symmetric
 polynomials at n = 2 and 3, each with the standard tableau of its
 component, for the tests of the Sym-basis certificate.
+
+``build_parser`` is the CLI's argparse parser, kept as the reference for
+``cli.parse_args``, which reads argv from one option table without
+argparse.
 """
 
+import argparse
 import math
 from fractions import Fraction
 
+from quasiinv import SUITES
 from quasiinv.calogero import NonPolynomialError
+from quasiinv.cli import (cmd_apply, cmd_basis, cmd_detcheck, cmd_hilbert, cmd_oracle,
+                          cmd_verify)
 from quasiinv.exactalg import MultiPoly, elementary_symmetric, grlex_key, vandermonde
 from quasiinv.hookbasis import HookSpec, q_integral
 from quasiinv.jsonio import _integer
@@ -333,3 +341,73 @@ def paper_basis(n: int, m: int) -> list:
                   for j in (2, 3) for k in (0, 1)]
     pairs.append((Tableau([(i,) for i in range(1, n + 1)]), vandermonde(n) ** (2 * m + 1)))
     return pairs
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="quasiinv",
+        description="Exact construction and verification of the "
+        "m-quasiinvariants of the symmetric group.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def common(p, fmt=True):
+        p.add_argument("--out", help="write output to this path instead of stdout")
+        if fmt:
+            p.add_argument("--format", choices=("json", "text"), default="json")
+
+    p = sub.add_parser("basis", help="emit the hook-shape basis polynomials")
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--j", type=int, required=True)
+    p.add_argument("--verify", action="store_true",
+                   help="assert the dual construction and degree contract")
+    common(p)
+    p.set_defaults(func=cmd_basis)
+
+    p = sub.add_parser("verify", help="run a named property suite")
+    p.add_argument("--suite", required=True,
+                   choices=SUITES + ("all",))
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--m", type=int, default=1)
+    p.add_argument("--seed", type=int, default=0,
+                   help="only recorded in the header; no suite draws random input")
+    common(p, fmt=False)
+    p.set_defaults(func=cmd_verify)
+
+    p = sub.add_parser("hilbert", help="graded dimension series, optionally "
+                       "cross-checked against the brute-force oracle")
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--D", type=int, required=True)
+    p.add_argument("--oracle", action="store_true")
+    common(p)
+    p.set_defaults(func=cmd_hilbert)
+
+    p = sub.add_parser("apply", help="apply gamma_T, L_m, a permutation, or "
+                       "the Delta^2 embedding to a JSON polynomial")
+    p.add_argument("--op", required=True, choices=("gamma", "lm", "perm", "delta2"))
+    p.add_argument("--in", dest="infile", required=True)
+    p.add_argument("--shape", help="partition, e.g. 2,1 (gamma)")
+    p.add_argument("--j", type=int, help="hook second-row entry (gamma)")
+    p.add_argument("--tableau", help="JSON rows for a general tableau (gamma)")
+    p.add_argument("--m", type=int, default=0, help="operator order (lm, delta2)")
+    p.add_argument("--sigma", help='cycle notation, e.g. "(1,2)" (perm)')
+    common(p)
+    p.set_defaults(func=cmd_apply)
+
+    p = sub.add_parser("oracle", help="dump an exact graded witness basis")
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--seed", type=int, default=0,
+                   help="only recorded in the output; the oracle draws nothing")
+    common(p, fmt=False)
+    p.set_defaults(func=cmd_oracle)
+
+    p = sub.add_parser("detcheck", help="n=2 change-of-basis determinant check")
+    p.add_argument("--m", type=int, required=True)
+    common(p)
+    p.set_defaults(func=cmd_detcheck)
+
+    return parser

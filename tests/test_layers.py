@@ -6,8 +6,8 @@ CLI's subcommands, the verify suites and the functions of ``tableaux``
 that build group-algebra elements import their modules on first use.  ``COMMANDS`` pins the
 exact module set of every subcommand, ``apply`` operation and ``verify``
 suite, and three invariants pin that none of them loads ``fractions``
-(with ``decimal`` and ``numbers``) and which of them load ``json`` and
-``symgroup``.
+(with ``decimal`` and ``numbers``) or ``argparse`` (with ``gettext`` and
+``locale``) and which of them load ``json`` and ``symgroup``.
 """
 
 import ast
@@ -204,9 +204,11 @@ def rows_loading(loaded, module):
     return {argv[:3] for argv, _ in COMMANDS if module in loaded(argv)}
 
 
-@pytest.mark.parametrize("module", ["fractions", "decimal", "numbers"])
+@pytest.mark.parametrize("module", ["fractions", "decimal", "numbers",
+                                    "argparse", "gettext", "locale"])
 def test_no_command_loads_fractions(loaded, module):
-    # the kernel runs on ints, and JSON input is read on ints too
+    # the kernel runs on ints, and JSON input is read on ints too; the CLI
+    # reads argv from its own option table
     assert not rows_loading(loaded, module)
 
 
@@ -223,16 +225,12 @@ def test_only_permutations_and_group_algebra_load_symgroup(loaded):
         ("verify", "--suite", "all")}
 
 
-def _choices(parser, dest):
-    return next(a.choices for a in parser._actions if a.dest == dest)
-
-
 def test_table_covers_every_command_op_and_suite():
-    commands = _choices(cli.build_parser(), "command")
-    assert {argv[0] for argv, _ in COMMANDS} == set(commands)
+    assert {argv[0] for argv, _ in COMMANDS} == set(cli.COMMANDS)
     for command, dest in (("apply", "op"), ("verify", "suite")):
-        assert ({argv[2] for argv, _ in COMMANDS if argv[0] == command}
-                == set(_choices(commands[command], dest)))
+        choices = next(option[4] for option in cli.COMMANDS[command][2]
+                       if option[1] == dest)
+        assert {argv[2] for argv, _ in COMMANDS if argv[0] == command} == set(choices)
 
 
 @pytest.mark.parametrize("name", quasiinv.__all__)

@@ -8,9 +8,9 @@ only by a command that reads or writes JSON, and ``verify``, which prints
 plain text, loads neither.  The options of every command are one table,
 ``COMMANDS``, from which ``parse_args`` reads argv and writes the usage
 and help texts, so no command loads argparse.  A usage error prints a
-usage line, the command's once the command is known, and one
-``quasiinv[ <command>]: error: ...`` line and exits 2, and ``-h`` prints
-the help and exits 0, each by SystemExit.  A refused request raises
+usage line, the command's for an error in that command's options and the
+top level's otherwise, and one ``quasiinv[ <command>]: error: ...`` line
+and exits 2, and ``-h`` prints the help and exits 0, each by SystemExit.  A refused request raises
 ValueError and a failed identity TheoremViolationError; ``main`` alone
 turns them into one stderr line and exit 2 or exit 1.
 
@@ -316,11 +316,10 @@ def _usage(command):
     return " ".join(words)
 
 
-def _fail(command, message, prog=None):
+def _fail(command, message):
     """A usage error: the usage line of ``command`` (the top level when
     None) and one ``error:`` line on stderr, then exit 2."""
-    if prog is None:
-        prog = "quasiinv" if command is None else f"quasiinv {command}"
+    prog = "quasiinv" if command is None else f"quasiinv {command}"
     _write(sys.stderr, f"{_usage(command)}\n{prog}: error: {message}\n")
     raise SystemExit(2)
 
@@ -353,33 +352,33 @@ def _negative_number(token):
     return fraction.isdecimal() and (whole == "" or whole.isdecimal())
 
 
-def _read(token, flags, command):
+def _read(token, flags):
     """How argparse reads ``token`` in a parser with ``flags``: None for a
-    value, else (option, explicit value or None), the option None when no
-    flag matches.  A long option may be cut to any unique prefix; two
-    matches are a usage error."""
+    value, else (the flags it may name, explicit value or None), no flag
+    for an unknown option.  A long option may be cut to a prefix; a prefix
+    of several flags is ambiguous, an error only once it is reached."""
     if len(token) < 2 or token[0] != "-":
         return None
     if token in flags:
-        return flags[token], None
+        return [token], None
     name, eq, explicit = token.partition("=")
     if not eq:
         explicit = None
     elif name in flags:
-        return flags[name], explicit
+        return [name], explicit
     if token == "--":
-        return None, None
+        return [], None
     if token[1] == "-":
         matches = [flag for flag in flags if flag.startswith(name)]
-        if len(matches) > 1:
-            _fail(command, f"ambiguous option: {token} could match {', '.join(matches)}")
         if matches:
-            return flags[matches[0]], explicit
+            return matches, explicit
     elif token.startswith("-h"):
-        return _HELP, token[2:]
+        # -h glued to letters is -h; glued to - or = it has a value
+        glued = token[2:].lstrip("h")
+        return ["-h"], glued.removeprefix("=") if glued[:1] in ("-", "=") else None
     if _negative_number(token) or " " in token:
         return None
-    return None, None
+    return [], None
 
 
 def _parse_command(command, argv, extras):
@@ -388,19 +387,20 @@ def _parse_command(command, argv, extras):
     options = COMMANDS[command][2]
     flags = {"-h": _HELP, "--help": _HELP}
     flags.update((option[0], option) for option in options)
-    # argparse reads every token before it takes any, so an ambiguous
-    # prefix is an error even after -h
-    reads = [_read(token, flags, command) for token in argv]
+    reads = [_read(token, flags) for token in argv]
     values = {option[1]: option[3] for option in options}
     seen = set()
     i = 0
     while i < len(argv):
         read = reads[i]
         i += 1
-        if read is None or read[0] is None:
+        if read is None or not read[0]:
             extras.append(argv[i - 1])
             continue
-        option, explicit = read
+        names, explicit = read
+        if len(names) > 1:
+            _fail(command, f"ambiguous option: {argv[i - 1]} could match {', '.join(names)}")
+        option = flags[names[0]]
         flag, dest, kind, _, choices, _, _ = option
         if kind is None or kind is bool:
             if explicit is not None:
@@ -438,25 +438,28 @@ def parse_args(argv):
     argv is read as argparse reads it: ``--opt value`` or ``--opt=value``,
     a long option cut to any unique prefix, the last of a repeated option
     kept, and a negative number or a token with a space a value, while
-    any other token that starts with - is an option.  A usage error exits
-    2 and -h or --help exits 0, each through SystemExit."""
+    any other token that starts with - is an option.  Where argparse
+    versions differ, it reads argv as later 3.12 and 3.13 releases do: an
+    ambiguous prefix fails only once it is reached, so not after -h, and
+    -h glued to letters (-hx) is -h.  A usage error exits 2 and -h or
+    --help exits 0, each through SystemExit."""
     top = {"-h": _HELP, "--help": _HELP}
     extras = []
     for i, token in enumerate(argv):
-        read = _read(token, top, None)
+        read = _read(token, top)
         if read is None:
             if token not in COMMANDS:
                 _fail(None, f"argument command: invalid choice: {token!r} "
                             f"(choose from {', '.join(COMMANDS)})")
             values = _parse_command(token, argv[i + 1:], extras)
             if extras:
-                _fail(token, f"unrecognized arguments: {' '.join(extras)}", "quasiinv")
+                _fail(None, f"unrecognized arguments: {' '.join(extras)}")
             return SimpleNamespace(command=token, **values, func=COMMANDS[token][1])
-        option, explicit = read
-        if option is None:
+        names, explicit = read
+        if not names:
             extras.append(token)
         elif explicit is not None:
-            _fail(None, f"argument {option[0]}: ignored explicit argument {explicit!r}")
+            _fail(None, f"argument {_HELP[0]}: ignored explicit argument {explicit!r}")
         else:
             _help(None)
     _fail(None, "the following arguments are required: command")

@@ -21,14 +21,15 @@ _HOMES = {
                  "vandermonde"),
     "symgroup": ("GroupAlgebraElem", "Perm", "act", "bracket", "parse_cycles"),
     "tableaux": ("Partition", "Tableau", "cocharge", "content", "f_lambda",
-                 "gamma", "gamma_apply", "hook_tableau", "standard_tableaux",
-                 "v_t"),
+                 "gamma", "gamma_apply", "hook_tableau", "in_gamma_component",
+                 "standard_tableaux", "v_t"),
+    "predicate": ("is_quasiinvariant",),
     "quasi": ("QIWitness", "change_of_basis_n2", "graded_dimension_oracle",
-              "is_quasiinvariant", "is_sym_basis"),
+              "is_sym_basis"),
     "hookbasis": ("HookSpec", "hook_basis", "q_closed_form", "q_integral"),
     "calogero": ("NonPolynomialError", "apply_lm"),
     "structure": ("HilbertReport", "det_degree", "full_hilbert",
-                  "in_gamma_component", "theorem_main_checks"),
+                  "theorem_main_checks"),
 }
 _HOME_OF = {name: module for module, names in _HOMES.items() for name in names}
 

@@ -182,7 +182,7 @@ def cmd_apply(args) -> int:
             raise ValueError("perm needs --sigma")
         image = act(parse_cycles(args.sigma, p.nvars), p)
     elif args.op == "delta2":
-        from .quasi import delta_sq_embed
+        from .predicate import delta_sq_embed
 
         image = delta_sq_embed(p, args.m)
     else:

@@ -472,6 +472,8 @@ def shift_coefficients(p: MultiPoly, a: int, b: int, k: int):
     n = p.nvars
     if a == b or not (1 <= a <= n and 1 <= b <= n):
         raise ValueError(f"need two different variables in 1..{n}, got {a} and {b}")
+    if k < 0:
+        raise ValueError(f"need k >= 0, got {k}")
     coeffs = [{} for _ in range(k + 1)]
     for exp, c in p.num.items():
         ea = exp[a - 1]

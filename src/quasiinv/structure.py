@@ -3,16 +3,16 @@ the degree of the change-of-basis determinant.
 
 The graded dimension generating function of QI_m is assembled per shape
 from the exponents m(C(n,2) - content(shape)) + cocharge(T) and divided by
-prod (1 - q^i).  The characterization checks join the oracle and the
-quasiinvariance predicate of ``quasi`` with the Young projectors of
-``tableaux``; they import ``quasi`` when they run, so the series alone
-does not load it.  Membership in V_T^(2m+1) R is tested one same-column
-pair at a time, by ``exactalg.shift_coefficients``.
+prod (1 - q^i).  The characterization check joins the oracle and the
+quasiinvariance predicate with the Young projectors of ``tableaux``; it
+imports ``quasi`` when it runs, so the series alone does not load it.
 ``theorem_main_checks`` checks the direct sum degree by degree: the bases
 of gamma_T R_d intersect V_T^(2m+1) R over all standard T, read off
 ``quasi.poly_relations``, are quasiinvariant, and together they are
 independent and dim QI_m,d in number.  The Sym-basis certificate, the n = 2
-change of basis and the Delta^2 chain, which need no projector, are in ``quasi``.
+change of basis and the Delta^2 chain, which need no projector, are in
+``quasi``; the membership test of one component, gamma_T R intersect
+V_T^(2m+1) R, is in ``tableaux``.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .exactalg import (
     ResourceGuardError,
     TheoremViolationError,
     series_expand,
-    shift_coefficients,
 )
 from .tableaux import (
     Tableau,
@@ -100,39 +99,6 @@ def full_hilbert(n: int, m: int, D: int) -> HilbertReport:
         shape_exponents=tuple(shape_exponents),
         per_shape_series=tuple(per_shape),
         total=tuple(total),
-    )
-
-
-def in_gamma_component(p: MultiPoly, t: Tableau, m: int) -> bool:
-    """Membership in gamma_T R intersect V_T^(2m+1) R."""
-    return gamma_component_verdicts(t, [p], m)[0]
-
-
-def gamma_component_verdicts(t: Tableau, polys, m: int) -> list:
-    """[in_gamma_component(p, t, m) for p in polys]: the nonzero members
-    are projected in one ``gamma_images`` run, and a member is in when
-    gamma_T fixes it and V_T^(2m+1) divides it."""
-    polys = list(polys)
-    if any(p.nvars != t.n for p in polys):
-        raise ValueError("size mismatch between polynomial and tableau")
-    nonzero = [p for p in polys if not p.is_zero()]
-    images = iter(gamma_images(t, nonzero) if nonzero else ())
-    return [p.is_zero() or (next(images) == p and _in_vt_ideal(p, t, m))
-            for p in polys]
-
-
-def _in_vt_ideal(p: MultiPoly, t: Tableau, m: int) -> bool:
-    """True iff V_T^(2m+1) divides p.
-
-    The same-column differences x_below - x_above are distinct linear
-    forms, hence pairwise coprime, so V_T^(2m+1) divides p exactly when
-    each (x_below - x_above)^(2m+1) does: at x_below = x_above + u the
-    coefficients of u^0..u^2m vanish.
-    """
-    return all(
-        c.is_zero()
-        for above, below in t.same_column_pairs()
-        for c in shift_coefficients(p, below, above, 2 * m)
     )
 
 

@@ -25,6 +25,12 @@ elements of Q S_n (``gamma``, ``_times_gamma``, ``alpha`` and
 ``apply --op gamma`` and the ``thm-main`` and ``hook`` suites do not load
 it.
 
+Membership in one component of the characterization, gamma_T R intersect
+V_T^(2m+1) R, is tested here too (``gamma_component_verdicts``): a
+polynomial is in when gamma_T fixes it and each same-column difference
+(x_below - x_above)^(2m+1) divides it, read off
+``exactalg.shift_coefficients``.
+
 Cell convention: (row i, column j), 1-based, with row 1 the longest row.
 Standardness: entries increase left-to-right along rows and top-to-bottom
 down columns.  Content is sum of (j - i) over cells, so a single column of
@@ -46,6 +52,7 @@ from .exactalg import (
     _apply_brackets,
     _bracket_group,
     _fold,
+    shift_coefficients,
 )
 
 
@@ -316,6 +323,41 @@ def v_t(t: Tableau) -> MultiPoly:
     for above, below in t.same_column_pairs():
         result = result * (MultiPoly.variable(n, below) - MultiPoly.variable(n, above))
     return result
+
+
+def in_gamma_component(p: MultiPoly, t: Tableau, m: int) -> bool:
+    """Membership in gamma_T R intersect V_T^(2m+1) R."""
+    return gamma_component_verdicts(t, [p], m)[0]
+
+
+def gamma_component_verdicts(t: Tableau, polys, m: int) -> list:
+    """[in_gamma_component(p, t, m) for p in polys]: the nonzero members
+    are projected in one ``gamma_images`` run, and a member is in when
+    gamma_T fixes it and V_T^(2m+1) divides it."""
+    if m < 0:
+        raise ValueError("m must be non-negative")
+    polys = list(polys)
+    if any(p.nvars != t.n for p in polys):
+        raise ValueError("size mismatch between polynomial and tableau")
+    nonzero = [p for p in polys if not p.is_zero()]
+    images = iter(gamma_images(t, nonzero) if nonzero else ())
+    return [p.is_zero() or (next(images) == p and _in_vt_ideal(p, t, m))
+            for p in polys]
+
+
+def _in_vt_ideal(p: MultiPoly, t: Tableau, m: int) -> bool:
+    """True iff V_T^(2m+1) divides p.
+
+    The same-column differences x_below - x_above are distinct linear
+    forms, hence pairwise coprime, so V_T^(2m+1) divides p exactly when
+    each (x_below - x_above)^(2m+1) does: at x_below = x_above + u the
+    coefficients of u^0..u^2m vanish.
+    """
+    return all(
+        c.is_zero()
+        for above, below in t.same_column_pairs()
+        for c in shift_coefficients(p, below, above, 2 * m)
+    )
 
 
 def _check_column_cell(t: Tableau, i: int, cell):

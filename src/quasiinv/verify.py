@@ -171,9 +171,8 @@ def suite_hook(n: int, m: int):
         q_integral,
         recursion_residual,
     )
-    from .quasi import is_quasiinvariant
-    from .structure import gamma_component_verdicts
-    from .tableaux import _projection_plan, hook_tableau
+    from .predicate import is_quasiinvariant
+    from .tableaux import _projection_plan, gamma_component_verdicts, hook_tableau
 
     grid = _hook_grid(n, m)
     # the projector guard of the shape; the plan is cached for the j = 2 line

@@ -20,15 +20,22 @@ from quasiinv.hookbasis import (
     q_integral,
     recursion_residual,
 )
+from quasiinv.predicate import is_quasiinvariant
 from quasiinv.quasi import (
     change_of_basis_n2,
     delta_sq_chain_check,
     graded_dimension_oracle,
-    is_quasiinvariant,
     is_sym_basis,
 )
-from quasiinv.structure import det_degree, full_hilbert, in_gamma_component
-from quasiinv.tableaux import Partition, f_lambda, gamma, hook_tableau, v_t
+from quasiinv.structure import det_degree, full_hilbert
+from quasiinv.tableaux import (
+    Partition,
+    f_lambda,
+    gamma,
+    hook_tableau,
+    in_gamma_component,
+    v_t,
+)
 from quasiinv.verify import run_suite
 from reference import divide_exact, paper_basis
 

@@ -73,7 +73,7 @@ class TestOperatorBasics:
                     assert image.degree() == d - 2
 
     def test_preserves_quasiinvariance(self):
-        from quasiinv.quasi import is_quasiinvariant
+        from quasiinv.predicate import is_quasiinvariant
 
         for p in graded_dimension_oracle(2, 2, 7).basis:
             image = apply_lm(p, 2)

@@ -663,9 +663,9 @@ class TestIdentityFailure:
             "enumeration 1 != hook formula 0 for ")
 
     def test_delta2(self, capsys, monkeypatch, tmp_path):
-        from quasiinv import quasi
+        from quasiinv import predicate
 
-        monkeypatch.setattr(quasi, "is_quasiinvariant", lambda p, m: m == 0)
+        monkeypatch.setattr(predicate, "is_quasiinvariant", lambda p, m: m == 0)
         path = write_poly(tmp_path, MultiPoly.constant(2, 1))
         assert_one_line_identity_failure(
             *run(capsys, "apply", "--op", "delta2", "--m", "0", "--in", path),

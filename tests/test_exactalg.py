@@ -340,6 +340,12 @@ class TestShift:
         with pytest.raises(ValueError):
             shift_coefficients(x(1), a, b, 2)
 
+    @pytest.mark.parametrize("k", [-1, -2])
+    def test_rejects_negative_power(self, k):
+        # an empty list would read as "no coefficient is nonzero"
+        with pytest.raises(ValueError, match=f"need k >= 0, got {k}"):
+            shift_coefficients(x(1), 1, 2, k)
+
 
 class TestCalculus:
     def test_partial_derivative(self):

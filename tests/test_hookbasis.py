@@ -17,9 +17,8 @@ from quasiinv.hookbasis import (
     q_integral,
     recursion_residual,
 )
-from quasiinv.quasi import is_quasiinvariant
-from quasiinv.structure import in_gamma_component
-from quasiinv.tableaux import hook_tableau
+from quasiinv.predicate import is_quasiinvariant
+from quasiinv.tableaux import hook_tableau, in_gamma_component
 from reference import divide_exact, ref_q_integral, ref_recursion_residual
 
 

@@ -5,9 +5,9 @@ CLI command loads only the modules it calls: the package's exports, the
 CLI's subcommands, the verify suites and the functions of ``tableaux``
 that build group-algebra elements import their modules on first use.  ``COMMANDS`` pins the
 exact module set of every subcommand, ``apply`` operation and ``verify``
-suite, and three invariants pin that none of them loads ``fractions``
+suite, and four invariants pin that none of them loads ``fractions``
 (with ``decimal`` and ``numbers``) or ``argparse`` (with ``gettext`` and
-``locale``) and which of them load ``json`` and ``symgroup``.
+``locale``) and which of them load ``json``, ``symgroup`` and ``quasi``.
 """
 
 import ast
@@ -32,7 +32,8 @@ ALLOWED = {
     "exactalg": set(),
     "symgroup": {"exactalg"},
     "tableaux": {"exactalg"},
-    "quasi": {"exactalg"},
+    "predicate": {"exactalg"},
+    "quasi": {"exactalg", "predicate"},
     "jsonio": {"exactalg"},
     "hookbasis": {"exactalg"},
     "calogero": {"exactalg"},
@@ -140,10 +141,10 @@ def modules_after(*argv):
 # command -> the package modules it loads besides cli and exactalg, which
 # every command loads; "{poly}" stands for a JSON polynomial file
 COMMANDS = [
-    (("oracle", "--n", "3", "--m", "1", "--d", "2"), {"jsonio", "quasi"}),
-    (("detcheck", "--m", "0"), {"jsonio", "quasi"}),
+    (("oracle", "--n", "3", "--m", "1", "--d", "2"), {"jsonio", "predicate", "quasi"}),
+    (("detcheck", "--m", "0"), {"jsonio", "predicate", "quasi"}),
     (("hilbert", "--n", "3", "--m", "1", "--D", "4", "--oracle"),
-     {"jsonio", "quasi", "structure", "tableaux"}),
+     {"jsonio", "predicate", "quasi", "structure", "tableaux"}),
     (("hilbert", "--n", "3", "--m", "1", "--D", "4"),
      {"jsonio", "structure", "tableaux"}),
     (("basis", "--n", "3", "--m", "1", "--j", "2", "--verify"),
@@ -154,20 +155,20 @@ COMMANDS = [
      {"jsonio", "calogero"}),
     (("apply", "--op", "perm", "--in", "{poly}", "--sigma", "(1,2)"),
      {"jsonio", "symgroup"}),
-    (("apply", "--op", "delta2", "--in", "{poly}", "--m", "0"), {"jsonio", "quasi"}),
+    (("apply", "--op", "delta2", "--in", "{poly}", "--m", "0"), {"jsonio", "predicate"}),
     (("verify", "--suite", "groupalgebra", "--n", "3", "--seed", "1"),
-     {"verify", "quasi", "tableaux", "symgroup"}),
+     {"verify", "predicate", "quasi", "tableaux", "symgroup"}),
     (("verify", "--suite", "thm-main", "--n", "3", "--m", "1"),
-     {"verify", "quasi", "structure", "tableaux"}),
+     {"verify", "predicate", "quasi", "structure", "tableaux"}),
     (("verify", "--suite", "hook", "--n", "3", "--m", "1"),
-     {"verify", "hookbasis", "quasi", "structure", "tableaux"}),
+     {"verify", "hookbasis", "predicate", "tableaux"}),
     (("verify", "--suite", "lm", "--n", "3", "--m", "1"),
      {"verify", "calogero", "hookbasis"}),
     (("verify", "--suite", "chain", "--n", "3", "--m", "1"),
-     {"verify", "quasi", "structure", "tableaux"}),
+     {"verify", "predicate", "quasi", "structure", "tableaux"}),
     (("verify", "--suite", "all", "--n", "3", "--m", "1", "--seed", "1"),
-     {"verify", "calogero", "hookbasis", "quasi", "structure", "tableaux",
-      "symgroup"}),
+     {"verify", "calogero", "hookbasis", "predicate", "quasi", "structure",
+      "tableaux", "symgroup"}),
 ]
 
 
@@ -223,6 +224,16 @@ def test_only_permutations_and_group_algebra_load_symgroup(loaded):
     assert rows_loading(loaded, "quasiinv.symgroup") == {
         ("apply", "--op", "perm"), ("verify", "--suite", "groupalgebra"),
         ("verify", "--suite", "all")}
+
+
+def test_only_elimination_loads_quasi(loaded):
+    # the quasiinvariance predicate and the membership test live in
+    # predicate and tableaux, so only the commands that run the oracle or
+    # its elimination core compile quasi; the two hilbert rows share one key
+    assert rows_loading(loaded, "quasiinv.quasi") == {
+        ("oracle", "--n", "3"), ("detcheck", "--m", "0"), ("hilbert", "--n", "3"),
+        ("verify", "--suite", "groupalgebra"), ("verify", "--suite", "thm-main"),
+        ("verify", "--suite", "chain"), ("verify", "--suite", "all")}
 
 
 def test_table_covers_every_command_op_and_suite():

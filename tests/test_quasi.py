@@ -10,26 +10,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quasiinv import quasi, structure
+from quasiinv import predicate, quasi, structure, tableaux
 from quasiinv.exactalg import MultiPoly, elementary_symmetric, vandermonde
+from quasiinv.predicate import delta_sq_embed, is_quasiinvariant
 from quasiinv.quasi import (
     ResourceGuardError,
     change_of_basis_n2,
-    delta_sq_embed,
     graded_dimension_oracle,
     integer_nullspace,
-    is_quasiinvariant,
     is_sym_basis,
     monomials_of_degree,
     poly_rank,
 )
-from quasiinv.structure import in_gamma_component, theorem_main_checks
+from quasiinv.structure import theorem_main_checks
 from quasiinv.symgroup import Perm, act
 from quasiinv.tableaux import (
     Partition,
     f_lambda,
     gamma_apply,
     hook_tableau,
+    in_gamma_component,
     partitions_of,
     standard_tableaux,
     v_t,
@@ -335,13 +335,13 @@ class TestStreamingPredicate:
 
     def test_stops_at_the_first_failing_pair(self, monkeypatch):
         pairs = []
-        real = quasi._pair_terms
+        real = predicate._pair_terms
 
         def spy(i, j, m, monomials):
             pairs.append((i, j))
             return real(i, j, m, monomials)
 
-        monkeypatch.setattr(quasi, "_pair_terms", spy)
+        monkeypatch.setattr(predicate, "_pair_terms", spy)
         assert not is_quasiinvariant(x(1, 4) ** 2 * x(3, 4), 1)
         assert pairs == [(1, 2)]
         pairs.clear()
@@ -490,6 +490,31 @@ class TestGammaComponent:
         t = standard_tableaux(Partition([3]))[0]
         assert in_gamma_component(elementary_symmetric(3, 2), t, 1)
 
+    def test_divisible_but_not_fixed_is_out(self):
+        # V_T divides V_T x_1, but gamma_T moves it: both conditions count
+        t = hook_tableau(3, 2)
+        vt = v_t(t)
+        polys = [vt, vt * x(1, 3), MultiPoly.zero(3), vt * x(3, 3)]
+        assert gamma_apply(t, polys[1]) != polys[1]
+        assert tableaux.gamma_component_verdicts(t, polys, 0) == [True, False, True, True]
+        assert not in_gamma_component(polys[1], t, 0)
+
+    @pytest.mark.parametrize("t", [standard_tableaux(Partition([3]))[0], hook_tableau(3, 2)],
+                             ids=["row", "hook"])
+    def test_negative_m_is_refused_before_any_projection(self, monkeypatch, t):
+        # gamma_T fixes e_2 on the row and V_T e_2 on the hook: a negative
+        # power of V_T must not pass as no condition at all
+        def refuse(*args):
+            raise AssertionError("projected before the refusal")
+
+        monkeypatch.setattr(tableaux, "_apply_brackets", refuse)
+        p = v_t(t) * elementary_symmetric(3, 2)
+        for m in (-1, -2):
+            with pytest.raises(ValueError, match="m must be non-negative"):
+                in_gamma_component(p, t, m)
+            with pytest.raises(ValueError, match="m must be non-negative"):
+                tableaux.gamma_component_verdicts(t, [], m)
+
     @pytest.mark.parametrize("m", [0, 1])
     @pytest.mark.parametrize(
         "t",
@@ -510,8 +535,8 @@ class TestGammaComponent:
                       for above, below in t.same_column_pairs()]
             for f in cases:
                 expected = divide_exact(f, vt ** (2 * m + 1)) is not None
-                assert structure._in_vt_ideal(f, t, m) == expected
-            assert structure._in_vt_ideal(cases[0], t, m)
+                assert tableaux._in_vt_ideal(f, t, m) == expected
+            assert tableaux._in_vt_ideal(cases[0], t, m)
 
 
 class TestDeltaSqEmbed:
@@ -537,7 +562,7 @@ class TestDeltaSqEmbed:
                 assert delta_sq_embed(p, m) == vandermonde(n) ** 2 * p
 
     def test_term_table_counts_delta_squared(self):
-        assert quasi._DELTA_SQ_TERMS == {
+        assert predicate._DELTA_SQ_TERMS == {
             n: len((vandermonde(n) ** 2).num) for n in range(1, 7)}
 
     @pytest.mark.parametrize("p, text", [
@@ -552,8 +577,8 @@ class TestDeltaSqEmbed:
         def refuse(*args):
             raise AssertionError("the guard ran after the work began")
 
-        monkeypatch.setattr(quasi, "is_quasiinvariant", refuse)
-        monkeypatch.setattr(quasi, "vandermonde", refuse)
+        monkeypatch.setattr(predicate, "is_quasiinvariant", refuse)
+        monkeypatch.setattr(predicate, "vandermonde", refuse)
         with pytest.raises(ResourceGuardError, match=re.escape(text)):
             delta_sq_embed(p, 0)
 

@@ -17,7 +17,6 @@ from quasiinv.structure import (
     HILBERT_MAX_N,
     det_degree,
     full_hilbert,
-    in_gamma_component,
     numerator_exponent,
 )
 from quasiinv.tableaux import (
@@ -25,6 +24,7 @@ from quasiinv.tableaux import (
     content,
     f_lambda,
     hook_tableau,
+    in_gamma_component,
     partitions_of,
     standard_tableaux,
 )

@@ -17,8 +17,7 @@ import importlib
 _HOMES = {
     "exactalg": ("DimensionMismatch", "MultiPoly", "ResourceGuardError",
                  "TheoremViolationError", "elementary_symmetric",
-                 "partial_derivative", "series_expand", "t_integrate_definite",
-                 "vandermonde"),
+                 "t_integrate_definite", "vandermonde"),
     "symgroup": ("GroupAlgebraElem", "Perm", "act", "bracket", "parse_cycles"),
     "tableaux": ("Partition", "Tableau", "cocharge", "content", "f_lambda",
                  "gamma", "gamma_apply", "hook_tableau", "in_gamma_component",
@@ -28,7 +27,7 @@ _HOMES = {
               "is_sym_basis"),
     "hookbasis": ("HookSpec", "hook_basis", "q_closed_form", "q_integral"),
     "calogero": ("NonPolynomialError", "apply_lm"),
-    "structure": ("HilbertReport", "det_degree", "full_hilbert",
+    "structure": ("HilbertReport", "det_degree", "full_hilbert", "series_expand",
                   "theorem_main_checks"),
 }
 _HOME_OF = {name: module for module, names in _HOMES.items() for name in names}

@@ -2,17 +2,26 @@
 
 All numeric work is exact; output is canonical JSON or plain text, written
 to stdout or to --out, and byte-identical across repeated invocations with
-the same flags.  Each subcommand imports the layers it calls when it runs,
-so a command loads only those modules; ``json`` and ``jsonio`` are loaded
-only by a command that reads or writes JSON, and ``verify``, which prints
-plain text, loads neither.  The options of every command are one table,
+the same flags.  The options of every command are one table,
 ``COMMANDS``, from which ``parse_args`` reads argv and writes the usage
 and help texts, so no command loads argparse.  A usage error prints a
 usage line, the command's for an error in that command's options and the
 top level's otherwise, and one ``quasiinv[ <command>]: error: ...`` line
-and exits 2, and ``-h`` prints the help and exits 0, each by SystemExit.  A refused request raises
-ValueError and a failed identity TheoremViolationError; ``main`` alone
-turns them into one stderr line and exit 2 or exit 1.
+and exits 2, and ``-h`` prints the help and exits 0, each by SystemExit.
+A refused request raises ValueError and a failed identity
+TheoremViolationError; ``main`` alone turns them into one stderr line and
+exit 2 or exit 1.
+
+This module holds no command's code.  Each row of ``COMMANDS`` names its
+handler as (module, function name), in the module whose result it prints
+(``hookbasis``, ``verify``, ``structure``, ``jsonio`` or ``quasi``), and
+``parse_args`` imports that module only once argv is accepted, so a
+command compiles only its own handler and ``-h`` or a usage error
+compiles none.  A handler imports the further layers it calls when it
+runs, ``json`` and ``jsonio`` only where it reads or writes JSON
+(``verify`` prints plain text and loads neither), and returns its text
+and exit code; ``main`` writes the text to stdout or --out, so a failed
+write is a refusal like any other, and no module imports ``cli``.
 
 ``main`` returns the exit code and is what the tests call.  A process
 (``python -m quasiinv`` and the ``quasiinv`` console script) enters
@@ -24,6 +33,7 @@ each cached plan, bracket and polynomial one by one, writing nothing.
 
 from __future__ import annotations
 
+import importlib
 import os
 import sys
 from types import SimpleNamespace
@@ -40,194 +50,6 @@ def _emit(text: str, out_path: str | None):
         sys.stdout.write(text)
 
 
-def _poly_text(p: MultiPoly) -> str:
-    return p.to_text() + "\n"
-
-
-def cmd_basis(args) -> int:
-    from .hookbasis import hook_basis
-
-    basis = hook_basis(args.n, args.m, args.j, verify=args.verify)
-    if args.format == "json":
-        from . import jsonio
-
-        obj = {
-            "n": args.n,
-            "m": args.m,
-            "j": args.j,
-            "degrees": [p.degree() for p in basis],
-            "basis": [jsonio.poly_to_obj(p) for p in basis],
-        }
-        if args.verify:
-            obj["verified"] = True
-        text = jsonio.dumps(obj)
-    else:
-        lines = [
-            f"Q^({k},{args.m}) [degree {p.degree()}] = {p.to_text()}"
-            for k, p in enumerate(basis)
-        ]
-        if args.verify:
-            lines.append("verification: dual construction and degree contract PASS")
-        text = "\n".join(lines) + "\n"
-    _emit(text, args.out)
-    return 0
-
-
-def cmd_verify(args) -> int:
-    from .verify import run_suite
-
-    results = run_suite(args.suite, args.n, args.m)
-    lines = [f"suite={args.suite} n={args.n} m={args.m} seed={args.seed}"]
-    for name, passed, detail in results:
-        lines.append(f"{name}: {'PASS' if passed else 'FAIL'} ({detail})")
-    failed = [name for name, passed, _ in results if not passed]
-    lines.append(f"result: {len(results) - len(failed)}/{len(results)} passed")
-    _emit("\n".join(lines) + "\n", args.out)
-    return 1 if failed else 0
-
-
-def cmd_hilbert(args) -> int:
-    from .structure import _refuse_hilbert, full_hilbert
-
-    oracle = None
-    if args.oracle:
-        from .quasi import _refuse_above_cap, _refuse_oracle_n, graded_dimension_oracle
-
-        # the series' limits, then the oracle's, before any degree is computed
-        _refuse_hilbert(args.n, args.m, args.D)
-        _refuse_oracle_n(args.n)
-        _refuse_above_cap(args.D)
-    report = full_hilbert(args.n, args.m, args.D)
-    if args.oracle:
-        oracle = []
-        for d in range(args.D + 1):
-            dim = graded_dimension_oracle(args.n, args.m, d).dimension
-            oracle.append(
-                {
-                    "degree": d,
-                    "oracle": dim,
-                    "series": report.total[d],
-                    "match": dim == report.total[d],
-                }
-            )
-    agree = oracle is None or all(entry["match"] for entry in oracle)
-    if args.format == "json":
-        from . import jsonio
-
-        text = jsonio.dumps(jsonio.hilbert_report_to_obj(report, oracle))
-    else:
-        lines = [f"Hilbert series of QI_{args.m} for n={args.n} through q^{args.D}"]
-        for parts, exps in report.shape_exponents:
-            lines.append(f"  shape {list(parts)}: numerator exponents {list(exps)}")
-        lines.append(f"  total coefficients: {list(report.total)}")
-        if oracle is not None:
-            lines.append("  oracle agreement: " + ("PASS" if agree else "FAIL"))
-            for entry in oracle:
-                if not entry["match"]:
-                    lines.append(
-                        f"    degree {entry['degree']}: oracle {entry['oracle']} "
-                        f"!= series {entry['series']}"
-                    )
-        text = "\n".join(lines) + "\n"
-    _emit(text, args.out)
-    return 0 if agree else 1
-
-
-def _parse_json(text: str, option: str):
-    """The JSON value given to ``option``; nesting too deep for the decoder
-    is refused like any other malformed input."""
-    import json
-
-    try:
-        return json.loads(text)
-    except RecursionError:
-        raise ValueError(f"{option} JSON is nested too deeply") from None
-
-
-def cmd_apply(args) -> int:
-    from . import jsonio
-
-    with open(args.infile, "r", encoding="utf-8") as fh:
-        p = jsonio.poly_from_obj(_parse_json(fh.read(), "--in"))
-    if args.op == "gamma":
-        from .tableaux import Partition, Tableau, gamma_apply, hook_tableau
-
-        if args.tableau:
-            t = Tableau(_parse_json(args.tableau, "--tableau"))
-        elif not args.shape:
-            raise ValueError("gamma needs --shape or --tableau")
-        else:
-            shape = Partition(int(v) for v in args.shape.split(","))
-            if len(shape.parts) != 2 or shape.parts[1] != 1:
-                raise ValueError("give --tableau for non-hook shapes")
-            if args.j is None:
-                raise ValueError("gamma on a hook shape needs --j")
-            t = hook_tableau(shape.size, args.j)
-        if t.n != p.nvars:
-            raise ValueError("tableau size does not match nvars")
-        image = gamma_apply(t, p)
-    elif args.op == "lm":
-        from .calogero import NonPolynomialError, apply_lm
-
-        try:
-            image = apply_lm(p, args.m)
-        except NonPolynomialError as exc:
-            _emit(jsonio.dumps({"error": "NonPolynomial", "detail": str(exc)}),
-                  args.out)
-            return 1
-    elif args.op == "perm":
-        from .symgroup import act, parse_cycles
-
-        if args.sigma is None:
-            raise ValueError("perm needs --sigma")
-        image = act(parse_cycles(args.sigma, p.nvars), p)
-    elif args.op == "delta2":
-        from .predicate import delta_sq_embed
-
-        image = delta_sq_embed(p, args.m)
-    else:
-        raise ValueError(f"unknown op {args.op!r}")
-    if args.format == "json":
-        _emit(jsonio.dumps(jsonio.poly_to_obj(image)), args.out)
-    else:
-        _emit(_poly_text(image), args.out)
-    return 0
-
-
-def cmd_oracle(args) -> int:
-    from . import jsonio
-    from .quasi import graded_dimension_oracle
-
-    witness = graded_dimension_oracle(args.n, args.m, args.d)
-    _emit(jsonio.dumps(jsonio.witness_to_obj(witness, seed=args.seed)), args.out)
-    return 0
-
-
-def cmd_detcheck(args) -> int:
-    from .quasi import change_of_basis_n2
-
-    matrix, determinant = change_of_basis_n2(args.m)
-    if args.format == "json":
-        from . import jsonio
-
-        obj = {
-            "m": args.m,
-            "matrix": [[jsonio.poly_to_obj(entry) for entry in row] for row in matrix],
-            "determinant": jsonio.poly_to_obj(determinant),
-            "equals_vandermonde_squared": True,
-        }
-        _emit(jsonio.dumps(obj), args.out)
-    else:
-        lines = [
-            f"change-of-basis matrix (m={args.m}):",
-            f"  [{matrix[0][0].to_text()}, {matrix[0][1].to_text()}]",
-            f"  [{matrix[1][0].to_text()}, {matrix[1][1].to_text()}]",
-            f"determinant = {determinant.to_text()} = Delta_2^2",
-        ]
-        _emit("\n".join(lines) + "\n", args.out)
-    return 0
-
-
 def _option(flag, type=str, default=None, choices=None, required=False, help="",
             dest=None):
     return (flag, dest or flag[2:], type, default, choices, required, help)
@@ -239,19 +61,21 @@ _FORMAT = _option("--format", choices=("json", "text"), default="json")
 _DESCRIPTION = ("Exact construction and verification of the m-quasiinvariants "
                "of the symmetric group.")
 
-# The option table: command -> (help, handler, options).  Each option is
-# (flag, dest, type, default, choices, required, help); the type is int,
-# str or bool, and a bool option is a flag that takes no value and stores
-# True.  parse_args and the usage and help texts are derived from it.
+# The option table: command -> (help, (handler module, handler name),
+# options).  A handler takes the namespace and returns (text, exit code).
+# Each option is (flag, dest, type, default, choices, required, help); the
+# type is int, str or bool, and a bool option is a flag that takes no
+# value and stores True.  parse_args and the usage and help texts are
+# derived from it.
 COMMANDS = {
-    "basis": ("emit the hook-shape basis polynomials", cmd_basis, (
+    "basis": ("emit the hook-shape basis polynomials", ("hookbasis", "cmd_basis"), (
         _option("--n", int, required=True),
         _option("--m", int, required=True),
         _option("--j", int, required=True),
         _option("--verify", bool, False,
                 help="assert the dual construction and degree contract"),
         _OUT, _FORMAT)),
-    "verify": ("run a named property suite", cmd_verify, (
+    "verify": ("run a named property suite", ("verify", "cmd_verify"), (
         _option("--suite", choices=SUITES + ("all",), required=True),
         _option("--n", int, required=True),
         _option("--m", int, 1),
@@ -259,14 +83,14 @@ COMMANDS = {
                 help="only recorded in the header; no suite draws random input"),
         _OUT)),
     "hilbert": ("graded dimension series, optionally cross-checked against the "
-                "brute-force oracle", cmd_hilbert, (
+                "brute-force oracle", ("structure", "cmd_hilbert"), (
         _option("--n", int, required=True),
         _option("--m", int, required=True),
         _option("--D", int, required=True),
         _option("--oracle", bool, False),
         _OUT, _FORMAT)),
     "apply": ("apply gamma_T, L_m, a permutation, or the Delta^2 embedding to a "
-              "JSON polynomial", cmd_apply, (
+              "JSON polynomial", ("jsonio", "cmd_apply"), (
         _option("--op", choices=("gamma", "lm", "perm", "delta2"), required=True),
         _option("--in", dest="infile", required=True),
         _option("--shape", help="partition, e.g. 2,1 (gamma)"),
@@ -275,14 +99,14 @@ COMMANDS = {
         _option("--m", int, 0, help="operator order (lm, delta2)"),
         _option("--sigma", help='cycle notation, e.g. "(1,2)" (perm)'),
         _OUT, _FORMAT)),
-    "oracle": ("dump an exact graded witness basis", cmd_oracle, (
+    "oracle": ("dump an exact graded witness basis", ("quasi", "cmd_oracle"), (
         _option("--n", int, required=True),
         _option("--m", int, required=True),
         _option("--d", int, required=True),
         _option("--seed", int, 0,
                 help="only recorded in the output; the oracle draws nothing"),
         _OUT)),
-    "detcheck": ("n=2 change-of-basis determinant check", cmd_detcheck, (
+    "detcheck": ("n=2 change-of-basis determinant check", ("quasi", "cmd_detcheck"), (
         _option("--m", int, required=True),
         _OUT, _FORMAT)),
 }
@@ -433,7 +257,8 @@ def _parse_command(command, argv, extras):
 
 def parse_args(argv):
     """The namespace of ``argv``: ``command``, every option of the command
-    by its dest, and ``func``, the command's handler.
+    by its dest, and ``func``, the command's handler, whose module is
+    imported only here, once argv is accepted.
 
     argv is read as argparse reads it: ``--opt value`` or ``--opt=value``,
     a long option cut to any unique prefix, the last of a repeated option
@@ -454,7 +279,9 @@ def parse_args(argv):
             values = _parse_command(token, argv[i + 1:], extras)
             if extras:
                 _fail(None, f"unrecognized arguments: {' '.join(extras)}")
-            return SimpleNamespace(command=token, **values, func=COMMANDS[token][1])
+            module, name = COMMANDS[token][1]
+            func = getattr(importlib.import_module(f".{module}", __package__), name)
+            return SimpleNamespace(command=token, **values, func=func)
         names, explicit = read
         if not names:
             extras.append(token)
@@ -468,7 +295,9 @@ def parse_args(argv):
 def main(argv=None) -> int:
     args = parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
-        return args.func(args)
+        text, code = args.func(args)
+        _emit(text, args.out)
+        return code
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

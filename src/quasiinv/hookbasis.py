@@ -6,6 +6,7 @@ closed-form coefficient formula in the separation variable z = x_2 - x_1
 (transposed to general j) is an independent second construction, used only
 to cross-check the first.  The limit formula reads the quotient by
 (x_j - x_1)^(2m+1) at x_1 = x_j off the expansion at x_1 = x_j + u.
+``cmd_basis`` is the handler of the ``basis`` command.
 """
 
 from __future__ import annotations
@@ -222,3 +223,30 @@ def hook_basis(n: int, m: int, j: int, verify: bool = False):
                 raise TheoremViolationError(f"degree contract failed for {spec}")
         basis.append(q)
     return basis
+
+
+def cmd_basis(args):
+    """``basis``: the hook basis of ``args``, as JSON or text."""
+    basis = hook_basis(args.n, args.m, args.j, verify=args.verify)
+    if args.format == "json":
+        from . import jsonio
+
+        obj = {
+            "n": args.n,
+            "m": args.m,
+            "j": args.j,
+            "degrees": [p.degree() for p in basis],
+            "basis": [jsonio.poly_to_obj(p) for p in basis],
+        }
+        if args.verify:
+            obj["verified"] = True
+        text = jsonio.dumps(obj)
+    else:
+        lines = [
+            f"Q^({k},{args.m}) [degree {p.degree()}] = {p.to_text()}"
+            for k, p in enumerate(basis)
+        ]
+        if args.verify:
+            lines.append("verification: dual construction and degree contract PASS")
+        text = "\n".join(lines) + "\n"
+    return text, 0

@@ -11,9 +11,12 @@ residual; the oracle of ``quasi`` takes the same rows over all monomials
 of degree d.  ``delta_sq_embed`` multiplies an m-quasiinvariant by
 Delta_n^2 and checks the product with the predicate.
 
-The module depends on ``exactalg`` alone, so a command that only tests
-quasiinvariance (``apply --op delta2``, the ``hook`` suite) loads neither
-the oracle nor its elimination core.
+The module imports ``exactalg`` alone at its top level, so a command
+that only tests quasiinvariance (``apply --op delta2``, the ``hook``
+suite) loads neither the oracle nor its elimination core.  The fold comes
+from the transposition kernel, ``brackets``, which ``is_quasiinvariant``
+imports when it runs: the oracle takes only ``_pair_terms`` from here, so
+``oracle`` does not compile the kernel.
 """
 
 from __future__ import annotations
@@ -21,13 +24,7 @@ from __future__ import annotations
 import functools
 import math
 
-from .exactalg import (
-    MultiPoly,
-    ResourceGuardError,
-    TheoremViolationError,
-    _fold,
-    vandermonde,
-)
+from .exactalg import MultiPoly, ResourceGuardError, TheoremViolationError, vandermonde
 
 # The terms of Delta_n^2 for n = 1..6.  At n = 7 squaring the Vandermonde
 # alone (1,392,385 terms) took 32 s, so delta2 stops at 6 variables, and
@@ -43,13 +40,15 @@ def is_quasiinvariant(p: MultiPoly, m: int) -> bool:
 
     Pair by pair, p's integer numerators are folded onto the exponents with
     e_i > e_j by the signed fold of the bracket over {i, j}
-    (``exactalg._fold``: a term with e_i < e_j is subtracted at its swap, one
+    (``brackets._fold``: a term with e_i < e_j is subtracted at its swap, one
     with e_i = e_j dropped), which is exact as W(b, a, t) = -W(a, b, t) at
     the odd t of ``_pair_terms``, and summed into its rows; the first pair with
     a nonzero residual ends the check, so no later pair is expanded.  A
     row's key fixes the degree of its monomials, so p need not be
     homogeneous.
     """
+    from .brackets import _fold
+
     if m < 0:
         raise ValueError("m must be non-negative")
     n = p.nvars

@@ -10,7 +10,9 @@ here too: the containment chain with the Delta^2 embedding of QI_m into
 QI_(m+1), the Sym-basis certificate, and on it the n = 2 change of basis
 between QI_(m+1) and QI_m.  The module depends on ``exactalg`` and
 ``predicate`` alone; the checks of the projection characterization, which
-also need the Young projectors, are in ``structure``.
+also need the Young projectors, are in ``structure``.  The handlers of
+the ``oracle`` and ``detcheck`` commands, which print the witness and the
+n = 2 change of basis, are here too.
 
 The one linear-algebra core behind the oracle and ``poly_rank`` finds the
 pivot pattern by sparse elimination modulo a 61-bit prime, lifts the
@@ -407,3 +409,35 @@ def graded_dimension_oracle(n: int, m: int, d: int) -> QIWitness:
         for vec in basis_vectors
     )
     return QIWitness(n=n, m=m, degree=d, basis=basis)
+
+
+def cmd_oracle(args):
+    """``oracle``: the witness of degree d as JSON."""
+    from . import jsonio
+
+    witness = graded_dimension_oracle(args.n, args.m, args.d)
+    return jsonio.dumps(jsonio.witness_to_obj(witness, seed=args.seed)), 0
+
+
+def cmd_detcheck(args):
+    """``detcheck``: the n = 2 change of basis and its determinant."""
+    matrix, determinant = change_of_basis_n2(args.m)
+    if args.format == "json":
+        from . import jsonio
+
+        obj = {
+            "m": args.m,
+            "matrix": [[jsonio.poly_to_obj(entry) for entry in row] for row in matrix],
+            "determinant": jsonio.poly_to_obj(determinant),
+            "equals_vandermonde_squared": True,
+        }
+        text = jsonio.dumps(obj)
+    else:
+        lines = [
+            f"change-of-basis matrix (m={args.m}):",
+            f"  [{matrix[0][0].to_text()}, {matrix[0][1].to_text()}]",
+            f"  [{matrix[1][0].to_text()}, {matrix[1][1].to_text()}]",
+            f"determinant = {determinant.to_text()} = Delta_2^2",
+        ]
+        text = "\n".join(lines) + "\n"
+    return text, 0

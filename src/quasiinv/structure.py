@@ -12,7 +12,9 @@ of gamma_T R_d intersect V_T^(2m+1) R over all standard T, read off
 independent and dim QI_m,d in number.  The Sym-basis certificate, the n = 2
 change of basis and the Delta^2 chain, which need no projector, are in
 ``quasi``; the membership test of one component, gamma_T R intersect
-V_T^(2m+1) R, is in ``tableaux``.
+V_T^(2m+1) R, is in ``tableaux``.  The series' one consumer is here:
+the q-series expansion (``series_expand``) and the ``hilbert`` command's
+handler.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from .exactalg import (
     MultiPoly,
     ResourceGuardError,
     TheoremViolationError,
-    series_expand,
 )
 from .tableaux import (
     Tableau,
@@ -76,6 +77,25 @@ def _refuse_hilbert(n: int, m: int, D: int):
         raise ValueError("m and D must be non-negative")
     if D > HILBERT_MAX_D:
         raise ResourceGuardError(f"hilbert limited to D <= {HILBERT_MAX_D}, got {D}")
+
+
+def series_expand(exponents, n: int, D: int) -> tuple:
+    """(c_0, ..., c_D): the coefficients of sum_e q^e / prod_{i=1..n} (1 - q^i)
+    through q^D, for ``exponents`` the numerator's exponent multiset.
+
+    Division by (1 - q^i) is the stride-i prefix sum, which is exact over
+    the integers because the constant term of each factor is 1.
+    """
+    if D < 0:
+        raise ValueError("D must be non-negative")
+    coeffs = [0] * (D + 1)
+    for e in exponents:
+        if 0 <= e <= D:
+            coeffs[e] += 1
+    for i in range(1, n + 1):
+        for d in range(i, D + 1):
+            coeffs[d] += coeffs[d - i]
+    return tuple(coeffs)
 
 
 def full_hilbert(n: int, m: int, D: int) -> HilbertReport:
@@ -176,3 +196,49 @@ def det_degree(n: int) -> int:
     if by_shapes != closed:
         raise TheoremViolationError(f"degree formulas disagree: {by_shapes} != {closed}")
     return closed
+
+
+def cmd_hilbert(args):
+    """``hilbert``: the series through q^D, with --oracle checked degree by
+    degree against the oracle, and exit 1 where they disagree."""
+    oracle = None
+    if args.oracle:
+        from .quasi import _refuse_above_cap, _refuse_oracle_n, graded_dimension_oracle
+
+        # the series' limits, then the oracle's, before any degree is computed
+        _refuse_hilbert(args.n, args.m, args.D)
+        _refuse_oracle_n(args.n)
+        _refuse_above_cap(args.D)
+    report = full_hilbert(args.n, args.m, args.D)
+    if args.oracle:
+        oracle = []
+        for d in range(args.D + 1):
+            dim = graded_dimension_oracle(args.n, args.m, d).dimension
+            oracle.append(
+                {
+                    "degree": d,
+                    "oracle": dim,
+                    "series": report.total[d],
+                    "match": dim == report.total[d],
+                }
+            )
+    agree = oracle is None or all(entry["match"] for entry in oracle)
+    if args.format == "json":
+        from . import jsonio
+
+        text = jsonio.dumps(jsonio.hilbert_report_to_obj(report, oracle))
+    else:
+        lines = [f"Hilbert series of QI_{args.m} for n={args.n} through q^{args.D}"]
+        for parts, exps in report.shape_exponents:
+            lines.append(f"  shape {list(parts)}: numerator exponents {list(exps)}")
+        lines.append(f"  total coefficients: {list(report.total)}")
+        if oracle is not None:
+            lines.append("  oracle agreement: " + ("PASS" if agree else "FAIL"))
+            for entry in oracle:
+                if not entry["match"]:
+                    lines.append(
+                        f"    degree {entry['degree']}: oracle {entry['oracle']} "
+                        f"!= series {entry['series']}"
+                    )
+        text = "\n".join(lines) + "\n"
+    return text, 0 if agree else 1

@@ -13,9 +13,10 @@ and ``act`` and ``apply`` build one per permutation (``_acting``) and read
 each exponent tuple through it.  The Fraction view
 ``terms`` is built only for output and inspection.  ``bracket`` builds
 each [U] and [U]' once per process; a bracket is also the telescoping
-product of ``telescoping_factors``, so it can act without being expanded.
+product of ``brackets.telescoping_factors``, so it can act without being
+expanded.
 
-One kernel, ``exactalg._apply_brackets``, applies such brackets to a map
+One kernel, ``brackets._apply_brackets``, applies such brackets to a map
 {tuple: int}, and it serves two products.  The left action of (a b) on a
 polynomial swaps slots a and b of each exponent tuple; the right product
 by (a b) swaps the same two slots of each image tuple, since
@@ -37,13 +38,11 @@ import functools
 from itertools import permutations
 from operator import itemgetter
 
+from .brackets import MAX_GROUP_N, _apply_brackets, _bracket_group
 from .exactalg import (
-    MAX_GROUP_N,
     DimensionMismatch,
     MultiPoly,
     ResourceGuardError,
-    _apply_brackets,
-    _bracket_group,
     _Combination,
     _scalar,
 )

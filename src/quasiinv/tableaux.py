@@ -5,7 +5,7 @@ a column plus one cell to its right.
 gamma_T = f_lambda [C_1]' ... [C_k]' [R_1] ... [R_l] / n! is written once,
 as two bracket groups, the columns and the rows, each with its
 telescoping factors (``_projection_plan``), and the transposition kernel
-of ``exactalg`` runs them on integer coefficients with the rational scale
+of ``brackets`` runs them on integer coefficients with the rational scale
 applied once: forward on image tuples for ``gamma`` and ``_times_gamma``
 (elements of Q S_n), and reversed on exponent tuples for
 ``gamma_images``, the path every projection of a polynomial in the
@@ -13,17 +13,18 @@ package takes.  Before each group the kernel folds the map onto that
 group's classes (keys sorted within each column, with the sign of the
 sort, or within each row), so only the representatives are expanded.
 ``gamma_images`` projects a whole list of polynomials in one kernel run:
-each polynomial's numerators are folded onto the row classes, on which
-gamma_T agrees, and the distinct folded maps are stacked in one map with
-each map's index as an extra slot of its exponent tuples;
-``gamma_apply`` is its one-item case.
+the numerators of all of them are stacked in one map, each exponent tuple
+carrying its polynomial's index as an extra slot, and folded onto the row
+classes once, on which gamma_T agrees; the distinct folded maps run the
+rows' factors and then the columns group.  ``gamma_apply`` is its
+one-item case.
 
 Projecting polynomials needs no group algebra: the plan and
-``gamma_images`` run on ``exactalg`` alone.  Only the functions that build
-elements of Q S_n (``gamma``, ``_times_gamma``, ``alpha`` and
-``col_union_antisym``) import ``symgroup``, when they run, so
-``apply --op gamma`` and the ``thm-main`` and ``hook`` suites do not load
-it.
+``gamma_images`` run on ``exactalg`` and ``brackets`` alone.  Only the
+functions that build elements of Q S_n (``gamma``, ``_times_gamma``,
+``alpha`` and ``col_union_antisym``) import ``symgroup``, when they run,
+so ``apply --op gamma`` and the ``thm-main`` and ``hook`` suites do not
+load it.
 
 Membership in one component of the characterization, gamma_T R intersect
 V_T^(2m+1) R, is tested here too (``gamma_component_verdicts``): a
@@ -43,15 +44,12 @@ import functools
 import itertools
 import math
 
+from .brackets import MAX_GROUP_N, _apply_brackets, _apply_factors, _bracket_group, _fold
 from .exactalg import (
-    MAX_GROUP_N,
     DimensionMismatch,
     MultiPoly,
     ResourceGuardError,
     TheoremViolationError,
-    _apply_brackets,
-    _bracket_group,
-    _fold,
     shift_coefficients,
 )
 
@@ -279,27 +277,37 @@ def gamma_images(t: Tableau, polys) -> list:
 
     Row classes.  P(T) is the sum over R(T) = S_(R_1) x ... x S_(R_l), so
     P(T) sigma = P(T) for sigma in R(T), and gamma_T x^e depends only on e
-    sorted within each row of T (``_fold``, which ``_apply_brackets`` runs
-    before every group).  Each polynomial's numerators are folded here
-    already, so that polynomials whose folded maps agree (repeats, row
-    permutations of one another, or the same numerators over other
-    denominators) are projected once.  The distinct maps are stacked in one
-    map, each exponent tuple carrying its map's index as one more slot; no
-    transposition touches that slot, so one kernel run projects them all,
-    and each polynomial takes its map's image over its own denominator,
-    built once per map and denominator."""
+    sorted within each row of T.  Every polynomial's numerators are stacked
+    in one map, each exponent tuple carrying the polynomial's index as one
+    more slot that no transposition touches, and the stack is folded onto
+    the row classes once (``_fold``).  Split per polynomial, folded maps
+    that agree (repeats, row permutations of one another, or the same
+    numerators over other denominators) are projected once: the distinct
+    maps are stacked again, each by its own index, the rows' telescoping
+    factors run on them directly (``_apply_factors``: they are folded
+    already), and then the columns group (``_apply_brackets``).  Each
+    polynomial takes its map's image over its own denominator, built once
+    per map and denominator."""
     groups, f, n_factorial = _projection_plan(t)
     polys = list(polys)
+    if any(p.nvars != t.n for p in polys):
+        raise DimensionMismatch("polynomial nvars mismatch")
+    stacked = {e + (i,): c for i, p in enumerate(polys) for e, c in p.num.items()}
+    folded = [{} for _ in polys]
+    for e, c in _fold(stacked, t.rows, False).items():
+        folded[e[-1]][e[:-1]] = c
     classes = {}
-    owners = []
-    for p in polys:
-        if p.nvars != t.n:
-            raise DimensionMismatch("polynomial nvars mismatch")
-        key = frozenset(_fold(p.num, t.rows, False).items())
-        owners.append(classes.setdefault(key, len(classes)))
-    stacked = {e + (k,): c for key, k in classes.items() for e, c in key}
+    owners = [classes.setdefault(frozenset(q.items()), len(classes)) for q in folded]
+    q = {e + (k,): c for key, k in classes.items() for e, c in key}
+    # the rows' factors run alone: the stack is folded by the rows already
+    for group in groups[::-1]:
+        _, signed, factors = group
+        if signed:
+            q = _apply_brackets(q, [group])
+        elif q:
+            q = _apply_factors(q, factors, 1)
     split = [{} for _ in classes]
-    for e, c in _apply_brackets(stacked, groups[::-1]).items():
+    for e, c in q.items():
         split[e[-1]][e[:-1]] = c * f
     images = {}
     for k, p in zip(owners, polys):

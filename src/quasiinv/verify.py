@@ -5,7 +5,8 @@ the same flags, and draws no random input; the CLI renders them one line
 per check.  A suite checks all of its limits first and then does a bare
 ``yield``, before any work and before its first line.  Each suite imports
 the layers it checks when it runs, so a ``verify`` command loads only the
-modules of its suite.
+modules of its suite.  ``cmd_verify``, the command's handler, renders the
+lines.
 """
 
 from __future__ import annotations
@@ -274,3 +275,14 @@ def run_suite(name: str, n: int, m: int):
     for suite in suites:
         next(suite)
     return [line for suite in suites for line in suite]
+
+
+def cmd_verify(args):
+    """``verify``: one line per check of the suite, and exit 1 on a FAIL."""
+    results = run_suite(args.suite, args.n, args.m)
+    lines = [f"suite={args.suite} n={args.n} m={args.m} seed={args.seed}"]
+    for name, passed, detail in results:
+        lines.append(f"{name}: {'PASS' if passed else 'FAIL'} ({detail})")
+    failed = [name for name, passed, _ in results if not passed]
+    lines.append(f"result: {len(results) - len(failed)}/{len(results)} passed")
+    return "\n".join(lines) + "\n", 1 if failed else 0

@@ -68,14 +68,14 @@ from fractions import Fraction
 
 from quasiinv import SUITES
 from quasiinv.calogero import NonPolynomialError
-from quasiinv.cli import (cmd_apply, cmd_basis, cmd_detcheck, cmd_hilbert, cmd_oracle,
-                          cmd_verify)
 from quasiinv.exactalg import MultiPoly, elementary_symmetric, grlex_key, vandermonde
-from quasiinv.hookbasis import HookSpec, q_integral
-from quasiinv.jsonio import _integer
-from quasiinv.quasi import monomials_of_degree
+from quasiinv.hookbasis import HookSpec, cmd_basis, q_integral
+from quasiinv.jsonio import _integer, cmd_apply
+from quasiinv.quasi import cmd_detcheck, cmd_oracle, monomials_of_degree
+from quasiinv.structure import cmd_hilbert
 from quasiinv.symgroup import GroupAlgebraElem, Perm
 from quasiinv.tableaux import Tableau, hook_tableau
+from quasiinv.verify import cmd_verify
 
 
 def divide_exact(p: MultiPoly, d: MultiPoly):

@@ -54,7 +54,8 @@ def forbid_work(monkeypatch):
         raise AssertionError("work began before the guard")
 
     for module, name in ((quasi, "integer_nullspace"), (tableaux, "_apply_brackets"),
-                         (symgroup, "_apply_brackets"), (hookbasis, "_q_integral"),
+                         (tableaux, "_apply_factors"), (symgroup, "_apply_brackets"),
+                         (hookbasis, "_q_integral"),
                          (hookbasis, "_integrand_product"), (structure, "series_expand")):
         monkeypatch.setattr(module, name, ran)
 

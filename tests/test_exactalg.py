@@ -1,8 +1,10 @@
 """Exact polynomial arithmetic: the integer kernel against a Fraction
 reference, ring axioms, the shift expansion at x_a = x_b + u (checked
-against the test-only long division), differentiation, definite
-integration in t = x_(n+1), q-series expansion, and the bracket kernel
-(the fold onto bracket classes before each telescoping expansion)."""
+against the test-only long division), definite integration in
+t = x_(n+1), and the exact helpers that live beside their consumers:
+q-series expansion (``structure``) and the bracket kernel of
+``brackets`` (the fold onto bracket classes before each telescoping
+expansion)."""
 
 import itertools
 import math
@@ -12,25 +14,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quasiinv.brackets import _apply_brackets, _apply_factors, _bracket_group, _fold
 from quasiinv.exactalg import (
     DimensionMismatch,
     MultiPoly,
-    _apply_brackets,
-    _apply_factors,
-    _bracket_group,
-    _fold,
     elementary_symmetric,
-    partial_derivative,
-    series_expand,
     shift_coefficients,
     t_integrate_definite,
     vandermonde,
 )
+from quasiinv.structure import series_expand
 from reference import (
     divide_exact,
     ref_add,
     ref_mul,
-    ref_partial_derivative,
     ref_scale,
     ref_shift_coefficients,
     ref_t_integrate_definite,
@@ -162,14 +159,6 @@ class TestIntegerKernel:
         assert_matches(P * c, ref_scale(p, c))
         assert_matches(c * P, ref_scale(p, c))
         assert_matches(P + c, ref_add(p, {(0,) * n: Fraction(c)} if c else {}))
-
-    @settings(max_examples=40, deadline=None)
-    @given(kernel_cases(), st.integers(1, 3))
-    def test_partial_derivative(self, case, i):
-        n, p, _ = case
-        i = min(i, n)
-        assert_matches(partial_derivative(MultiPoly(n, p), i),
-                       ref_partial_derivative(p, i))
 
     @settings(max_examples=40, deadline=None)
     @given(kernel_cases(min_n=3), st.sampled_from([(1, 2), (2, 1)]))
@@ -345,22 +334,6 @@ class TestShift:
         # an empty list would read as "no coefficient is nonzero"
         with pytest.raises(ValueError, match=f"need k >= 0, got {k}"):
             shift_coefficients(x(1), 1, 2, k)
-
-
-class TestCalculus:
-    def test_partial_derivative(self):
-        p = x(1) ** 3 * x(2) + x(2) ** 2
-        assert partial_derivative(p, 1) == x(1) ** 2 * x(2) * 3
-        assert partial_derivative(p, 2) == x(1) ** 3 + x(2) * 2
-        assert partial_derivative(MultiPoly.constant(NVARS, 5), 1).is_zero()
-
-    @settings(max_examples=30, deadline=None)
-    @given(polys(), polys())
-    def test_derivative_is_linear_and_leibniz(self, a, b):
-        da = partial_derivative(a, 2)
-        db = partial_derivative(b, 2)
-        assert partial_derivative(a + b, 2) == da + db
-        assert partial_derivative(a * b, 2) == da * b + a * db
 
 
 class TestSymmetricBuilders:

@@ -2,12 +2,16 @@
 
 Each module imports at its top level only the layers below it, and each
 CLI command loads only the modules it calls: the package's exports, the
-CLI's subcommands, the verify suites and the functions of ``tableaux``
-that build group-algebra elements import their modules on first use.  ``COMMANDS`` pins the
-exact module set of every subcommand, ``apply`` operation and ``verify``
-suite, and four invariants pin that none of them loads ``fractions``
-(with ``decimal`` and ``numbers``) or ``argparse`` (with ``gettext`` and
-``locale``) and which of them load ``json``, ``symgroup`` and ``quasi``.
+CLI's command handlers, the verify suites, the functions of ``tableaux``
+that build group-algebra elements and the quasiinvariance predicate's
+fold import their modules on first use.  ``COMMANDS`` pins the exact
+module set of every subcommand, ``apply`` operation and ``verify`` suite,
+and the invariants below pin that none of them loads ``fractions`` (with
+``decimal`` and ``numbers``) or ``argparse`` (with ``gettext`` and
+``locale``), which of them load ``json``, ``symgroup``, ``quasi`` and the
+transposition kernel ``brackets``, that each command's handler lives in a
+module the command loads anyway, and that help and usage errors load no
+handler.
 """
 
 import ast
@@ -30,8 +34,9 @@ ALLOWED = {
     "__init__": set(),
     "__main__": {"cli"},
     "exactalg": set(),
-    "symgroup": {"exactalg"},
-    "tableaux": {"exactalg"},
+    "brackets": set(),
+    "symgroup": {"exactalg", "brackets"},
+    "tableaux": {"exactalg", "brackets"},
     "predicate": {"exactalg"},
     "quasi": {"exactalg", "predicate"},
     "jsonio": {"exactalg"},
@@ -122,19 +127,23 @@ LOADED = """
 import os, sys
 sys.path.insert(0, {src!r})
 from quasiinv.cli import main
-code = main({argv!r} + ["--out", os.devnull])
+try:
+    code = main({argv!r} + ["--out", os.devnull])
+except SystemExit as exc:
+    code = exc.code
 print(code, " ".join(sorted(sys.modules)))
 """
 
 
-def modules_after(*argv):
+def modules_after(*argv, code=0):
     """sys.modules after ``cli.main(argv)`` in a fresh interpreter without
-    site, so nothing but the command itself has been imported."""
+    site, so nothing but the command itself has been imported; the command
+    must end with exit code ``code``, returned or raised by SystemExit."""
     script = LOADED.format(src=str(PACKAGE.parent), argv=list(argv))
     proc = subprocess.run([sys.executable, "-S", "-c", script],
                           capture_output=True, text=True, check=True)
-    code, names = proc.stdout.split(" ", 1)
-    assert code == "0"
+    got, names = proc.stdout.splitlines()[-1].split(" ", 1)
+    assert got == str(code)
     return set(names.split())
 
 
@@ -142,33 +151,34 @@ def modules_after(*argv):
 # every command loads; "{poly}" stands for a JSON polynomial file
 COMMANDS = [
     (("oracle", "--n", "3", "--m", "1", "--d", "2"), {"jsonio", "predicate", "quasi"}),
-    (("detcheck", "--m", "0"), {"jsonio", "predicate", "quasi"}),
+    (("detcheck", "--m", "0"), {"brackets", "jsonio", "predicate", "quasi"}),
     (("hilbert", "--n", "3", "--m", "1", "--D", "4", "--oracle"),
-     {"jsonio", "predicate", "quasi", "structure", "tableaux"}),
+     {"brackets", "jsonio", "predicate", "quasi", "structure", "tableaux"}),
     (("hilbert", "--n", "3", "--m", "1", "--D", "4"),
-     {"jsonio", "structure", "tableaux"}),
+     {"brackets", "jsonio", "structure", "tableaux"}),
     (("basis", "--n", "3", "--m", "1", "--j", "2", "--verify"),
      {"jsonio", "hookbasis"}),
     (("apply", "--op", "gamma", "--in", "{poly}", "--shape", "2,1", "--j", "2"),
-     {"jsonio", "tableaux"}),
+     {"brackets", "jsonio", "tableaux"}),
     (("apply", "--op", "lm", "--in", "{poly}", "--m", "1"),
      {"jsonio", "calogero"}),
     (("apply", "--op", "perm", "--in", "{poly}", "--sigma", "(1,2)"),
-     {"jsonio", "symgroup"}),
-    (("apply", "--op", "delta2", "--in", "{poly}", "--m", "0"), {"jsonio", "predicate"}),
+     {"brackets", "jsonio", "symgroup"}),
+    (("apply", "--op", "delta2", "--in", "{poly}", "--m", "0"),
+     {"brackets", "jsonio", "predicate"}),
     (("verify", "--suite", "groupalgebra", "--n", "3", "--seed", "1"),
-     {"verify", "predicate", "quasi", "tableaux", "symgroup"}),
+     {"verify", "brackets", "predicate", "quasi", "tableaux", "symgroup"}),
     (("verify", "--suite", "thm-main", "--n", "3", "--m", "1"),
-     {"verify", "predicate", "quasi", "structure", "tableaux"}),
+     {"verify", "brackets", "predicate", "quasi", "structure", "tableaux"}),
     (("verify", "--suite", "hook", "--n", "3", "--m", "1"),
-     {"verify", "hookbasis", "predicate", "tableaux"}),
+     {"verify", "brackets", "hookbasis", "predicate", "tableaux"}),
     (("verify", "--suite", "lm", "--n", "3", "--m", "1"),
      {"verify", "calogero", "hookbasis"}),
     (("verify", "--suite", "chain", "--n", "3", "--m", "1"),
-     {"verify", "predicate", "quasi", "structure", "tableaux"}),
+     {"verify", "brackets", "predicate", "quasi", "structure", "tableaux"}),
     (("verify", "--suite", "all", "--n", "3", "--m", "1", "--seed", "1"),
-     {"verify", "calogero", "hookbasis", "predicate", "quasi", "structure",
-      "tableaux", "symgroup"}),
+     {"verify", "brackets", "calogero", "hookbasis", "predicate", "quasi",
+      "structure", "tableaux", "symgroup"}),
 ]
 
 
@@ -200,9 +210,9 @@ def test_command_loads_exactly_its_modules(loaded, argv, modules):
 
 
 def rows_loading(loaded, module):
-    """The COMMANDS rows whose run loads ``module``, each as its command,
-    option and operation or suite, such as ("apply", "--op", "perm")."""
-    return {argv[:3] for argv, _ in COMMANDS if module in loaded(argv)}
+    """The COMMANDS rows whose run loads ``module``, each keyed by its whole
+    argv joined by spaces, as in the test ids."""
+    return {" ".join(argv) for argv, _ in COMMANDS if module in loaded(argv)}
 
 
 @pytest.mark.parametrize("module", ["fractions", "decimal", "numbers",
@@ -215,25 +225,70 @@ def test_no_command_loads_fractions(loaded, module):
 
 def test_verify_loads_no_json(loaded):
     # verify prints plain text
-    assert not {row for row in rows_loading(loaded, "json") if row[0] == "verify"}
+    assert not {row for row in rows_loading(loaded, "json") if row.startswith("verify ")}
 
 
 def test_only_permutations_and_group_algebra_load_symgroup(loaded):
-    # the projector's transposition kernel lives in exactalg, so gamma_T
+    # the projector's transposition kernel lives in brackets, so gamma_T
     # acts on polynomials without the group algebra
     assert rows_loading(loaded, "quasiinv.symgroup") == {
-        ("apply", "--op", "perm"), ("verify", "--suite", "groupalgebra"),
-        ("verify", "--suite", "all")}
+        "apply --op perm --in {poly} --sigma (1,2)",
+        "verify --suite groupalgebra --n 3 --seed 1",
+        "verify --suite all --n 3 --m 1 --seed 1"}
 
 
 def test_only_elimination_loads_quasi(loaded):
     # the quasiinvariance predicate and the membership test live in
     # predicate and tableaux, so only the commands that run the oracle or
-    # its elimination core compile quasi; the two hilbert rows share one key
+    # its elimination core compile quasi: hilbert only with --oracle
     assert rows_loading(loaded, "quasiinv.quasi") == {
-        ("oracle", "--n", "3"), ("detcheck", "--m", "0"), ("hilbert", "--n", "3"),
-        ("verify", "--suite", "groupalgebra"), ("verify", "--suite", "thm-main"),
-        ("verify", "--suite", "chain"), ("verify", "--suite", "all")}
+        "oracle --n 3 --m 1 --d 2", "detcheck --m 0",
+        "hilbert --n 3 --m 1 --D 4 --oracle",
+        "verify --suite groupalgebra --n 3 --seed 1",
+        "verify --suite thm-main --n 3 --m 1",
+        "verify --suite chain --n 3 --m 1",
+        "verify --suite all --n 3 --m 1 --seed 1"}
+
+
+def test_only_projectors_permutations_and_the_predicate_load_brackets(loaded):
+    # the transposition kernel is compiled by the Young projectors, the
+    # group algebra and the predicate's fold only: the oracle takes its
+    # constraint rows from predicate without the fold, and the hook basis
+    # and L_m run on exactalg alone
+    assert rows_loading(loaded, "quasiinv.brackets") == {
+        "detcheck --m 0",
+        "hilbert --n 3 --m 1 --D 4 --oracle",
+        "hilbert --n 3 --m 1 --D 4",
+        "apply --op gamma --in {poly} --shape 2,1 --j 2",
+        "apply --op perm --in {poly} --sigma (1,2)",
+        "apply --op delta2 --in {poly} --m 0",
+        "verify --suite groupalgebra --n 3 --seed 1",
+        "verify --suite thm-main --n 3 --m 1",
+        "verify --suite hook --n 3 --m 1",
+        "verify --suite chain --n 3 --m 1",
+        "verify --suite all --n 3 --m 1 --seed 1"}
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _ in COMMANDS],
+                         ids=[" ".join(argv) for argv, _ in COMMANDS])
+def test_handler_lives_in_a_module_the_command_loads(loaded, argv):
+    # the handler adds no module to its command's set; parse_args reads no
+    # file, so the "{poly}" placeholder stands as it is
+    assert cli.parse_args(list(argv)).func.__module__ in loaded(argv)
+
+
+def test_cli_holds_no_handler():
+    assert not [name for name in vars(cli) if name.startswith("cmd_")]
+
+
+HANDLER_MODULES = {f"quasiinv.{module}" for _, (module, _), _ in cli.COMMANDS.values()}
+
+
+@pytest.mark.parametrize("argv, code", [(("--help",), 0), (("verify", "-h"), 0),
+                                        (("detcheck",), 2)],
+                         ids=["--help", "verify -h", "usage error"])
+def test_help_and_usage_errors_load_no_handler(argv, code):
+    assert not modules_after(*argv, code=code) & HANDLER_MODULES
 
 
 def test_table_covers_every_command_op_and_suite():

@@ -508,6 +508,7 @@ class TestGammaComponent:
             raise AssertionError("projected before the refusal")
 
         monkeypatch.setattr(tableaux, "_apply_brackets", refuse)
+        monkeypatch.setattr(tableaux, "_apply_factors", refuse)
         p = v_t(t) * elementary_symmetric(3, 2)
         for m in (-1, -2):
             with pytest.raises(ValueError, match="m must be non-negative"):

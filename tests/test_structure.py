@@ -6,7 +6,7 @@ import math
 import pytest
 
 from quasiinv import structure
-from quasiinv.exactalg import elementary_symmetric, series_expand, vandermonde
+from quasiinv.exactalg import elementary_symmetric, vandermonde
 from quasiinv.quasi import (
     change_of_basis_n2,
     delta_sq_chain_check,
@@ -18,6 +18,7 @@ from quasiinv.structure import (
     det_degree,
     full_hilbert,
     numerator_exponent,
+    series_expand,
 )
 from quasiinv.tableaux import (
     Partition,

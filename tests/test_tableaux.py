@@ -271,16 +271,16 @@ class TestSymmetrizers:
                                                               n, pairs):
         # [C_i + cell]' holds a transposition of the cell's row, so the row
         # fold merges its terms in cancelling pairs and no factor runs
-        from quasiinv import exactalg
+        from quasiinv import brackets
 
         runs = []
-        real = exactalg._apply_factors
+        real = brackets._apply_factors
 
         def spy(q, factors, sign):
             runs.extend(len(q) for _ in factors)
             return real(q, factors, sign)
 
-        monkeypatch.setattr(exactalg, "_apply_factors", spy)
+        monkeypatch.setattr(brackets, "_apply_factors", spy)
         checked = 0
         for shape in partitions_of(n):
             for t in standard_tableaux(shape):
@@ -398,19 +398,25 @@ class TestGammaImages:
         from quasiinv import tableaux
 
         calls = []
-        real = tableaux._apply_brackets
+        real_factors, real_brackets = tableaux._apply_factors, tableaux._apply_brackets
 
-        def spy(q, groups):
-            calls.append(len(q))
-            return real(q, groups)
+        def factors_spy(q, factors, sign):
+            calls.append(("rows", len(q)))
+            return real_factors(q, factors, sign)
 
-        monkeypatch.setattr(tableaux, "_apply_brackets", spy)
+        def brackets_spy(q, groups):
+            calls.append(("columns", len(q)))
+            return real_brackets(q, groups)
+
+        monkeypatch.setattr(tableaux, "_apply_factors", factors_spy)
+        monkeypatch.setattr(tableaux, "_apply_brackets", brackets_spy)
         t = hook_tableau(3, 2)
         polys = [MultiPoly.variable(3, i) for i in (1, 2, 3)] + [MultiPoly.zero(3)]
         images = gamma_images(t, polys)
-        # x1 and x3 share the row class of T's row (1, 3), so the kernel
-        # runs once on one term per class
-        assert calls == [2]
+        # x1 and x3 share the row class of T's row (1, 3), so the rows'
+        # factors run once on one term per class, on the stack folded once,
+        # and the columns group once on their three terms
+        assert calls == [("rows", 2), ("columns", 3)]
         assert images[0] == images[2]
         assert images[3].is_zero()
 

@@ -19,12 +19,12 @@ _HOMES = {
                  "TheoremViolationError", "elementary_symmetric",
                  "t_integrate_definite", "vandermonde"),
     "symgroup": ("GroupAlgebraElem", "Perm", "act", "bracket", "parse_cycles"),
-    "tableaux": ("Partition", "Tableau", "cocharge", "content", "f_lambda",
-                 "gamma", "gamma_apply", "hook_tableau", "in_gamma_component",
-                 "standard_tableaux", "v_t"),
+    "young": ("Partition", "Tableau", "cocharge", "content", "f_lambda",
+              "standard_tableaux"),
+    "tableaux": ("gamma", "gamma_apply", "hook_tableau", "in_gamma_component", "v_t"),
     "predicate": ("is_quasiinvariant",),
-    "quasi": ("QIWitness", "change_of_basis_n2", "graded_dimension_oracle",
-              "is_sym_basis"),
+    "quasi": ("QIWitness", "graded_dimension_oracle"),
+    "symbasis": ("change_of_basis_n2", "is_sym_basis"),
     "hookbasis": ("HookSpec", "hook_basis", "q_closed_form", "q_integral"),
     "calogero": ("NonPolynomialError", "apply_lm"),
     "structure": ("HilbertReport", "det_degree", "full_hilbert", "series_expand",

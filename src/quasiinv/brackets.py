@@ -15,8 +15,8 @@ The module imports no other module of the package: it runs on int
 numerators alone.  ``symgroup`` and ``tableaux`` import it, so the Young
 projectors act on polynomials without loading the group algebra, and the
 quasiinvariance predicate imports ``_fold`` when it runs, to fold by
-(1 - (i j)); a command that runs neither (``oracle``, ``basis``,
-``apply --op lm``, ``verify --suite lm``) does not compile it.
+(1 - (i j)); a command that runs neither (``oracle``, ``hilbert``,
+``basis``, ``apply --op lm``, ``verify --suite lm``) does not compile it.
 """
 
 from __future__ import annotations

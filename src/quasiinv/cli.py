@@ -14,10 +14,10 @@ exit 2 or exit 1.
 
 This module holds no command's code.  Each row of ``COMMANDS`` names its
 handler as (module, function name), in the module whose result it prints
-(``hookbasis``, ``verify``, ``structure``, ``jsonio`` or ``quasi``), and
-``parse_args`` imports that module only once argv is accepted, so a
-command compiles only its own handler and ``-h`` or a usage error
-compiles none.  A handler imports the further layers it calls when it
+(``hookbasis``, ``verify``, ``structure``, ``jsonio``, ``quasi`` or
+``symbasis``), and ``parse_args`` imports that module only once argv is
+accepted, so a command compiles only its own handler and ``-h`` or a
+usage error compiles none.  A handler imports the further layers it calls when it
 runs, ``json`` and ``jsonio`` only where it reads or writes JSON
 (``verify`` prints plain text and loads neither), and returns its text
 and exit code; ``main`` writes the text to stdout or --out, so a failed
@@ -106,7 +106,7 @@ COMMANDS = {
         _option("--seed", int, 0,
                 help="only recorded in the output; the oracle draws nothing"),
         _OUT)),
-    "detcheck": ("n=2 change-of-basis determinant check", ("quasi", "cmd_detcheck"), (
+    "detcheck": ("n=2 change-of-basis determinant check", ("symbasis", "cmd_detcheck"), (
         _option("--m", int, required=True),
         _OUT, _FORMAT)),
 }

@@ -114,7 +114,8 @@ def cmd_apply(args):
     with open(args.infile, "r", encoding="utf-8") as fh:
         p = poly_from_obj(_parse_json(fh.read(), "--in"))
     if args.op == "gamma":
-        from .tableaux import Partition, Tableau, gamma_apply, hook_tableau
+        from .tableaux import gamma_apply, hook_tableau
+        from .young import Partition, Tableau
 
         if args.tableau:
             t = Tableau(_parse_json(args.tableau, "--tableau"))

@@ -3,18 +3,19 @@ the degree of the change-of-basis determinant.
 
 The graded dimension generating function of QI_m is assembled per shape
 from the exponents m(C(n,2) - content(shape)) + cocharge(T) and divided by
-prod (1 - q^i).  The characterization check joins the oracle and the
-quasiinvariance predicate with the Young projectors of ``tableaux``; it
-imports ``quasi`` when it runs, so the series alone does not load it.
-``theorem_main_checks`` checks the direct sum degree by degree: the bases
-of gamma_T R_d intersect V_T^(2m+1) R over all standard T, read off
-``quasi.poly_relations``, are quasiinvariant, and together they are
-independent and dim QI_m,d in number.  The Sym-basis certificate, the n = 2
-change of basis and the Delta^2 chain, which need no projector, are in
-``quasi``; the membership test of one component, gamma_T R intersect
-V_T^(2m+1) R, is in ``tableaux``.  The series' one consumer is here:
-the q-series expansion (``series_expand``) and the ``hilbert`` command's
-handler.
+prod (1 - q^i), on the tableau statistics of ``young`` alone: the series
+and ``hilbert --oracle`` load no Young projector.  The characterization
+check joins the oracle and the quasiinvariance predicate with the Young
+projectors of ``tableaux``; it imports ``quasi``, ``predicate`` and
+``tableaux`` when it runs.  ``theorem_main_checks`` checks the direct sum
+degree by degree: the bases of gamma_T R_d intersect V_T^(2m+1) R over all
+standard T, read off ``quasi.poly_relations``, are quasiinvariant, and
+together they are independent and dim QI_m,d in number.  The Sym-basis
+certificate, the n = 2 change of basis and the Delta^2 chain, which need
+no projector, are in ``symbasis``; the membership test of one component,
+gamma_T R intersect V_T^(2m+1) R, is in ``tableaux``.  The series' one
+consumer is here: the q-series expansion (``series_expand``) and the
+``hilbert`` command's handler.
 """
 
 from __future__ import annotations
@@ -26,15 +27,13 @@ from .exactalg import (
     ResourceGuardError,
     TheoremViolationError,
 )
-from .tableaux import (
+from .young import (
     Tableau,
     cocharge,
     content,
     f_lambda,
-    gamma_images,
     partitions_of,
     standard_tableaux,
-    v_t,
 )
 
 HILBERT_MAX_N = 6
@@ -141,14 +140,15 @@ def theorem_main_checks(n: int, m: int) -> dict:
     dim QI_m,d (the ``groupalgebra`` rank-sum line), so
     span B_d(T) = gamma_T(QI_m,d) for each T as well.
     """
+    from .predicate import is_quasiinvariant
     from .quasi import (
         degree_cap,
         graded_dimension_oracle,
-        is_quasiinvariant,
         monomials_of_degree,
         poly_rank,
         poly_relations,
     )
+    from .tableaux import gamma_images, v_t
 
     max_degree = min(degree_cap(), m * n + 2)
     components = []

@@ -30,7 +30,7 @@ HOOK_SUITE_MAX_WORK = 250_000
 
 
 def _all_standard(n):
-    from .tableaux import partitions_of, standard_tableaux
+    from .young import partitions_of, standard_tableaux
 
     return [t for shape in partitions_of(n) for t in standard_tableaux(shape)]
 
@@ -229,9 +229,9 @@ def suite_lm(n: int, m: int):
 
 def suite_chain(n: int, m: int):
     from .exactalg import TheoremViolationError
-    from .quasi import (_refuse_above_cap, _refuse_oracle_n, change_of_basis_n2,
-                        delta_sq_chain_check)
+    from .quasi import _refuse_above_cap, _refuse_oracle_n
     from .structure import det_degree
+    from .symbasis import change_of_basis_n2, delta_sq_chain_check
 
     # the n = 2 basis reaches degree 2m+3, past the chain's min(4, mn + 1)
     _refuse_oracle_n(n)

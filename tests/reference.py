@@ -71,11 +71,13 @@ from quasiinv.calogero import NonPolynomialError
 from quasiinv.exactalg import MultiPoly, elementary_symmetric, grlex_key, vandermonde
 from quasiinv.hookbasis import HookSpec, cmd_basis, q_integral
 from quasiinv.jsonio import _integer, cmd_apply
-from quasiinv.quasi import cmd_detcheck, cmd_oracle, monomials_of_degree
+from quasiinv.quasi import cmd_oracle, monomials_of_degree
 from quasiinv.structure import cmd_hilbert
+from quasiinv.symbasis import cmd_detcheck
 from quasiinv.symgroup import GroupAlgebraElem, Perm
-from quasiinv.tableaux import Tableau, hook_tableau
+from quasiinv.tableaux import hook_tableau
 from quasiinv.verify import cmd_verify
+from quasiinv.young import Tableau
 
 
 def divide_exact(p: MultiPoly, d: MultiPoly):

@@ -21,22 +21,12 @@ from quasiinv.hookbasis import (
     recursion_residual,
 )
 from quasiinv.predicate import is_quasiinvariant
-from quasiinv.quasi import (
-    change_of_basis_n2,
-    delta_sq_chain_check,
-    graded_dimension_oracle,
-    is_sym_basis,
-)
+from quasiinv.quasi import graded_dimension_oracle
 from quasiinv.structure import det_degree, full_hilbert
-from quasiinv.tableaux import (
-    Partition,
-    f_lambda,
-    gamma,
-    hook_tableau,
-    in_gamma_component,
-    v_t,
-)
+from quasiinv.symbasis import change_of_basis_n2, delta_sq_chain_check, is_sym_basis
+from quasiinv.tableaux import gamma, hook_tableau, in_gamma_component, v_t
 from quasiinv.verify import run_suite
+from quasiinv.young import Partition, f_lambda
 from reference import divide_exact, paper_basis
 
 

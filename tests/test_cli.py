@@ -48,12 +48,13 @@ def forbid_work(monkeypatch):
     product on the transposition kernel, every hook basis element and every
     Hilbert series expansion raise, so that a refusal shows it came before
     any work."""
-    from quasiinv import hookbasis, quasi, structure, symgroup, tableaux
+    from quasiinv import hookbasis, quasi, structure, symbasis, symgroup, tableaux
 
     def ran(*args):
         raise AssertionError("work began before the guard")
 
-    for module, name in ((quasi, "integer_nullspace"), (tableaux, "_apply_brackets"),
+    for module, name in ((quasi, "integer_nullspace"), (symbasis, "integer_nullspace"),
+                         (tableaux, "_apply_brackets"),
                          (tableaux, "_apply_factors"), (symgroup, "_apply_brackets"),
                          (hookbasis, "_q_integral"),
                          (hookbasis, "_integrand_product"), (structure, "series_expand")):
@@ -253,10 +254,10 @@ class TestVerify:
             "result: 2/3 passed\n")
 
     def test_chain_reports_a_failed_identity_as_a_line(self, capsys, monkeypatch):
-        from quasiinv import quasi
+        from quasiinv import symbasis
 
-        vandermonde = quasi.vandermonde
-        monkeypatch.setattr(quasi, "vandermonde", lambda n: vandermonde(n) * 2)
+        vandermonde = symbasis.vandermonde
+        monkeypatch.setattr(symbasis, "vandermonde", lambda n: vandermonde(n) * 2)
         code, out, err = run(capsys, "verify", "--suite", "chain", "--n", "2",
                              "--m", "0")
         assert (code, err) == (1, "")
@@ -427,7 +428,8 @@ class TestApply:
         assert image == gamma(hook_tableau(3, 2)).apply(p)
 
     def test_gamma_non_hook(self, capsys, tmp_path):
-        from quasiinv.tableaux import Tableau, gamma
+        from quasiinv.tableaux import gamma
+        from quasiinv.young import Tableau
 
         x = lambda i: MultiPoly.variable(5, i)
         p = (x(2) ** 2 * x(3) * x(5) * Fraction(3, 2) - x(4) * x(5) ** 3
@@ -448,7 +450,8 @@ class TestApply:
 
     def test_gamma_nine_variables_within_bound(self, capsys, tmp_path):
         # shape [4, 3, 2]: |R(T)| |C(T)| = 4! 3! 2! 3! 3! 2! 1! = 20736
-        from quasiinv.tableaux import Tableau, gamma
+        from quasiinv.tableaux import gamma
+        from quasiinv.young import Tableau
 
         p = MultiPoly(9, {(0, 0, 0, 0, 1, 1, 1, 2, 2): 3,
                           (0, 1, 0, 0, 1, 0, 1, 2, 2): Fraction(-1, 2)})
@@ -648,15 +651,15 @@ class TestIdentityFailure:
     never as an escaping exception."""
 
     def test_detcheck(self, capsys, monkeypatch):
-        from quasiinv import quasi
+        from quasiinv import symbasis
 
-        vandermonde = quasi.vandermonde
-        monkeypatch.setattr(quasi, "vandermonde", lambda n: vandermonde(n) * 2)
+        vandermonde = symbasis.vandermonde
+        monkeypatch.setattr(symbasis, "vandermonde", lambda n: vandermonde(n) * 2)
         assert_one_line_identity_failure(*run(capsys, "detcheck", "--m", "1"),
                                          "determinant is not the squared Vandermonde")
 
     def test_hilbert(self, capsys, monkeypatch):
-        from quasiinv.tableaux import Partition
+        from quasiinv.young import Partition
 
         monkeypatch.setattr(Partition, "hook_length_count", lambda self: 0)
         assert_one_line_identity_failure(
@@ -680,9 +683,9 @@ PACKAGE_PARENT = Path(quasiinv.__file__).parents[1]
 PROCESS_ENV = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
 
 IDENTITY_FAILURE = """
-from quasiinv import cli, quasi
-vandermonde = quasi.vandermonde
-quasi.vandermonde = lambda n: vandermonde(n) * 2
+from quasiinv import cli, symbasis
+vandermonde = symbasis.vandermonde
+symbasis.vandermonde = lambda n: vandermonde(n) * 2
 cli.console_entry(["detcheck", "--m", "1"])
 """
 

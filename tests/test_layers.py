@@ -8,10 +8,10 @@ fold import their modules on first use.  ``COMMANDS`` pins the exact
 module set of every subcommand, ``apply`` operation and ``verify`` suite,
 and the invariants below pin that none of them loads ``fractions`` (with
 ``decimal`` and ``numbers``) or ``argparse`` (with ``gettext`` and
-``locale``), which of them load ``json``, ``symgroup``, ``quasi`` and the
-transposition kernel ``brackets``, that each command's handler lives in a
-module the command loads anyway, and that help and usage errors load no
-handler.
+``locale``), which of them load ``json``, ``symgroup``, ``quasi``,
+``symbasis`` and the transposition kernel ``brackets``, that ``hilbert``
+loads no Young projector, that each command's handler lives in a module
+the command loads anyway, and that help and usage errors load no handler.
 """
 
 import ast
@@ -36,13 +36,15 @@ ALLOWED = {
     "exactalg": set(),
     "brackets": set(),
     "symgroup": {"exactalg", "brackets"},
-    "tableaux": {"exactalg", "brackets"},
+    "young": {"exactalg"},
+    "tableaux": {"exactalg", "brackets", "young"},
     "predicate": {"exactalg"},
     "quasi": {"exactalg", "predicate"},
+    "symbasis": {"exactalg", "predicate", "quasi"},
     "jsonio": {"exactalg"},
     "hookbasis": {"exactalg"},
     "calogero": {"exactalg"},
-    "structure": {"exactalg", "tableaux"},
+    "structure": {"exactalg", "young"},
     "verify": {"__init__"},
     "cli": {"__init__", "exactalg"},
 }
@@ -151,15 +153,15 @@ def modules_after(*argv, code=0):
 # every command loads; "{poly}" stands for a JSON polynomial file
 COMMANDS = [
     (("oracle", "--n", "3", "--m", "1", "--d", "2"), {"jsonio", "predicate", "quasi"}),
-    (("detcheck", "--m", "0"), {"brackets", "jsonio", "predicate", "quasi"}),
+    (("detcheck", "--m", "0"), {"brackets", "jsonio", "predicate", "quasi", "symbasis"}),
     (("hilbert", "--n", "3", "--m", "1", "--D", "4", "--oracle"),
-     {"brackets", "jsonio", "predicate", "quasi", "structure", "tableaux"}),
+     {"jsonio", "predicate", "quasi", "structure", "young"}),
     (("hilbert", "--n", "3", "--m", "1", "--D", "4"),
-     {"brackets", "jsonio", "structure", "tableaux"}),
+     {"jsonio", "structure", "young"}),
     (("basis", "--n", "3", "--m", "1", "--j", "2", "--verify"),
      {"jsonio", "hookbasis"}),
     (("apply", "--op", "gamma", "--in", "{poly}", "--shape", "2,1", "--j", "2"),
-     {"brackets", "jsonio", "tableaux"}),
+     {"brackets", "jsonio", "tableaux", "young"}),
     (("apply", "--op", "lm", "--in", "{poly}", "--m", "1"),
      {"jsonio", "calogero"}),
     (("apply", "--op", "perm", "--in", "{poly}", "--sigma", "(1,2)"),
@@ -167,18 +169,18 @@ COMMANDS = [
     (("apply", "--op", "delta2", "--in", "{poly}", "--m", "0"),
      {"brackets", "jsonio", "predicate"}),
     (("verify", "--suite", "groupalgebra", "--n", "3", "--seed", "1"),
-     {"verify", "brackets", "predicate", "quasi", "tableaux", "symgroup"}),
+     {"verify", "brackets", "predicate", "quasi", "tableaux", "symgroup", "young"}),
     (("verify", "--suite", "thm-main", "--n", "3", "--m", "1"),
-     {"verify", "brackets", "predicate", "quasi", "structure", "tableaux"}),
+     {"verify", "brackets", "predicate", "quasi", "structure", "tableaux", "young"}),
     (("verify", "--suite", "hook", "--n", "3", "--m", "1"),
-     {"verify", "brackets", "hookbasis", "predicate", "tableaux"}),
+     {"verify", "brackets", "hookbasis", "predicate", "tableaux", "young"}),
     (("verify", "--suite", "lm", "--n", "3", "--m", "1"),
      {"verify", "calogero", "hookbasis"}),
     (("verify", "--suite", "chain", "--n", "3", "--m", "1"),
-     {"verify", "brackets", "predicate", "quasi", "structure", "tableaux"}),
+     {"verify", "brackets", "predicate", "quasi", "structure", "symbasis", "young"}),
     (("verify", "--suite", "all", "--n", "3", "--m", "1", "--seed", "1"),
      {"verify", "brackets", "calogero", "hookbasis", "predicate", "quasi",
-      "structure", "tableaux", "symgroup"}),
+      "structure", "symbasis", "tableaux", "symgroup", "young"}),
 ]
 
 
@@ -253,18 +255,34 @@ def test_only_elimination_loads_quasi(loaded):
 def test_only_projectors_permutations_and_the_predicate_load_brackets(loaded):
     # the transposition kernel is compiled by the Young projectors, the
     # group algebra and the predicate's fold only: the oracle takes its
-    # constraint rows from predicate without the fold, and the hook basis
-    # and L_m run on exactalg alone
+    # constraint rows from predicate without the fold, the Hilbert series
+    # reads tableau statistics alone, and the hook basis and L_m run on
+    # exactalg alone
     assert rows_loading(loaded, "quasiinv.brackets") == {
         "detcheck --m 0",
-        "hilbert --n 3 --m 1 --D 4 --oracle",
-        "hilbert --n 3 --m 1 --D 4",
         "apply --op gamma --in {poly} --shape 2,1 --j 2",
         "apply --op perm --in {poly} --sigma (1,2)",
         "apply --op delta2 --in {poly} --m 0",
         "verify --suite groupalgebra --n 3 --seed 1",
         "verify --suite thm-main --n 3 --m 1",
         "verify --suite hook --n 3 --m 1",
+        "verify --suite chain --n 3 --m 1",
+        "verify --suite all --n 3 --m 1 --seed 1"}
+
+
+def test_hilbert_loads_no_projector(loaded):
+    # the series is read off the tableau statistics of young, and the
+    # oracle check adds only the elimination core
+    for argv in (("hilbert", "--n", "3", "--m", "1", "--D", "4"),
+                 ("hilbert", "--n", "3", "--m", "1", "--D", "4", "--oracle")):
+        assert not loaded(argv) & {"quasiinv.tableaux", "quasiinv.brackets",
+                                   "quasiinv.symgroup"}
+
+
+def test_only_detcheck_and_the_chain_load_symbasis(loaded):
+    # the Sym-basis checks build on the oracle but no other command runs them
+    assert rows_loading(loaded, "quasiinv.symbasis") == {
+        "detcheck --m 0",
         "verify --suite chain --n 3 --m 1",
         "verify --suite all --n 3 --m 1 --seed 1"}
 
@@ -305,6 +323,24 @@ def test_export_is_its_home_object(name):
     home = importlib.import_module(value.__module__)
     assert home.__name__.startswith("quasiinv.")
     assert getattr(home, name) is value
+
+
+# names the benchmark reads from the package by module and name: the
+# output checks of perfbench/run.py import the first three, and the
+# tracer of perfbench/launcher.py wraps the rest, so a move that drops one
+# fails every benchmark run
+BENCHMARK_NAMES = [
+    ("tableaux", "Tableau"), ("tableaux", "gamma"), ("jsonio", "poly_from_obj"),
+    ("structure", "full_hilbert"), ("quasi", "graded_dimension_oracle"),
+    ("quasi", "_constraint_rows"), ("quasi", "integer_nullspace"),
+    ("quasi", "poly_rank"),
+]
+
+
+@pytest.mark.parametrize("module, name", BENCHMARK_NAMES,
+                         ids=[".".join(pair) for pair in BENCHMARK_NAMES])
+def test_benchmark_names_resolve(module, name):
+    assert callable(getattr(importlib.import_module(f"quasiinv.{module}"), name))
 
 
 def test_package_namespace():

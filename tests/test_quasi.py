@@ -10,30 +10,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quasiinv import predicate, quasi, structure, tableaux
+from quasiinv import predicate, quasi, structure, symbasis, tableaux
 from quasiinv.exactalg import MultiPoly, elementary_symmetric, vandermonde
 from quasiinv.predicate import delta_sq_embed, is_quasiinvariant
 from quasiinv.quasi import (
     ResourceGuardError,
-    change_of_basis_n2,
     graded_dimension_oracle,
     integer_nullspace,
-    is_sym_basis,
     monomials_of_degree,
     poly_rank,
 )
 from quasiinv.structure import theorem_main_checks
+from quasiinv.symbasis import change_of_basis_n2, is_sym_basis
 from quasiinv.symgroup import Perm, act
-from quasiinv.tableaux import (
-    Partition,
-    f_lambda,
-    gamma_apply,
-    hook_tableau,
-    in_gamma_component,
-    partitions_of,
-    standard_tableaux,
-    v_t,
-)
+from quasiinv.tableaux import gamma_apply, hook_tableau, in_gamma_component, v_t
+from quasiinv.young import Partition, f_lambda, partitions_of, standard_tableaux
 from reference import (
     divide_exact,
     paper_basis,
@@ -670,7 +661,7 @@ class TestMainCharacterization:
                 return MultiPoly.constant(t.n, 1)
             return v_t(t)
 
-        monkeypatch.setattr(structure, "v_t", v_t_one_on_hooks)
+        monkeypatch.setattr(tableaux, "v_t", v_t_one_on_hooks)
         report = theorem_main_checks(3, 1)
         assert not report["passed"]
         assert {kind for kind, _, _ in report["failures"]} == {
@@ -684,7 +675,7 @@ class TestMainCharacterization:
             v = v_t(t)
             return v * v if t.shape.parts == (t.n - 1, 1) else v
 
-        monkeypatch.setattr(structure, "v_t", v_t_squared_on_hooks)
+        monkeypatch.setattr(tableaux, "v_t", v_t_squared_on_hooks)
         report = theorem_main_checks(n, m)
         assert not report["passed"]
         assert {kind for kind, _, _ in report["failures"]} == {"dimension"}
@@ -700,7 +691,7 @@ class TestMainCharacterization:
                 return MultiPoly.constant(t.n, 1)
             return v_t(t)
 
-        monkeypatch.setattr(structure, "v_t", v_t_one_on_shape)
+        monkeypatch.setattr(tableaux, "v_t", v_t_one_on_shape)
         report = theorem_main_checks(n, m)
         assert not report["passed"]
         named = {kind: {rows for k, _, rows in report["failures"] if k == kind}
@@ -747,7 +738,7 @@ class TestDegreeCap:
         def refuse(*args):
             raise AssertionError("the guard ran after the work began")
 
-        monkeypatch.setattr(quasi, "is_sym_basis", refuse)
+        monkeypatch.setattr(symbasis, "is_sym_basis", refuse)
         monkeypatch.delenv("QI_MAX_DEGREE", raising=False)
         with pytest.raises(ResourceGuardError, match=re.escape(
                 "degree 13 above cap 12 (set QI_MAX_DEGREE to raise)")):

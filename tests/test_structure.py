@@ -7,12 +7,7 @@ import pytest
 
 from quasiinv import structure
 from quasiinv.exactalg import elementary_symmetric, vandermonde
-from quasiinv.quasi import (
-    change_of_basis_n2,
-    delta_sq_chain_check,
-    graded_dimension_oracle,
-    is_sym_basis,
-)
+from quasiinv.quasi import graded_dimension_oracle
 from quasiinv.structure import (
     HILBERT_MAX_N,
     det_degree,
@@ -20,12 +15,12 @@ from quasiinv.structure import (
     numerator_exponent,
     series_expand,
 )
-from quasiinv.tableaux import (
+from quasiinv.symbasis import change_of_basis_n2, delta_sq_chain_check, is_sym_basis
+from quasiinv.tableaux import hook_tableau, in_gamma_component
+from quasiinv.young import (
     Partition,
     content,
     f_lambda,
-    hook_tableau,
-    in_gamma_component,
     partitions_of,
     standard_tableaux,
 )
@@ -34,7 +29,7 @@ from reference import paper_basis
 
 class TestNumeratorExponents:
     def test_m0_is_cocharge(self):
-        from quasiinv.tableaux import cocharge
+        from quasiinv.young import cocharge
 
         for shape in partitions_of(4):
             for t in standard_tableaux(shape):

@@ -21,7 +21,8 @@ from quasiinv.symgroup import (
     subgroup_perms,
     times_brackets,
 )
-from quasiinv.tableaux import gamma, partitions_of, standard_tableaux
+from quasiinv.tableaux import gamma
+from quasiinv.young import partitions_of, standard_tableaux
 from reference import convolve, ref_add, ref_convolve, ref_scale
 
 

@@ -25,21 +25,23 @@ from quasiinv.symgroup import (
     times_brackets,
 )
 from quasiinv.tableaux import (
-    Partition,
-    Tableau,
     _times_gamma,
     alpha,
-    cocharge,
     col_union_antisym,
-    content,
-    f_lambda,
     gamma,
     gamma_apply,
     gamma_images,
     hook_tableau,
+    v_t,
+)
+from quasiinv.young import (
+    Partition,
+    Tableau,
+    cocharge,
+    content,
+    f_lambda,
     partitions_of,
     standard_tableaux,
-    v_t,
 )
 from reference import convolve
 
